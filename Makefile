@@ -9,8 +9,10 @@ export REPRO_TEST_TIMEOUT ?= 600
 .PHONY: check fast test bench bench-dispatch bench-kernel bench-serving bench-ingest chaos lint analyze typecheck
 
 ## tier-1 gate: lint, analyze, typecheck, then the full test suite (what CI runs)
+## and the end-to-end benchmark's own arithmetic (perfbench/tests, outside testpaths)
 check: lint analyze typecheck
 	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -q perfbench/tests
 
 ## project-specific correctness lint (syntactic rules REP001–REP009), then
 ## ruff when installed.  The repro.devtools.lint pass always runs (stdlib-only);

@@ -209,24 +209,17 @@ class TCPScoringClient:
     # Wire exchange
     # ------------------------------------------------------------------ #
 
-    def _roundtrip(self, requests: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Send a pipelined batch of requests; return responses in order.
+    def _roundtrip(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """Send one request; return the reply that echoes its ``id``.
 
-        Every request is tagged with a fresh ``id`` and responses are
-        matched by it, so out-of-order replies (score responses resolve
-        behind the micro-batcher) pair up correctly.  Any connection
-        failure tears the socket down, backs off, reconnects, and
-        re-sends the whole batch; past ``max_reconnects`` attempts the
-        caller gets :class:`ServerUnreachableError`.
+        Any connection failure tears the socket down, backs off,
+        reconnects, and re-sends the request; past ``max_reconnects``
+        attempts the caller gets :class:`ServerUnreachableError`.
         """
-        ids = []
-        for req in requests:
-            req["id"] = self._next_id
-            ids.append(self._next_id)
-            self._next_id += 1
-        wire = b"".join(
-            json.dumps(req).encode("utf-8") + b"\n" for req in requests
-        )
+        rid = self._next_id
+        self._next_id += 1
+        payload["id"] = rid
+        wire = json.dumps(payload).encode("utf-8") + b"\n"
         last_exc: Optional[Exception] = None
         for attempt in range(self.max_reconnects + 1):
             if attempt > 0:
@@ -242,27 +235,23 @@ class TCPScoringClient:
                     self._connect_once()
                 assert self._sock is not None and self._rfile is not None
                 self._sock.sendall(wire)
-                by_id: Dict[int, Dict[str, Any]] = {}
-                want = set(ids)
-                while want:
+                while True:
                     line = self._rfile.readline()
                     if not line:
                         raise ConnectionResetError(
                             "server closed the connection mid-exchange"
                         )
-                    response = json.loads(line)
-                    rid = response.get("id")
-                    if rid is None and not response.get("ok", False):
+                    response: Dict[str, Any] = json.loads(line)
+                    got = response.get("id")
+                    if got is None and not response.get("ok", False):
                         # a reply the server could not tie to a request
                         # (oversized/garbled line): fail loudly rather
-                        # than wait forever for ids that will never come
+                        # than wait forever for an id that will never come
                         raise RemoteError(
                             str(response.get("error", "unknown server error"))
                         )
-                    if rid in want:
-                        by_id[rid] = response
-                        want.discard(rid)
-                return [by_id[i] for i in ids]
+                    if got == rid:
+                        return response
             except (OSError, EOFError, json.JSONDecodeError) as exc:
                 self._teardown()
                 last_exc = exc
@@ -273,13 +262,19 @@ class TCPScoringClient:
         ) from last_exc
 
     def _request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return self._check(self._roundtrip([payload])[0])
+        return self._check(self._roundtrip(payload))
 
     @staticmethod
     def _check(response: Dict[str, Any]) -> Dict[str, Any]:
         if response.get("ok"):
             return response
-        error = str(response.get("error", "unknown server error"))
+        if "error" in response:
+            error = str(response["error"])
+        elif "cascade" in response:
+            # a per-cascade score result: name the cascade and its status
+            error = f"cascade {response['cascade']!r}: {response.get('status')}"
+        else:
+            error = "unknown server error"
         if _QUEUE_FULL_MARKER in error:
             raise QueueFullError(error)
         raise RemoteError(error)
@@ -329,20 +324,21 @@ class TCPScoringClient:
     def score_many(
         self, cascade_ids: Sequence[str], include_features: bool = False
     ) -> List[Dict[str, Any]]:
-        """Pipeline score requests; responses are matched by id.
+        """Score a group of cascades in one ``score_many`` exchange.
 
-        The server resolves them behind the micro-batcher in whatever
-        order batches flush — the id matching restores request order.
+        The server answers the whole group with one ``score_columns``
+        call — no micro-batcher queue, no ``max_delay`` wait — and the
+        replies come back in request order.  A cascade the server does
+        not track raises :class:`RemoteError` naming it.
         """
-        requests: List[Dict[str, Any]] = []
-        for cid in cascade_ids:
-            payload: Dict[str, Any] = {"op": "score", "cascade": cid}
-            if include_features:
-                payload["features"] = True
-            requests.append(payload)
-        if not requests:
-            return []
-        return [self._check(r) for r in self._roundtrip(requests)]
+        response = self._request(
+            {
+                "op": "score_many",
+                "cascades": list(cascade_ids),
+                "features": bool(include_features),
+            }
+        )
+        return [self._check(r) for r in response["results"]]
 
     def flush(self) -> int:
         """Force a micro-batch flush; returns how many requests flushed."""

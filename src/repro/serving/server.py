@@ -12,6 +12,14 @@ One request per line, one JSON object per response.  Operations:
     Queue a score request; the response arrives once the micro-batcher
     flushes (batch full or ``max_delay`` elapsed).  Add
     ``"features": true`` to embed the feature vector.
+``{"op": "score_many", "cascades": ["c1", "c2", ...], "features": false}``
+    Score a group of cascades in one exchange: one ``score_columns``
+    call (one executor hop; one fan-out on the sharded tier) instead of
+    one queued request per cascade, so the group never waits on the
+    micro-batcher's ``max_delay`` timer.  Responds ``{"ok": true,
+    "results": [...]}`` with one ``score``-shaped object per cascade in
+    request order (``latency_ms.queued`` is 0, ``batch_size`` the group
+    size); ``"features": true`` embeds the feature vectors.
 ``{"op": "flush"}``
     Force an immediate flush (mostly for tests and drains).
 ``{"op": "swap", "path": "model.npz"}``
@@ -64,12 +72,12 @@ import functools
 import json
 import signal
 import sys
-from typing import IO, Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import IO, Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.prediction.features import PAPER_FEATURES
-from repro.serving.batching import BatchPolicy, ScoreResult
+from repro.serving.batching import BatchPolicy, ScoreColumns, ScoreResult
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.tracker import StoreConfig
@@ -77,6 +85,7 @@ from repro.serving.tracker import StoreConfig
 __all__ = [
     "ScoringServer",
     "build_service",
+    "columns_to_dicts",
     "result_to_dict",
     "serve_stdio",
 ]
@@ -212,6 +221,52 @@ def result_to_dict(result: ScoreResult) -> Dict[str, Any]:
             "batch_size": result.latency.batch_size,
         }
     return out
+
+
+def columns_to_dicts(
+    cascade_ids: Sequence[str], columns: ScoreColumns
+) -> List[Dict[str, Any]]:
+    """Per-cascade JSON view of one :class:`ScoreColumns` group.
+
+    Row *i* carries the keys :func:`result_to_dict` writes for
+    ``cascade_ids[i]``.  A group is scored in one call and never queues,
+    so ``latency_ms.queued`` is 0 and ``batch_size`` is the group size.
+    """
+    n = len(cascade_ids)
+    compute_ms = columns.compute_s * 1e3
+    scores = columns.scores.tolist() if columns.scores is not None else None
+    labels = columns.labels.tolist() if columns.labels is not None else None
+    features = columns.features.tolist() if columns.features is not None else None
+    n_early = columns.n_early.tolist()
+    out: List[Dict[str, Any]] = []
+    for i, ok in enumerate(columns.ok.tolist()):
+        row: Dict[str, Any] = {
+            "ok": ok,
+            "status": "ok" if ok else "unknown_cascade",
+            "cascade": cascade_ids[i],
+            "n_early": n_early[i],
+            "model_version": columns.model_version,
+        }
+        if ok and scores is not None and labels is not None:
+            row["score"] = scores[i]
+            row["label"] = labels[i]
+        if ok and features is not None:
+            row["features"] = features[i]
+        row["latency_ms"] = {
+            "queued": 0.0,
+            "compute": compute_ms,
+            "total": compute_ms,
+            "batch_size": n,
+        }
+        out.append(row)
+    return out
+
+
+def _cascade_ids(value: Any) -> List[str]:
+    """The ``cascades`` field of a ``score_many`` request, validated."""
+    if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+        raise TypeError("cascades must be a list of cascade id strings")
+    return value
 
 
 class ScoringServer:
@@ -384,14 +439,15 @@ class ScoringServer:
     ) -> None:
         """Watchdog wrapper: restart a dead loop with exponential backoff.
 
-        A background loop has no business returning or raising — either
-        means it is dead and the service is quietly violating its
-        ``max_delay`` (flusher) or TTL (sweeper) contract.  Each death
-        is recorded as a structured fault and the loop restarts after
-        ``restart_backoff * 2^k``; once ``max_task_restarts`` is
-        exhausted the task is abandoned and the service degrades with
-        reason ``task:<name>`` — visible to health probes, instead of a
-        silent stall.  Cancellation (shutdown) passes through.
+        A background loop has no business returning before shutdown or
+        raising — either means it is dead and the service is quietly
+        violating its ``max_delay`` (flusher) or TTL (sweeper) contract.
+        Each death is recorded as a structured fault and the loop
+        restarts after ``restart_backoff * 2^k``; once
+        ``max_task_restarts`` is exhausted the task is abandoned and the
+        service degrades with reason ``task:<name>`` — visible to health
+        probes, instead of a silent stall.  Cancellation (shutdown)
+        passes through.
         """
         attempts = 0
         while not self._stopping:
@@ -427,10 +483,16 @@ class ScoringServer:
         full batch never waits out the delay timer.  Doubles as the
         journal's heartbeat: each pass gives ``fsync="interval"`` a
         chance to sync a quiet stream.
+
+        Ends on ``_stopping`` rather than relying on cancellation alone:
+        Python 3.11's ``asyncio.wait_for`` returns the inner result when
+        a cancel races its completion, and a loop that survived its
+        cancel would keep :meth:`drain` waiting forever.  A swallowed
+        cancel now costs at most one ``max_delay``.
         """
         assert self._wake is not None
         delay = max(self.service.policy.max_delay, 1e-4)
-        while True:
+        while not self._stopping:
             try:
                 await asyncio.wait_for(self._wake.wait(), timeout=delay)
             except asyncio.TimeoutError:
@@ -441,7 +503,7 @@ class ScoringServer:
             await self._call_service(self.service.journal_tick)
 
     async def _sweep_loop(self) -> None:
-        while True:
+        while not self._stopping:
             await asyncio.sleep(_SWEEP_INTERVAL)
             await self._call_service(self.service.sweep)
 
@@ -545,6 +607,17 @@ class ScoringServer:
                 response = {"ok": True, "applied": count, "count": len(burst)}
             elif op == "score":
                 response = await self._score(message)
+            elif op == "score_many":
+                cascade_ids = _cascade_ids(message["cascades"])
+                columns = await self._call_service(
+                    self.service.score_columns,
+                    cascade_ids,
+                    include_features=bool(message.get("features", False)),
+                )
+                response = {
+                    "ok": True,
+                    "results": columns_to_dicts(cascade_ids, columns),
+                }
             elif op == "flush":
                 results = await self._call_service(self.service.flush)
                 response = {"ok": True, "flushed": len(results)}

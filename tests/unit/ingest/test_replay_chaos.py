@@ -200,10 +200,12 @@ class TestServerRestartMidReplay:
             reconnect_backoff=0.02,
         )
         try:
+            # every burst is scored too: a score_many exchange in flight at
+            # the restart is re-sent, which is safe because it is read-only
             report = replay_recording(
                 path,
                 client,
-                ReplayConfig(speed=None),
+                ReplayConfig(speed=None, score_every=1),
                 progress=kill_and_recover,
             )
         finally:
@@ -213,6 +215,8 @@ class TestServerRestartMidReplay:
         assert state["restarted"]
         assert report.bursts == len(batches)
         assert report.dropped_events == 0
+        # every burst's cascades were scored once, the restart included
+        assert report.scored == sum(len(set(b.cascade_ids)) for b in batches)
         # at-least-once delivery: the burst in flight at the restart may
         # be re-sent, so compare scores (dup-filtered), not ack counts
         direct = direct_ingest(batches, seed=2)

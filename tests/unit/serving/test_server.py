@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.embedding.model import EmbeddingModel
+from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
 from repro.serving.batching import BatchPolicy
 from repro.serving.durability import JournalConfig, recover_service
 from repro.serving.registry import ModelRegistry
@@ -18,11 +19,20 @@ from repro.serving.server import (
     serve_stdio,
 )
 from repro.serving.service import ScoringService
+from repro.serving.sharding import ShardedScoringService
 
 
 def make_model(seed, n=30, k=3):
     rng = np.random.default_rng(seed)
     return EmbeddingModel(rng.uniform(0, 1, (n, k)), rng.uniform(0, 1, (n, k)))
+
+
+def make_predictor(seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(60, 3))
+    sizes = np.where(X[:, 0] > 0, 30, 3).astype(np.int64)
+    ds = PredictionDataset(X=X, final_sizes=sizes, feature_names=tuple("xyz"))
+    return ViralityPredictor(threshold=10, seed=seed).fit(ds)
 
 
 def make_service(max_batch=4, max_delay=0.002):
@@ -31,6 +41,21 @@ def make_service(max_batch=4, max_delay=0.002):
     return ScoringService(
         reg, policy=BatchPolicy(max_batch=max_batch, max_delay=max_delay)
     )
+
+
+def make_scorer(n_shards):
+    """What ``repro serve --shards N`` serves, with a fitted predictor:
+    the in-process service for ``None``, the shard router otherwise."""
+    if n_shards is None:
+        service = ScoringService(ModelRegistry())
+    else:
+        service = ShardedScoringService(n_shards=n_shards)
+    service.publish(make_model(0), predictor=make_predictor(0))
+    return service
+
+
+#: a burst over five cascades, duplicate adopters included
+EVENTS = [(f"c{j % 5}", (7 * j) % 30, 0.01 * j) for j in range(40)]
 
 
 async def run_session(service, requests):
@@ -210,6 +235,106 @@ class TestTCPServer:
         )
         score = next(r for r in responses if r.get("id") == 1)
         assert len(score["features"]) == 3  # the paper feature set
+
+
+class TestScoreManyOp:
+    """``score_many``: one exchange, one ``score_columns`` call per group."""
+
+    @pytest.mark.parametrize("n_shards", [None, 1, 2], ids=["inproc", "1-shard", "2-shards"])
+    def test_group_equals_in_process_score_columns(self, n_shards):
+        service = make_scorer(n_shards)
+        service.ingest_many(EVENTS)
+        cids = ["c3", "c0", "c4", "c1", "c2"]
+        responses = asyncio.run(
+            run_session(
+                service,
+                [
+                    {"op": "score_many", "cascades": cids, "id": 1},
+                    {"op": "score_many", "cascades": cids, "features": True, "id": 2},
+                    {"op": "score_many", "cascades": [], "id": 3},
+                ],
+            )
+        )
+        reference = make_scorer(None)
+        reference.ingest_many(EVENTS)
+        want = reference.score_columns(cids, include_features=True)
+        by_id = {r["id"]: r for r in responses}
+        for req_id in (1, 2):
+            rows = by_id[req_id]["results"]
+            assert [r["cascade"] for r in rows] == cids
+            for i, row in enumerate(rows):
+                # the JSON float round trip is exact
+                assert row["score"] == float(want.scores[i])
+                assert row["label"] == int(want.labels[i])
+                assert row["n_early"] == int(want.n_early[i])
+                assert row["latency_ms"]["queued"] == 0.0
+                assert row["latency_ms"]["batch_size"] == len(cids)
+        assert all("features" not in r for r in by_id[1]["results"])
+        assert [r["features"] for r in by_id[2]["results"]] == want.features.tolist()
+        assert by_id[3] == {"ok": True, "results": [], "id": 3}
+
+    def test_unknown_cascade_gets_its_own_row_status(self):
+        service = make_scorer(None)
+        service.ingest_many(EVENTS)
+        response = asyncio.run(
+            run_session(
+                service, [{"op": "score_many", "cascades": ["c0", "ghost", "c1"], "id": 1}]
+            )
+        )[0]
+        assert response["ok"] is True
+        ok0, ghost, ok1 = response["results"]
+        assert ok0["status"] == ok1["status"] == "ok"
+        assert ghost["ok"] is False and ghost["status"] == "unknown_cascade"
+        assert ghost["cascade"] == "ghost" and "score" not in ghost
+        assert service.stats()["unknown"] == 1
+
+    def test_hostile_groups_get_one_line_errors_and_the_connection_goes_on(self):
+        async def scenario():
+            server = ScoringServer(make_scorer(None))
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                requests = [
+                    {"op": "score_many", "id": 1},
+                    {"op": "score_many", "cascades": "c0", "id": 2},
+                    {"op": "score_many", "cascades": {"c0": 1}, "id": 3},
+                    {"op": "score_many", "cascades": ["c0", 7], "id": 4},
+                    {"op": "score_many", "cascades": [["c0"]], "id": 5},
+                    {"op": "ping", "id": 6},
+                ]
+                replies = []
+                for obj in requests:  # one line out, exactly one line back
+                    writer.write(json.dumps(obj).encode() + b"\n")
+                    await writer.drain()
+                    line = await asyncio.wait_for(reader.readline(), 5.0)
+                    replies.append(json.loads(line))
+                writer.close()
+                await writer.wait_closed()
+                return replies
+            finally:
+                await server.stop()
+
+        *errors, pong = asyncio.run(scenario())
+        assert errors[0] == {"ok": False, "error": "KeyError: 'cascades'", "id": 1}
+        for reply in errors[1:]:
+            assert reply["ok"] is False
+            assert reply["error"].startswith("TypeError: cascades must be a list")
+            assert "Traceback" not in reply["error"]
+        assert pong == {"ok": True, "pong": True, "id": 6}
+
+    def test_group_over_stdio(self):
+        service = make_scorer(None)
+        service.ingest_many(EVENTS)
+        request = {"op": "score_many", "cascades": ["c0", "c1"], "id": 1}
+        fout = io.StringIO()
+        asyncio.run(
+            serve_stdio(service, stdin=io.StringIO(json.dumps(request) + "\n"), stdout=fout)
+        )
+        (response,) = [json.loads(x) for x in fout.getvalue().splitlines()]
+        want = make_scorer(None)
+        want.ingest_many(EVENTS)
+        cols = want.score_columns(["c0", "c1"])
+        assert [r["score"] for r in response["results"]] == cols.scores.tolist()
 
 
 class TestLineAssembler:
@@ -404,6 +529,42 @@ class TestRobustness:
         assert service.health.phase == "stopped"
         assert service.journal.closed
         assert done and done[0].status == "ok"
+
+    def test_drain_ends_when_the_flusher_swallows_its_cancel(self, monkeypatch):
+        """Python 3.11's ``asyncio.wait_for`` can return instead of raising
+        when a cancel races its inner wait.  The flusher must still end
+        once the server is stopping, or ``drain()`` waits on it forever."""
+        real_wait_for = asyncio.wait_for
+        swallowed = []
+
+        async def swallow_one_cancel(aw, timeout):
+            try:
+                return await real_wait_for(aw, timeout)
+            except asyncio.CancelledError:
+                if swallowed:
+                    raise
+                swallowed.append(True)
+                return None
+
+        monkeypatch.setattr(asyncio, "wait_for", swallow_one_cancel)
+
+        async def scenario():
+            service = make_service(max_delay=0.002)
+            server = ScoringServer(service)
+            await server.start()
+            await asyncio.sleep(0.02)  # the flusher is parked in its wait
+            drain = asyncio.create_task(server.drain())
+            finished, _ = await asyncio.wait({drain}, timeout=1.0)
+            if not finished:
+                # a second cancel reaches the stuck flusher and ends it
+                drain.cancel()
+                await asyncio.wait({drain})
+            return service, bool(finished)
+
+        service, finished = asyncio.run(scenario())
+        assert swallowed  # the cancel really was swallowed...
+        assert finished, "drain() still waiting on the flusher after 1 s"
+        assert service.health.phase == "stopped"
 
     def test_stop_aborts_pending_requests(self):
         async def scenario():

@@ -137,14 +137,14 @@ class TestRoundTrips:
             responses = client.score_many(["a", "b"], include_features=True)
         want = reference.score_columns(["a", "b"], include_features=True)
         assert [r["cascade"] for r in responses] == ["a", "b"]
-        got_scores = np.array([r["score"] for r in responses])
-        assert np.allclose(got_scores, want.scores)
-        got_features = np.array([r["features"] for r in responses])
-        assert np.allclose(got_features, want.features)
+        # bit-identical: the JSON float round trip is exact
+        assert [r["score"] for r in responses] == want.scores.tolist()
+        assert [r["label"] for r in responses] == want.labels.tolist()
+        assert [r["n_early"] for r in responses] == want.n_early.tolist()
+        assert [r["features"] for r in responses] == want.features.tolist()
 
     def test_pipelined_ids_restore_request_order(self, harness):
-        # the micro-batcher resolves out of order; id matching must
-        # re-associate each response with its cascade
+        # one group reply, rows in request order
         cids = [f"c{i}" for i in range(10)]
         with TCPScoringClient("127.0.0.1", harness.port) as client:
             for i, cid in enumerate(cids):
@@ -175,6 +175,18 @@ class TestFailureModes:
             TCPScoringClient._check(
                 {"ok": False, "error": "unknown cascade", "id": 2}
             )
+
+    def test_not_ok_score_result_names_the_cascade(self, harness):
+        with pytest.raises(RemoteError, match="^cascade 'ghost': unknown_cascade$"):
+            TCPScoringClient._check(
+                {"ok": False, "status": "unknown_cascade", "cascade": "ghost"}
+            )
+        with TCPScoringClient("127.0.0.1", harness.port) as client:
+            client.ingest("a", 1, 0.0)
+            with pytest.raises(RemoteError, match="cascade 'ghost': unknown_cascade"):
+                client.score_many(["a", "ghost"])
+            with pytest.raises(RemoteError, match="cascade 'ghost': unknown_cascade"):
+                client.score("ghost")
 
     def test_reconnects_across_a_server_restart(self):
         service = make_service()
