@@ -5,8 +5,8 @@ The paper's predictor is an offline artifact; this example runs the
 deployment half.  It trains embeddings and a virality SVM, saves both as
 the ``.npz`` artifacts ``repro serve`` consumes, assembles the scoring
 service from them — with a write-ahead journal armed — replays held-out
-cascades' early adopters as a live event stream, scores them through the
-micro-batched path, hot-swaps in a refit model mid-stream without
+cascades' early adopters as a live event stream, scores them all in one
+batched call, hot-swaps in a refit model mid-stream without
 dropping a request, then kills the service without ceremony and rebuilds
 it from the journal: the recovered scores are bit-identical.  It then
 stands the same artifacts up behind a sharded multi-process tier and
@@ -54,6 +54,13 @@ from repro.serving import (
 
 
 def main() -> None:
+    # every artifact, journal and recording lives in one directory that
+    # is removed when the run ends, however it ends
+    with tempfile.TemporaryDirectory(prefix="repro-serving-") as workdir:
+        run(Path(workdir))
+
+
+def run(workdir: Path) -> None:
     print("=== 1. Train: embeddings + virality SVM on the training corpus")
     exp = make_sbm_experiment(
         n_nodes=300,
@@ -73,7 +80,6 @@ def main() -> None:
     )
 
     print("\n=== 2. Checkpoint the artifacts and assemble the service (journaled)")
-    workdir = Path(tempfile.mkdtemp(prefix="repro-serving-"))
     model.save(workdir / "model.npz")
     predictor.save(workdir / "svm.npz")
     # journal_dir arms the write-ahead log (DESIGN.md §14): every
@@ -109,11 +115,13 @@ def main() -> None:
             np.asarray(prefix.nodes),
             np.asarray(prefix.times),
         )
+    # score_many is one score_columns call: one snapshot read and one
+    # vectorized SVM evaluation for the whole group
     results = client.score_many(cascade_ids)
     stats = service.stats()
     print(
-        f"  {stats['ingested']} events folded in; {stats['scored']} requests "
-        f"scored in {stats['batches']} micro-batches"
+        f"  {stats['ingested']} events folded in; {stats['scored']} cascades "
+        f"scored; batched SVM evaluations: {stats['batches']}"
     )
 
     final_sizes = exp.test.sizes()

@@ -9,7 +9,12 @@ that are independent of *how* scores are computed:
   do when the queue is full (explicit backpressure);
 * :class:`PendingQueue` — the bounded FIFO of in-flight requests;
 * :class:`ScoreRequest` / :class:`ScoreResult` / :class:`LatencyBreakdown`
-  — the request lifecycle with per-request latency accounting.
+  — the request lifecycle with per-request latency accounting;
+* :class:`ScoreColumns` — what one ``score_columns`` call returns, and
+  :meth:`ScoreColumns.result`, the one converter from a row of it to a
+  :class:`ScoreResult`.  A flush is a drain, one ``score_columns`` call
+  over the drained ids and :func:`finish_requests`; ``score`` and the
+  in-process ``score_many`` convert their rows the same way.
 
 Everything here uses the monotonic clock supplied by the owning
 service; nothing reads wall-clock time.
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +36,7 @@ __all__ = [
     "ScoreColumns",
     "ScoreRequest",
     "ScoreResult",
+    "finish_requests",
 ]
 
 _OVERFLOW_MODES = ("reject", "shed_oldest")
@@ -115,6 +121,14 @@ class ScoreRequest:
         if self.on_done is not None:
             self.on_done(result)
 
+    def fail(self, status: str) -> "ScoreResult":
+        """Finish unscored with *status*; returns the result."""
+        result = ScoreResult(
+            cascade_id=self.cascade_id, request_id=self.request_id, status=status
+        )
+        self.finish(result)
+        return result
+
 
 @dataclass(slots=True)
 class ScoreResult:
@@ -130,7 +144,13 @@ class ScoreResult:
     * ``"shed"`` — dropped unscored by ``overflow="shed_oldest"``;
     * ``"rejected"`` — refused at submit by ``overflow="reject"``;
     * ``"aborted"`` — the service shut down before this request's batch
-      flushed (hard stop; a graceful drain flushes instead of aborting).
+      flushed (hard stop; a graceful drain flushes instead of aborting);
+    * ``"failed"`` — the flush that drained this request could not score
+      it (for example, no model published yet); the cause is on the
+      health fault trail as ``flush_failed``.
+
+    ``request_id`` is 0 for a result that answers no queued request
+    (``score``, the in-process ``score_many``).
     """
 
     cascade_id: str
@@ -176,6 +196,72 @@ class ScoreColumns:
     def __len__(self) -> int:
         return int(self.ok.shape[0])
 
+    def result(
+        self,
+        i: int,
+        cascade_id: str,
+        request_id: int = 0,
+        include_features: bool = True,
+        queued_s: float = 0.0,
+    ) -> ScoreResult:
+        """Row *i* as the :class:`ScoreResult` for *cascade_id*.
+
+        ``features`` is a read-only copy of row *i*, attached when the
+        columns carry features and *include_features* is set — a flush
+        gathers features for its whole batch when any request asked, and
+        answers only the requests that did.  ``latency`` is *queued_s*,
+        the call's ``compute_s`` and ``len(self)`` as the batch size.
+        """
+        # positional construction: keywords cost these slotted dataclasses
+        # about twice as much, and this runs once per scored request
+        latency = LatencyBreakdown(queued_s, self.compute_s, len(self.ok))
+        if not self.ok.item(i):
+            return ScoreResult(
+                cascade_id=cascade_id,
+                request_id=request_id,
+                status="unknown_cascade",
+                model_version=self.model_version,
+                latency=latency,
+            )
+        features: Optional[np.ndarray] = None
+        if include_features and self.features is not None:
+            features = self.features[i].copy()
+            features.setflags(write=False)
+        return ScoreResult(
+            cascade_id,
+            request_id,
+            "ok",
+            None if self.scores is None else self.scores.item(i),
+            None if self.labels is None else self.labels.item(i),
+            self.n_early.item(i),
+            self.model_version,
+            features,
+            latency,
+        )
+
+
+def finish_requests(
+    requests: Sequence[ScoreRequest], columns: ScoreColumns, start: float
+) -> List[ScoreResult]:
+    """Finish each drained request with its row of *columns*.
+
+    Row *i* of *columns* answers ``requests[i]``; each request's
+    ``queued_s`` runs from its own enqueue time to *start*, the moment
+    its flush began.
+    """
+    results: List[ScoreResult] = []
+    for i, request in enumerate(requests):
+        result = columns.result(
+            i,
+            request.cascade_id,
+            request.request_id,
+            request.include_features,
+            max(start - request.enqueued_at, 0.0),
+        )
+        request.finish(result)
+        results.append(result)
+    return results
+
 
 class PendingQueue:
     """Bounded FIFO of :class:`ScoreRequest` with explicit backpressure.
@@ -218,15 +304,8 @@ class PendingQueue:
                 raise QueueFullError(
                     f"pending queue full ({self.policy.max_pending} requests)"
                 )
-            victim = self._pending.popleft()
             self.shed += 1
-            victim.finish(
-                ScoreResult(
-                    cascade_id=victim.cascade_id,
-                    request_id=victim.request_id,
-                    status="shed",
-                )
-            )
+            self._pending.popleft().fail("shed")
         self._pending.append(request)
         self.submitted += 1
 
@@ -248,19 +327,6 @@ class PendingQueue:
         n = min(max_batch, len(self._pending))
         return [self._pending.popleft() for _ in range(n)]
 
-    def drain_into(self, max_batch: int, out: List[ScoreRequest]) -> int:
-        """Pop up to *max_batch* requests into *out* (appended, FIFO).
-
-        The allocation-free twin of :meth:`drain` — the flush hot path
-        reuses one workspace-owned list instead of building a fresh one
-        per flush.  Returns how many requests were appended.
-        """
-        n = min(max_batch, len(self._pending))
-        pop = self._pending.popleft
-        for _ in range(n):
-            out.append(pop())
-        return n
-
     def fail_all(self, status: str) -> int:
         """Complete every queued request with *status*, emptying the queue.
 
@@ -269,12 +335,5 @@ class PendingQueue:
         """
         n = len(self._pending)
         while self._pending:
-            victim = self._pending.popleft()
-            victim.finish(
-                ScoreResult(
-                    cascade_id=victim.cascade_id,
-                    request_id=victim.request_id,
-                    status=status,
-                )
-            )
+            self._pending.popleft().fail(status)
         return n

@@ -4,7 +4,8 @@
 sockets, no event loop — just direct calls into the (thread-safe)
 service.  It is what the examples and benchmarks drive, and the
 reference for what the wire protocol in :mod:`repro.serving.server`
-must express.
+must express.  Its ``score_many`` is one ``score_columns`` call, like
+the ``score_many`` op :class:`TCPScoringClient` sends.
 
 :class:`TCPScoringClient` speaks that wire protocol over a socket with
 the hardening a replay run needs: lazy connect, reconnect with bounded
@@ -77,18 +78,17 @@ class ScoringClient:
     def score_many(
         self, cascade_ids: Sequence[str], include_features: bool = False
     ) -> List[ScoreResult]:
-        """Score a group of cascades through the micro-batched path.
+        """Score a group of cascades in one ``score_columns`` call.
 
-        All requests are submitted first, then flushed together — one
-        snapshot read and one vectorized SVM evaluation per
-        ``max_batch`` requests instead of one per cascade.
+        One snapshot read and one vectorized SVM evaluation for the
+        whole group, never queued behind the micro-batcher; results
+        come back in request order, an untracked cascade as an
+        ``"unknown_cascade"`` result of its own.
         """
-        requests = self.service.submit_many(
+        columns = self.service.score_columns(
             cascade_ids, include_features=include_features
         )
-        while any(r.result is None for r in requests):
-            self.service.flush()
-        return [r.result for r in requests if r.result is not None]
+        return [columns.result(i, cid) for i, cid in enumerate(cascade_ids)]
 
     def stats(self) -> Dict[str, object]:
         return self.service.stats()

@@ -11,7 +11,9 @@ One request per line, one JSON object per response.  Operations:
 ``{"op": "score", "cascade": "c1"}``
     Queue a score request; the response arrives once the micro-batcher
     flushes (batch full or ``max_delay`` elapsed).  Add
-    ``"features": true`` to embed the feature vector.
+    ``"features": true`` to embed the feature vector.  A flush that
+    cannot score (no model published yet) answers ``"ok": false,
+    "status": "failed"``.
 ``{"op": "score_many", "cascades": ["c1", "c2", ...], "features": false}``
     Score a group of cascades in one exchange: one ``score_columns``
     call (one executor hop; one fan-out on the sharded tier) instead of

@@ -6,7 +6,8 @@ server, the benchmarks).  It is thread-safe — one re-entrant lock
 serializes ingest/flush/sweep — and clock-agnostic: all timing uses the
 injected monotonic clock, so tests can drive time deterministically.
 
-The flush path is where the batching win lives:
+:meth:`ScoringService.score_columns` is the one code path that turns
+cascade ids into scores:
 
 1. read the registry snapshot **once** (atomic; the whole batch is
    scored under exactly one model version — no torn reads);
@@ -18,10 +19,13 @@ The flush path is where the batching win lives:
    :meth:`ViralityPredictor.decision_function` call.
 
 Every numpy intermediate lives in the service's persistent
-:class:`~repro.serving.workspace.ScoringWorkspace`, so a steady-state
-flush allocates no heap buffers.  The single-request :meth:`score` path
-rides the exact same submit → flush machinery — one-off scores and
-batched scores are bit-identical by construction.
+:class:`~repro.serving.workspace.ScoringWorkspace`; only the output
+columns are allocated per call.  Everything else rides it: a
+:meth:`~ScoringService.flush` drains the micro-batcher's queue, makes
+one ``score_columns`` call over the drained ids and converts each row
+with :meth:`ScoreColumns.result`; :meth:`~ScoringService.score` is row
+0 of ``score_columns([cascade_id])``.  One-off and batched scores are
+bit-identical by construction.
 
 Per-request latency is split into queued time (submit → flush start)
 and the batch's shared compute time.
@@ -50,11 +54,11 @@ from repro.prediction.features import PAPER_FEATURES
 from repro.prediction.pipeline import ViralityPredictor
 from repro.serving.batching import (
     BatchPolicy,
-    LatencyBreakdown,
     PendingQueue,
     ScoreColumns,
     ScoreRequest,
     ScoreResult,
+    finish_requests,
 )
 from repro.serving.health import HealthMonitor
 from repro.serving.registry import ModelRegistry, ModelSnapshot, SnapshotLoadError
@@ -77,6 +81,7 @@ class ServiceStats:
     unknown: int = 0
     journal_faults: int = 0
     aborted: int = 0
+    failed: int = 0
 
 
 class ScoringService:
@@ -256,24 +261,21 @@ class ScoringService:
     def ingest_many(self, events: Sequence[Tuple[str, int, float]]) -> int:
         """Fold a burst of ``(cascade_id, node, t)`` adoption events in.
 
-        One lock round-trip, one registry snapshot, one clock reading —
-        and each touched cascade folds its share of the burst as a
-        single vectorized update (see :meth:`FeatureStore.ingest_many`).
-        Returns how many events applied (non-duplicates); the result
-        state is identical to calling :meth:`ingest` per event.
+        A row-wise shim over :meth:`ingest_columns`: one lock
+        round-trip, one registry snapshot, one clock reading — and each
+        touched cascade folds its share of the burst as a single
+        vectorized update.  Returns how many events applied
+        (non-duplicates); the result state is identical to calling
+        :meth:`ingest` per event.
         """
-        with self._lock:
-            snapshot = self.registry.current()
-            applied = self.store.ingest_many(events, snapshot)
-            self.stats_counters.ingested += applied
-            if events and self._journal is not None:
-                cid_seq, node_seq, time_seq = zip(*events)
-                self._journal_events(
-                    cid_seq,
-                    np.asarray(node_seq, dtype=np.int64),
-                    np.asarray(time_seq, dtype=np.float64),
-                )
-            return applied
+        if not events:
+            return 0
+        cid_seq, node_seq, time_seq = zip(*events)
+        return self.ingest_columns(
+            cid_seq,
+            np.asarray(node_seq, dtype=np.int64),
+            np.asarray(time_seq, dtype=np.float64),
+        )
 
     def ingest_columns(
         self,
@@ -281,13 +283,12 @@ class ScoringService:
         nodes: np.ndarray,
         times: np.ndarray,
     ) -> int:
-        """Columnar :meth:`ingest_many`: three parallel columns instead
-        of a row-wise tuple list.
+        """Fold a burst given as three parallel columns in.
 
         The natural entry point when the upstream consumer already
         holds struct-of-arrays batches (log shards, Arrow record
         batches): no per-event tuple boxing on either side of the call.
-        Semantics are identical to :meth:`ingest_many`.
+        :meth:`ingest_many` is the row-wise shim over this one.
         """
         with self._lock:
             snapshot = self.registry.current()
@@ -332,8 +333,9 @@ class ScoringService:
         """Queue a burst of score requests under one lock acquisition.
 
         Burst arrivals (a poll cycle, a replayed stream segment) pay one
-        lock round-trip and one clock read instead of one per request —
-        this is what the in-process client's ``score_many`` rides.
+        lock round-trip and one clock read instead of one per request;
+        the requests complete at the next :meth:`flush`.  A caller that
+        wants the scores now calls :meth:`score_columns` instead.
         """
         with self._lock:
             now = self._clock()
@@ -361,106 +363,53 @@ class ScoringService:
             return self.queue.due(now if now is not None else self._clock())
 
     def flush(self) -> List[ScoreResult]:
-        """Score up to ``max_batch`` queued requests in one evaluation.
+        """Score up to ``max_batch`` queued requests in one
+        :meth:`score_columns` call, in submit order.
 
-        The hot path is allocation-free in steady state: the drain list,
-        slot-resolution vectors, and the gathered ``(n, d)`` feature
-        matrix all live in the service's persistent workspace.
+        When scoring raises (no model published yet, say), every drained
+        request is finished as ``"failed"`` and counted, and one
+        ``flush_failed`` fault records the cause: a waiter is never
+        stranded and the server's flusher keeps running.
         """
         with self._lock:
             start = self._clock()
-            ws = self._ws
-            batch = ws.batch
-            batch.clear()
-            self.queue.drain_into(self.policy.max_batch, batch)
+            batch = self.queue.drain(self.policy.max_batch)
             if not batch:
                 return []
-            snapshot = self.registry.current()  # one snapshot per batch
-            x, row_of, n_events = self.store.gather_batch(
-                [r.cascade_id for r in batch], snapshot, ws
-            )
-
-            scores: List[float] = []
-            labels: List[int] = []
-            if x.shape[0] and snapshot.predictor is not None:
-                margins = snapshot.predictor.decision_function(x)
-                scores = margins.tolist()
-                labels = np.where(margins >= 0.0, 1, -1).tolist()
-
-            compute_s = self._clock() - start
-            batch_size = len(batch)
-            version = snapshot.version
-            results: List[ScoreResult] = []
-            n_unknown = 0
-            for i, request in enumerate(batch):
-                latency = LatencyBreakdown(
-                    queued_s=max(start - request.enqueued_at, 0.0),
-                    compute_s=compute_s,
-                    batch_size=batch_size,
+            try:
+                columns = self.score_columns(
+                    [r.cascade_id for r in batch],
+                    include_features=any(r.include_features for r in batch),
                 )
-                row = int(row_of[i])
-                if row < 0:
-                    n_unknown += 1
-                    result = ScoreResult(
-                        cascade_id=request.cascade_id,
-                        request_id=request.request_id,
-                        status="unknown_cascade",
-                        model_version=version,
-                        latency=latency,
-                    )
-                else:
-                    features: Optional[np.ndarray] = None
-                    if request.include_features:
-                        # the gathered row is a workspace view; copy out
-                        features = x[row].copy()
-                        features.setflags(write=False)
-                    result = ScoreResult(
-                        cascade_id=request.cascade_id,
-                        request_id=request.request_id,
-                        status="ok",
-                        score=scores[row] if scores else None,
-                        label=labels[row] if labels else None,
-                        n_early=int(n_events[i]),
-                        model_version=version,
-                        features=features,
-                        latency=latency,
-                    )
-                results.append(result)
-                request.finish(result)
-            batch.clear()  # drop request refs so finished work can be GC'd
-            self.stats_counters.unknown += n_unknown
-            self.stats_counters.scored += batch_size - n_unknown
-            self.stats_counters.batches += 1
-            return results
+            except Exception as exc:  # finish the drained requests, never strand them
+                self.stats_counters.failed += len(batch)
+                self.health.record_fault("flush_failed", f"{type(exc).__name__}: {exc}")
+                return [request.fail("failed") for request in batch]
+            return finish_requests(batch, columns, start)
 
     def score(self, cascade_id: str, include_features: bool = False) -> ScoreResult:
-        """Synchronous one-shot score: submit, then flush until done.
+        """Synchronous one-shot score: row 0 of :meth:`score_columns`.
 
         This is the unbatched baseline path — every call pays the full
-        snapshot + predict cost for a batch of (at least) one — but it
-        rides the exact same workspace/gather machinery as a batched
-        flush, so it allocates nothing in steady state and is
-        bit-identical to scoring the same cascade inside a batch.
+        snapshot + predict cost for a batch of one — and bit-identical
+        to scoring the same cascade inside a batch.
         """
-        with self._lock:
-            request = self.submit(cascade_id, include_features=include_features)
-            while request.result is None:
-                self.flush()
-            return request.result
+        columns = self.score_columns([cascade_id], include_features=include_features)
+        return columns.result(0, cascade_id)
 
     def score_columns(
         self, cascade_ids: Sequence[str], include_features: bool = False
     ) -> ScoreColumns:
         """Bulk synchronous scoring: columns in, columns out.
 
-        The request-object-free twin of :meth:`flush` for callers that
-        already hold a batch of cascade ids (the sharded router's
-        workers, the benchmarks): one snapshot read, one gather, one
-        ``decision_function`` over the whole batch, no queue and no
-        per-request dataclass.  Row *i* of every returned column is
-        bit-identical to what :meth:`score` would report for
-        ``cascade_ids[i]`` — both ride the same gather + predict path,
-        and per-row SVM margins are independent of batch composition.
+        The one code path that turns cascade ids into scores (flushes,
+        :meth:`score`, the clients' ``score_many`` and the sharded
+        router's workers all ride it): one snapshot read, one gather,
+        one ``decision_function`` over the whole batch, no queue and no
+        per-request dataclass.  Row *i* of every returned column answers
+        ``cascade_ids[i]``; per-row SVM margins are independent of batch
+        composition, so a row is bit-identical whatever else is in the
+        batch.
         """
         with self._lock:
             start = self._clock()
@@ -469,8 +418,9 @@ class ScoringService:
             x, row_of, n_events = self.store.gather_batch(
                 cascade_ids, snapshot, self._ws
             )
+            # gather_batch numbers the live rows in request order, so row
+            # r of x answers the r-th tracked id: x fills the ok rows as is
             ok = row_of >= 0  # allocates: the result outlives the workspace
-            rows = row_of[ok]
             scores: Optional[np.ndarray] = None
             labels: Optional[np.ndarray] = None
             if snapshot.predictor is not None:
@@ -478,14 +428,13 @@ class ScoringService:
                 labels = np.zeros(n, dtype=np.int64)
                 if x.shape[0]:
                     margins = snapshot.predictor.decision_function(x)
-                    picked = margins[rows]
-                    scores[ok] = picked
-                    labels[ok] = np.where(picked >= 0.0, 1, -1)
+                    scores[ok] = margins
+                    labels[ok] = np.where(margins >= 0.0, 1, -1)
             features: Optional[np.ndarray] = None
             if include_features:
                 features = np.zeros((n, x.shape[1]), dtype=np.float64)
-                features[ok] = x[rows]
-            n_ok = int(np.count_nonzero(ok))
+                features[ok] = x
+            n_ok = x.shape[0]
             self.stats_counters.unknown += n - n_ok
             self.stats_counters.scored += n_ok
             self.stats_counters.batches += 1
@@ -675,6 +624,7 @@ class ScoringService:
                 "shed": self.queue.shed,
                 "rejected": self.queue.rejected,
                 "aborted": self.stats_counters.aborted,
+                "failed": self.stats_counters.failed,
                 "journal_faults": self.stats_counters.journal_faults,
                 "load_failures": self.registry.load_failure_count(),
             }

@@ -68,11 +68,11 @@ from repro.prediction.features import PAPER_FEATURES
 from repro.prediction.pipeline import ViralityPredictor
 from repro.serving.batching import (
     BatchPolicy,
-    LatencyBreakdown,
     PendingQueue,
     ScoreColumns,
     ScoreRequest,
     ScoreResult,
+    finish_requests,
 )
 from repro.serving.durability import (
     RecoveryReport,
@@ -696,25 +696,29 @@ class ShardedScoringService:
             cache[cascade_id] = idx
         return idx
 
-    def _group_columns(
-        self,
-        cascade_ids: Sequence[str],
-        nodes: np.ndarray,
-        times: np.ndarray,
-    ) -> List[Tuple[int, List[str], np.ndarray, np.ndarray]]:
-        """Split one columnar burst into per-shard pieces, order-stable."""
+    def _split(
+        self, cascade_ids: Sequence[str]
+    ) -> List[Tuple[int, Union[slice, np.ndarray], List[str]]]:
+        """Split a group of cascade ids into per-shard pieces, order-stable.
+
+        Each piece is ``(shard, rows, ids)``: *rows* selects the piece's
+        positions in the caller's columns (a slice when one shard owns
+        the whole group) and *ids* holds their cascade ids in arrival
+        order.  Ingest splits its event columns with it; scoring
+        scatters each shard's reply back through it.
+        """
         n = len(cascade_ids)
-        nodes = np.asarray(nodes, dtype=np.int64)
-        times = np.asarray(times, dtype=np.float64)
+        if n == 0:
+            return []
         if self.n_shards == 1:
-            return [(0, list(cascade_ids), nodes, times)]
+            return [(0, slice(None), list(cascade_ids))]
         lookup = self._shard_index
         shard_idx = np.fromiter(
             (lookup(c) for c in cascade_ids), dtype=np.int64, count=n
         )
         lo = int(shard_idx[0])
         if bool((shard_idx == lo).all()):
-            return [(lo, list(cascade_ids), nodes, times)]
+            return [(lo, slice(None), list(cascade_ids))]
         # stable sort keeps each shard's events in arrival order — the
         # within-shard order is what bit-identity to a single-process
         # replay of the substream rests on
@@ -723,19 +727,10 @@ class ShardedScoringService:
         boundaries = np.flatnonzero(np.diff(grouped)) + 1
         starts = np.concatenate(([0], boundaries))
         ends = np.concatenate((boundaries, [n]))
-        nodes_s = nodes[order]
-        times_s = times[order]
-        pieces: List[Tuple[int, List[str], np.ndarray, np.ndarray]] = []
+        pieces: List[Tuple[int, Union[slice, np.ndarray], List[str]]] = []
         for a, b in zip(starts, ends):
-            sel = order[a:b]
-            pieces.append(
-                (
-                    int(grouped[a]),
-                    [cascade_ids[j] for j in sel],
-                    nodes_s[a:b],
-                    times_s[a:b],
-                )
-            )
+            rows = order[a:b]
+            pieces.append((int(grouped[a]), rows, [cascade_ids[j] for j in rows.tolist()]))
         return pieces
 
     # ------------------------------------------------------------------ #
@@ -775,11 +770,13 @@ class ShardedScoringService:
         total equals the single-process count.
         """
         with self._lock:
-            if not len(cascade_ids):
-                return 0
-            pieces = self._group_columns(cascade_ids, nodes, times)
+            nodes = np.asarray(nodes, dtype=np.int64)
+            times = np.asarray(times, dtype=np.float64)
             replies = self._fanout(
-                [(idx, ("ingest", cids, pn, pt)) for idx, cids, pn, pt in pieces]
+                [
+                    (shard, ("ingest", cids, nodes[rows], times[rows]))
+                    for shard, rows, cids in self._split(cascade_ids)
+                ]
             )
             applied = sum(int(reply[1]) for reply in replies)
             self.stats_counters.ingested += applied
@@ -841,159 +838,78 @@ class ShardedScoringService:
             return any(q.due(at) for q in self._queues)
 
     def flush(self) -> List[ScoreResult]:
-        """Drain every shard's due queue, fan the pieces out, merge.
+        """Drain every shard's queue into one :meth:`score_columns` fan-out.
 
-        Each request's :class:`LatencyBreakdown` survives the hop:
-        ``queued_s`` is measured on the router clock (submit → fan-out
-        start), ``compute_s``/``batch_size`` come back from the shard
-        that scored its piece.
+        Up to ``max_batch`` requests leave each shard's queue; together,
+        in submit order, they are one batch: ``batch_size`` is the
+        flush's total and ``compute_s`` the whole fan-out, while
+        ``queued_s`` runs on the router clock from each request's submit
+        to the flush start.  A fan-out that raises finishes every drained
+        request as ``"failed"``, exactly as :meth:`ScoringService.flush`
+        does.
         """
         with self._lock:
             start = self._clock()
-            drained: List[Tuple[int, List[ScoreRequest]]] = []
-            for shard_id, queue in enumerate(self._queues):
-                if not len(queue):
-                    continue
-                batch = queue.drain(self.policy.max_batch)
-                if batch:
-                    drained.append((shard_id, batch))
-            if not drained:
+            batch = [r for q in self._queues for r in q.drain(self.policy.max_batch)]
+            if not batch:
                 return []
-            calls = []
-            for shard_id, batch in drained:
-                want = any(r.include_features for r in batch)
-                calls.append(
-                    (shard_id, ("score", [r.cascade_id for r in batch], want))
+            batch.sort(key=lambda r: r.request_id)
+            try:
+                columns = self.score_columns(
+                    [r.cascade_id for r in batch],
+                    include_features=any(r.include_features for r in batch),
                 )
-            replies = self._fanout(calls)
-            results: List[ScoreResult] = []
-            n_unknown = 0
-            for (shard_id, batch), reply in zip(drained, replies):
-                cols: ScoreColumns = reply[1]
-                batch_size = len(batch)
-                for i, request in enumerate(batch):
-                    latency = LatencyBreakdown(
-                        queued_s=max(start - request.enqueued_at, 0.0),
-                        compute_s=cols.compute_s,
-                        batch_size=batch_size,
-                    )
-                    if not cols.ok[i]:
-                        n_unknown += 1
-                        result = ScoreResult(
-                            cascade_id=request.cascade_id,
-                            request_id=request.request_id,
-                            status="unknown_cascade",
-                            model_version=cols.model_version,
-                            latency=latency,
-                        )
-                    else:
-                        features: Optional[np.ndarray] = None
-                        if request.include_features and cols.features is not None:
-                            features = cols.features[i].copy()
-                            features.setflags(write=False)
-                        result = ScoreResult(
-                            cascade_id=request.cascade_id,
-                            request_id=request.request_id,
-                            status="ok",
-                            score=(
-                                float(cols.scores[i])
-                                if cols.scores is not None
-                                else None
-                            ),
-                            label=(
-                                int(cols.labels[i])
-                                if cols.labels is not None
-                                else None
-                            ),
-                            n_early=int(cols.n_early[i]),
-                            model_version=cols.model_version,
-                            features=features,
-                            latency=latency,
-                        )
-                    results.append(result)
-                    request.finish(result)
-            self.stats_counters.unknown += n_unknown
-            self.stats_counters.scored += len(results) - n_unknown
-            self.stats_counters.batches += len(drained)
-            return results
+            except Exception as exc:  # finish the drained requests, never strand them
+                self.stats_counters.failed += len(batch)
+                self.health.record_fault("flush_failed", f"{type(exc).__name__}: {exc}")
+                return [request.fail("failed") for request in batch]
+            return finish_requests(batch, columns, start)
 
     def score(self, cascade_id: str, include_features: bool = False) -> ScoreResult:
-        with self._lock:
-            request = self.submit(cascade_id, include_features=include_features)
-            while request.result is None:
-                self.flush()
-            return request.result
+        """One-shot score: row 0 of :meth:`score_columns`."""
+        columns = self.score_columns([cascade_id], include_features=include_features)
+        return columns.result(0, cascade_id)
 
     def score_columns(
         self, cascade_ids: Sequence[str], include_features: bool = False
     ) -> ScoreColumns:
         """Bulk columnar scoring through the shards, merged in order.
 
-        The queue-free twin of :meth:`flush` — the wire shape both ends
-        of the benchmark ride, so the 1-shard and 4-shard router paths
-        differ only in fan-out width.
+        One fan-out: each shard scores its piece with its own
+        :meth:`ScoringService.score_columns`, and the replies scatter
+        back into request order.  The columns take the single-process
+        shape from the router's registry snapshot, so an empty group
+        gets empty arrays, and with no model published this raises
+        :class:`LookupError`, as one process does.
         """
         with self._lock:
             start = self._clock()
             n = len(cascade_ids)
-            if n == 0:
-                return ScoreColumns(
-                    ok=np.zeros(0, dtype=bool),
-                    scores=None,
-                    labels=None,
-                    n_early=np.zeros(0, dtype=np.int64),
-                    model_version=self._model_version,
-                    compute_s=0.0,
-                )
-            if self.n_shards == 1:
-                piece_sels: List[np.ndarray] = [np.arange(n)]
-                piece_cids = [list(cascade_ids)]
-            else:
-                lookup = self._shard_index
-                shard_idx = np.fromiter(
-                    (lookup(c) for c in cascade_ids), dtype=np.int64, count=n
-                )
-                order = np.argsort(shard_idx, kind="stable")
-                grouped = shard_idx[order]
-                boundaries = np.flatnonzero(np.diff(grouped)) + 1
-                starts = np.concatenate(([0], boundaries))
-                ends = np.concatenate((boundaries, [n]))
-                piece_sels = [order[a:b] for a, b in zip(starts, ends)]
-                piece_cids = [
-                    [cascade_ids[j] for j in sel] for sel in piece_sels
-                ]
-            calls = []
-            for sel, cids in zip(piece_sels, piece_cids):
-                calls.append(
-                    (self._shard_index(cids[0]), ("score", cids, include_features))
-                )
-            replies = self._fanout(calls)
+            snapshot = self.registry.current()
+            pieces = self._split(cascade_ids)
+            replies = self._fanout(
+                [(shard, ("score", cids, include_features)) for shard, _, cids in pieces]
+            )
             ok = np.zeros(n, dtype=bool)
             n_early = np.zeros(n, dtype=np.int64)
             scores: Optional[np.ndarray] = None
             labels: Optional[np.ndarray] = None
             features: Optional[np.ndarray] = None
-            version = 0
-            n_ok = 0
-            for sel, reply in zip(piece_sels, replies):
+            if snapshot.predictor is not None:
+                scores = np.full(n, np.nan)
+                labels = np.zeros(n, dtype=np.int64)
+            if include_features:
+                features = np.zeros((n, len(self._feature_set)), dtype=np.float64)
+            for (_, rows, _), reply in zip(pieces, replies):
                 cols: ScoreColumns = reply[1]
-                ok[sel] = cols.ok
-                n_early[sel] = cols.n_early
-                version = max(version, cols.model_version)
-                n_ok += int(np.count_nonzero(cols.ok))
-                if cols.scores is not None:
-                    if scores is None:
-                        scores = np.full(n, np.nan)
-                        labels = np.zeros(n, dtype=np.int64)
-                    scores[sel] = cols.scores
-                    assert labels is not None
-                    labels[sel] = cols.labels
-                if include_features and cols.features is not None:
-                    if features is None:
-                        features = np.zeros(
-                            (n, cols.features.shape[1]), dtype=np.float64
-                        )
-                    features[sel] = cols.features
+                ok[rows] = cols.ok
+                n_early[rows] = cols.n_early
+                if scores is not None and labels is not None:
+                    scores[rows] = cols.scores
+                    labels[rows] = cols.labels
+                if features is not None:
+                    features[rows] = cols.features
+            n_ok = int(np.count_nonzero(ok))
             self.stats_counters.unknown += n - n_ok
             self.stats_counters.scored += n_ok
             self.stats_counters.batches += len(replies)
@@ -1002,7 +918,10 @@ class ShardedScoringService:
                 scores=scores,
                 labels=labels,
                 n_early=n_early,
-                model_version=version,
+                model_version=max(
+                    (reply[1].model_version for reply in replies),
+                    default=self._model_version,
+                ),
                 compute_s=self._clock() - start,
                 features=features,
             )
@@ -1252,6 +1171,7 @@ class ShardedScoringService:
                 "shed": sum(q.shed for q in self._queues),
                 "rejected": sum(q.rejected for q in self._queues),
                 "aborted": self.stats_counters.aborted,
+                "failed": self.stats_counters.failed,
                 "journal_faults": total("journal_faults"),
                 "load_failures": self.registry.load_failure_count(),
                 "shards": shard_stats,

@@ -3,9 +3,11 @@
 :class:`ScoringWorkspace` is the serving analog of the gradient
 kernel's :class:`~repro.embedding.compiled.GradientWorkspace` (DESIGN.md
 §11): named, grow-only numpy buffers recycled across calls so a
-steady-state flush — drain, slot resolution, one fancy-index gather of
-the pooled feature-cache rows, one vectorized ``decision_function`` —
-performs no heap allocation for its numpy intermediates.
+steady-state ``score_columns`` call — slot resolution, one fancy-index
+gather of the pooled feature-cache rows, one vectorized
+``decision_function`` — performs no heap allocation for its numpy
+intermediates.  Only the output columns, which outlive the call, are
+allocated per call.
 
 Ownership rules (DESIGN.md §13):
 
@@ -23,17 +25,15 @@ Ownership rules (DESIGN.md §13):
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
-
-from repro.serving.batching import ScoreRequest
 
 __all__ = ["ScoringWorkspace"]
 
 
 class ScoringWorkspace:
-    """Named grow-only buffers for ingest bursts and batched flushes."""
+    """Named grow-only buffers for ingest bursts and batched scoring."""
 
     #: growth slack so a slowly growing batch size doesn't realloc per call
     _SLACK = 1.25
@@ -41,8 +41,6 @@ class ScoringWorkspace:
     def __init__(self) -> None:
         self._mats: Dict[str, np.ndarray] = {}
         self._vecs: Dict[str, np.ndarray] = {}
-        #: reusable drain target for the flush path (cleared per flush)
-        self.batch: List[ScoreRequest] = []
 
     def mat(self, name: str, rows: int, cols: int) -> np.ndarray:
         """A float64 ``(rows, cols)`` view of the named matrix buffer."""

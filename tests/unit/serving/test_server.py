@@ -499,6 +499,39 @@ class TestRobustness:
         assert health_resp["state"] == "degraded"
         assert health_resp["ready"] is True and health_resp["healthy"] is False
 
+    def test_model_less_scores_are_answered_failed(self):
+        """A flush that cannot score answers its requests instead of
+        stranding them, so the flusher survives past its restart budget
+        and every ``score`` op gets a reply."""
+
+        async def scenario():
+            service = ScoringService(
+                ModelRegistry(), policy=BatchPolicy(max_batch=4, max_delay=0.002)
+            )
+            server = ScoringServer(service, max_task_restarts=2, restart_backoff=0.001)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                replies = []
+                for i in range(5):
+                    request = {"op": "score", "cascade": "c", "id": i}
+                    writer.write(json.dumps(request).encode() + b"\n")
+                    await writer.drain()
+                    line = await asyncio.wait_for(reader.readline(), 2.0)
+                    replies.append(json.loads(line))
+                writer.close()
+                await writer.wait_closed()
+                return replies, service.stats(), service.health_snapshot()
+            finally:
+                await server.stop()
+
+        replies, stats, health = asyncio.run(scenario())
+        for i, reply in enumerate(replies):
+            assert reply["ok"] is False and reply["status"] == "failed"
+            assert reply["cascade"] == "c" and reply["id"] == i
+        assert stats["failed"] == 5
+        assert health["degraded_reasons"] == {}
+
     def test_health_op(self):
         service = make_service()
         responses = asyncio.run(run_session(service, [{"op": "health", "id": 1}]))

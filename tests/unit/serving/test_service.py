@@ -203,6 +203,61 @@ class TestScoreFlushBitIdentity:
             r1.features[0] = 99.0
 
 
+class TestFlushConversion:
+    def test_mixed_flush_rows_equal_score_columns(self):
+        """One flush answers each request from its row of one
+        ``score_columns`` call: features only where asked, submit order,
+        and each request's own queued time."""
+        clock = [0.0]
+        reg = ModelRegistry()
+        reg.publish(make_model(0), predictor=make_predictor())
+        svc = ScoringService(
+            reg,
+            policy=BatchPolicy(max_batch=8, max_delay=60.0),
+            clock=lambda: clock[0],
+        )
+        for i, cid in enumerate(("a", "b", "c")):
+            svc.ingest_many([(cid, (5 * i + j) % 30, 0.1 * j) for j in range(3)])
+        asks = [("a", True), ("ghost", True), ("b", False), ("c", True), ("a", False)]
+        requests = []
+        for t, (cid, asked) in enumerate(asks):
+            clock[0] = float(t)
+            requests.append(svc.submit(cid, include_features=asked))
+        clock[0] = 10.0
+        results = svc.flush()
+        ids = [cid for cid, _ in asks]
+        want = svc.score_columns(ids, include_features=True)
+        assert [r.request_id for r in results] == [r.request_id for r in requests]
+        assert [r.cascade_id for r in results] == ids
+        assert [r.result for r in requests] == results
+        for i, (result, (_, asked)) in enumerate(zip(results, asks)):
+            assert result.latency.queued_s == 10.0 - i
+            assert result.latency.batch_size == len(asks)
+            assert result.ok == want.ok[i]
+            assert result.n_early == want.n_early[i]
+            if result.ok:
+                assert result.score == want.scores[i]
+                assert result.label == want.labels[i]
+            if result.ok and asked:
+                assert (result.features == want.features[i]).all()
+            else:
+                assert result.features is None
+
+
+class TestFlushFailure:
+    def test_model_less_flush_finishes_its_request_as_failed(self):
+        svc = ScoringService(ModelRegistry())
+        request = svc.submit("c")
+        (result,) = svc.flush()
+        assert result.status == "failed" and not result.ok
+        assert request.result is result
+        assert svc.pending() == 0
+        assert svc.stats()["failed"] == 1
+        faults = svc.health_snapshot()["recent_faults"]
+        assert [f["kind"] for f in faults] == ["flush_failed"]
+        assert "LookupError" in faults[0]["detail"]
+
+
 class TestWorkspaceReuse:
     def test_flush_reuses_pooled_buffers(self, service):
         for i, cid in enumerate(("a", "b", "c")):
@@ -289,6 +344,27 @@ class TestScoringClient:
         results = client.score_many(["a", "b", "c", "d", "ghost"])
         assert [r.status for r in results] == ["ok"] * 4 + ["unknown_cascade"]
         assert all(r.latency.batch_size == 5 for r in results)
+
+    def test_score_many_rows_equal_score_columns(self, service):
+        client = ScoringClient(service)
+        for i, cid in enumerate(("a", "b", "c")):
+            client.ingest_many([(cid, (3 * i + j) % 30, 0.2 * j) for j in range(3)])
+        ids = ["c", "ghost", "a", "b"]
+        want = service.score_columns(ids, include_features=True)
+        for include_features in (False, True):
+            rows = client.score_many(ids, include_features=include_features)
+            assert [r.cascade_id for r in rows] == ids
+            assert [r.status for r in rows] == ["ok", "unknown_cascade", "ok", "ok"]
+            for i, row in enumerate(rows):
+                assert row.n_early == want.n_early[i]
+                assert row.latency.batch_size == len(ids)
+                if row.ok:
+                    assert row.score == want.scores[i]
+                    assert row.label == want.labels[i]
+                if row.ok and include_features:
+                    assert (row.features == want.features[i]).all()
+                else:
+                    assert row.features is None
 
     def test_stats_passthrough(self, service):
         client = ScoringClient(service)

@@ -146,6 +146,61 @@ class TestBitIdentity:
         finally:
             sharded.close()
 
+    @pytest.mark.parametrize("include_features", [False, True])
+    def test_empty_group_matches_single_process(self, include_features):
+        sharded = make_sharded(n_shards=2)
+        try:
+            want = make_reference().score_columns([], include_features=include_features)
+            got = sharded.score_columns([], include_features=include_features)
+            assert_columns_equal(got, want)
+        finally:
+            sharded.close()
+
+    def test_flush_spanning_shards_is_one_batch(self):
+        """The router flush drains every shard into one fan-out: one
+        batch in submit order, features only where asked, each request's
+        own queued time, rows equal to ``score_columns``."""
+        clock = [0.0]
+        policy = BatchPolicy(max_batch=8, max_delay=60.0)
+        sharded = make_sharded(n_shards=2, seed=7, policy=policy, clock=lambda: clock[0])
+        try:
+            cids, events = make_stream(seed=7)
+            sharded.ingest_many(events)
+            on0 = [c for c in cids if shard_of(c, 2) == 0]
+            on1 = [c for c in cids if shard_of(c, 2) == 1]
+            asks = [
+                (on1[0], True),
+                (on0[0], False),
+                ("ghost", True),
+                (on1[1], False),
+                (on0[1], True),
+            ]
+            requests = []
+            for t, (cid, asked) in enumerate(asks):
+                clock[0] = float(t)
+                requests.append(sharded.submit(cid, include_features=asked))
+            clock[0] = 10.0
+            results = sharded.flush()
+            ids = [cid for cid, _ in asks]
+            want = sharded.score_columns(ids, include_features=True)
+            assert [r.request_id for r in results] == [r.request_id for r in requests]
+            assert [r.cascade_id for r in results] == ids
+            assert [r.result for r in requests] == results
+            for i, (result, (_, asked)) in enumerate(zip(results, asks)):
+                assert result.latency.queued_s == 10.0 - i
+                assert result.latency.batch_size == len(asks)
+                assert result.ok == want.ok[i]
+                assert result.n_early == want.n_early[i]
+                if result.ok:
+                    assert result.score == want.scores[i]
+                    assert result.label == want.labels[i]
+                if result.ok and asked:
+                    assert (result.features == want.features[i]).all()
+                else:
+                    assert result.features is None
+        finally:
+            sharded.close()
+
     def test_duplicate_filtering_matches(self):
         sharded = make_sharded(n_shards=2)
         try:
@@ -184,6 +239,24 @@ class TestBitIdentity:
                 sharded.stats()["shards"][0]["evictions"]
                 == reference.stats()["evictions"]
             )
+        finally:
+            sharded.close()
+
+
+class TestFlushFailure:
+    def test_unpublished_router_flush_finishes_its_request_as_failed(self):
+        sharded = ShardedScoringService(n_shards=2)
+        try:
+            request = sharded.submit("c")
+            (result,) = sharded.flush()
+            assert result.status == "failed" and not result.ok
+            assert request.result is result
+            assert sharded.pending() == 0
+            assert sharded.stats()["failed"] == 1
+            faults = sharded.health_snapshot()["router"]["recent_faults"]
+            assert [f["kind"] for f in faults] == ["flush_failed"]
+            with pytest.raises(LookupError):  # as one process raises
+                sharded.score_columns([])
         finally:
             sharded.close()
 
