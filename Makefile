@@ -55,8 +55,11 @@ bench:
 ## against the journal, recovery, the supervised server, and the sharded
 ## tier (SIGKILL a shard mid-burst → watchdog restart + journal replay to
 ## bit-identical state), plus the replay legs (slow consumer, scoring
-## server restart mid-replay, SIGKILL a shard mid-replay) — run with the
-## runtime sanitizer armed so dispatch-side invariants are checked too
+## server restart mid-replay, SIGKILL a shard mid-replay), the server's
+## in-flight bound (queue-full refusals and the replay retry ladder, in
+## test_tcp_client.py) and SIGTERM to a real `repro serve` process — run
+## with the runtime sanitizer armed so dispatch-side invariants are
+## checked too
 chaos:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q \
 		tests/unit/serving/test_durability.py \
@@ -65,7 +68,8 @@ chaos:
 		tests/unit/serving/test_tcp_client.py \
 		tests/unit/ingest/test_replay_chaos.py \
 		tests/unit/devtools/test_lock_sanitizer.py \
-		tests/property/test_prop_durability.py
+		tests/property/test_prop_durability.py \
+		tests/integration/test_serve_process.py
 
 ## arena-vs-legacy dispatch benchmark; writes BENCH_parallel.json
 bench-dispatch:
@@ -76,9 +80,11 @@ bench-dispatch:
 bench-kernel:
 	$(PYTHON) -m pytest -x -q benchmarks/test_perf_kernel.py
 
-## scoring-service benchmark (micro-batched vs one-at-a-time scoring,
-## burst vs scalar ingest, flush allocation audit, latency percentiles,
-## sharded scale-out + zero-copy publish gates); writes BENCH_serving.json
+## scoring-service benchmark (score_columns groups vs one-at-a-time
+## scoring, burst vs scalar ingest, score_columns allocation audit,
+## latency percentiles, journal overhead, recovery rate, sharded scale-out
+## + zero-copy publish gates, concurrent single `score` ops over TCP via
+## benchmarks/serve_concurrency.py); writes BENCH_serving.json
 bench-serving:
 	$(PYTHON) -m pytest -x -q benchmarks/test_perf_serving.py
 

@@ -43,7 +43,6 @@ from repro.ingest.recorder import record_source, stream_info
 from repro.ingest.replay import ReplayConfig, replay_recording
 from repro.ingest.sources import SyntheticGDELTSource
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
-from repro.serving.batching import BatchPolicy
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.sharding import ShardedScoringService
@@ -109,9 +108,7 @@ def n_sites_of(source):
 def make_service(n):
     reg = ModelRegistry()
     reg.publish(make_model(0, n), predictor=make_predictor(0))
-    return ScoringService(
-        reg, policy=BatchPolicy(max_batch=256, max_delay=0.0)
-    )
+    return ScoringService(reg)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Scoring-service benchmark: micro-batched vs one-request-at-a-time.
+"""Scoring-service benchmark: grouped vs one-request-at-a-time scoring.
 
 Drives the full serving stack (tracker ingest → feature gather →
 vectorized SVM) on a synthetic workload and records:
@@ -6,18 +6,25 @@ vectorized SVM) on a synthetic workload and records:
 * sustained ingest throughput (adoption events folded per second, with
   the O(mK) incremental update doing the real work);
 * scoring throughput and per-request latency percentiles (p50/p95/p99)
-  for the unbatched baseline (``ScoringService.score`` — a batch of one
-  per request, the cost every naive serving loop pays) and for the
-  micro-batched path at several ``max_batch`` settings;
+  for the one-at-a-time baseline (``ScoringService.score`` — a group of
+  one per request, the cost every naive serving loop pays) and for
+  ``score_columns`` groups of several sizes — the call the server's
+  group commit makes for concurrent ``score`` ops;
 * burst-ingest throughput: ``ingest_many`` (one vectorized fold per
   touched cascade) vs the same event stream fed one call at a time;
-* a steady-state allocation audit of the flush hot path (tracemalloc,
-  same methodology as ``test_perf_kernel``): with the workspace warm,
-  a submit→flush cycle must allocate ~nothing net;
+* a steady-state allocation audit of the ``score_columns`` hot path
+  (tracemalloc, same methodology as ``test_perf_kernel``): with the
+  workspace warm, scoring a group must allocate ~nothing net;
 * write-ahead journaling overhead: the same columnar ingest stream with
   no journal, ``fsync="off"``, and ``fsync="interval"`` — durability at
   the default policy must cost at most **15%** of batched ingest
   throughput;
+* concurrent single ``score`` ops over TCP (``serve_concurrency.py``):
+  N ∈ {1, 8, 32, 64} closed-loop connections against ``repro serve``
+  in process and on 2 shards — ops/s, p50/p99 and the mean group size
+  the server's group commit forms.  Gated only on correctness (every
+  reply equals its ``score_many`` row) and on groups forming (mean
+  group size above 1 at N = 32 on both tiers); no timing gate;
 * recovery replay rate: rebuild a service from a snapshot + journal
   tail and gate the replayed events/second (the number that bounds
   restart downtime);
@@ -31,16 +38,16 @@ vectorized SVM) on a synthetic workload and records:
   stay flat in shard count (one shared segment, N attaches — never N
   serialized copies).
 
-Acceptance gates: the best micro-batched configuration must sustain at
-least **5×** the baseline requests/sec, batched ingest at least **10×**
-one-at-a-time ingest, and the warm flush path must stay under the
+Acceptance gates: the best group size must sustain at least **5×** the
+baseline requests/sec, batched ingest at least **10×** one-at-a-time
+ingest, and the warm ``score_columns`` path must stay under the
 steady-state allocation budget — all at CI scale.  The wins are
 amortization (one registry read, one fancy-index feature gather, one
 vectorized ``decision_function`` / one vectorized fold per batch
 instead of per request) so they hold and grow at paper scale.
 
 Measurement methodology (same reasoning as ``test_perf_kernel``): this
-box jitters 30%+ run to run, so baseline and batched blocks are
+box jitters 30%+ run to run, so baseline and grouped blocks are
 interleaved back-to-back and each side keeps its *best* block.  The
 maximum throughput converges to the interference-free cost of the work,
 where an average would smear scheduler noise into the ratio.  Rounds
@@ -59,12 +66,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import serve_concurrency
 from _common import current_scale, save_result
 
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.features import PAPER_FEATURES
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
-from repro.serving.batching import BatchPolicy
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 
@@ -72,9 +79,9 @@ pytestmark = pytest.mark.slow  # sustained-throughput measurement loops
 
 ROOT = Path(__file__).parent.parent
 
-#: acceptance gate: best batched throughput vs one-at-a-time baseline
+#: acceptance gate: best grouped throughput vs one-at-a-time baseline
 MIN_SPEEDUP = 5.0
-BATCH_SETTINGS = (8, 32, 256)
+GROUP_SIZES = (8, 32, 256)
 REPEATS = 3  # best-of repeats absorb scheduler jitter (ingest timing)
 MIN_ROUNDS = 3  # always interleave at least this many baseline/batched rounds
 MAX_ROUNDS = 14  # adaptive cap when jitter keeps the ratio below target
@@ -83,9 +90,9 @@ TARGET_RATIO = MIN_SPEEDUP * 1.2  # stop early once the gate clears with margin
 #: acceptance gate: ingest_many vs one-at-a-time ingest over one stream
 MIN_INGEST_SPEEDUP = 10.0
 INGEST_TARGET_RATIO = MIN_INGEST_SPEEDUP * 1.15
-#: net-allocation budget for one warm submit→flush cycle (PR 4 style:
+#: net-allocation budget for one warm score_columns call (PR 4 style:
 #: python bookkeeping noise is tolerated, pooled-buffer reallocs are not)
-FLUSH_STEADY_STATE_BYTES = 16 * 1024
+SCORE_STEADY_STATE_BYTES = 16 * 1024
 
 #: acceptance gate: fsync="interval" journaling keeps at least this
 #: fraction of the no-journal batched ingest throughput (≤15% cost)
@@ -106,17 +113,20 @@ SHARD_SWAP_SLOPE_RATIO = 2.0  # zero-copy proof, core-count independent
 SHARD_PUBLISH_REPEATS = 20
 
 
-def _update_bench_json(sections):
+def _update_bench_json(sections, retired=()):
     """Merge top-level sections into BENCH_serving.json.
 
     Each test in this file owns a disjoint set of keys, so any subset of
     tests can be (re-)run without clobbering the others' results.
+    *retired* names keys a test no longer writes; they are dropped.
     """
     path = ROOT / "BENCH_serving.json"
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (FileNotFoundError, json.JSONDecodeError):
         doc = {}
+    for key in retired:
+        doc.pop(key, None)
     doc.update(sections)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
@@ -137,12 +147,6 @@ def _make_parts(seed, n_nodes):
     ds = PredictionDataset(X=X, final_sizes=sizes, feature_names=tuple(PAPER_FEATURES))
     predictor = ViralityPredictor(threshold=20, seed=seed).fit(ds)
     return model, predictor
-
-
-def _make_service(registry, max_batch):
-    return ScoringService(
-        registry, policy=BatchPolicy(max_batch=max_batch, max_delay=0.005)
-    )
 
 
 def _events(rng, n_nodes, cascades, events_per):
@@ -172,7 +176,7 @@ def _percentiles_ms(latencies_s):
 
 
 def _run_baseline(service, cids, n_requests):
-    """One-request-at-a-time: every score is its own batch of one.
+    """One-request-at-a-time: every score is its own group of one.
 
     Request ids are prepared and metrics harvested outside the timed
     window — only serving work is measured.
@@ -187,41 +191,34 @@ def _run_baseline(service, cids, n_requests):
     return n_requests / elapsed, [r.latency.total_s for r in results]
 
 
-def _run_batched(service, cids, n_requests, max_batch):
-    """Saturated micro-batching: submit a full batch, flush, repeat.
+def _run_grouped(service, cids, n_requests, group):
+    """Saturated grouped scoring: one ``score_columns`` call per group.
 
-    The request count scales with ``max_batch``: every request in a
-    flushed block shares one ``enqueued_at`` and one ``compute_s``, so a
-    block contributes a single distinct latency value.  With a fixed
-    4000-request workload at ``max_batch=256`` that is ~16 distinct
-    values — p95 and p99 then select the *same* order statistic and the
-    tail columns degenerate.  128 blocks per configuration keep the
-    upper percentiles honest; throughput is a rate, so the larger count
-    does not skew the speedup ratio.
+    The request count scales with *group*: every request in a group
+    shares one ``compute_s``, so a group contributes a single distinct
+    latency value.  With a fixed 4000-request workload at ``group=256``
+    that is ~16 distinct values — p95 and p99 then select the *same*
+    order statistic and the tail columns degenerate.  128 groups per
+    configuration keep the upper percentiles honest; throughput is a
+    rate, so the larger count does not skew the speedup ratio.
     """
-    n_requests = max(n_requests, max_batch * 128)
-    blocks = []
-    done = 0
-    while done < n_requests:
-        n = min(max_batch, n_requests - done)
-        blocks.append([cids[(done + j) % len(cids)] for j in range(n)])
-        done += n
-    submitted = []
+    n_requests = max(n_requests, group * 128)
+    groups = [
+        [cids[(lo + j) % len(cids)] for j in range(min(group, n_requests - lo))]
+        for lo in range(0, n_requests, group)
+    ]
     t0 = time.perf_counter()
-    for block in blocks:
-        submitted.append(service.submit_many(block))
-        service.flush()
+    scored = [service.score_columns(ids) for ids in groups]
     elapsed = time.perf_counter() - t0
     latencies = []
-    for requests in submitted:
-        for r in requests:
-            assert r.result is not None and r.result.ok
-            latencies.append(r.result.latency.total_s)
+    for ids, columns in zip(groups, scored):
+        assert columns.ok.all()
+        latencies.extend([columns.compute_s] * len(ids))
     return n_requests / elapsed, latencies
 
 
 class TestServingThroughput:
-    def test_microbatching_speedup(self):
+    def test_grouped_scoring_speedup(self):
         scale = current_scale()
         wl = _workload(scale)
         rng = np.random.default_rng(7)
@@ -233,50 +230,50 @@ class TestServingThroughput:
         n_events = wl["cascades"] * wl["events_per"]
 
         # --- ingest throughput (fresh store, incremental updates) ----- #
-        ingest_service = _make_service(registry, max_batch=64)
-        ingest_s = min(_ingest_all(_make_service(registry, 64), events)
+        ingest_service = ScoringService(registry)
+        ingest_s = min(_ingest_all(ScoringService(registry), events)
                        for _ in range(REPEATS))
         del ingest_service
         events_per_sec = n_events / ingest_s
 
-        # --- interleaved baseline / batched rounds -------------------- #
+        # --- interleaved baseline / grouped rounds -------------------- #
         # One warm service per configuration; each round runs baseline
-        # then every batch setting back-to-back so all sides see the same
+        # then every group size back-to-back so all sides see the same
         # system conditions.  Per side we keep the best block: the max
         # throughput converges to the jitter-free cost of the work.
-        base_service = _make_service(registry, max_batch=64)
+        base_service = ScoringService(registry)
         _ingest_all(base_service, events)
         base_service.score(cids[0])  # warm caches and code paths
-        batch_services = {}
-        for max_batch in BATCH_SETTINGS:
-            service = _make_service(registry, max_batch=max_batch)
+        group_services = {}
+        for group in GROUP_SIZES:
+            service = ScoringService(registry)
             _ingest_all(service, events)
             service.score(cids[0])
-            batch_services[max_batch] = service
+            group_services[group] = service
 
         base_rps, base_lat = 0.0, []
-        best_by_batch = {mb: (0.0, []) for mb in BATCH_SETTINGS}
+        best_by_group = {g: (0.0, []) for g in GROUP_SIZES}
         for round_no in range(MAX_ROUNDS):
             rps, lat = _run_baseline(base_service, cids, wl["requests"])
             if rps > base_rps:
                 base_rps, base_lat = rps, lat
-            for max_batch in BATCH_SETTINGS:
-                rps, lat = _run_batched(
-                    batch_services[max_batch], cids, wl["requests"], max_batch
+            for group in GROUP_SIZES:
+                rps, lat = _run_grouped(
+                    group_services[group], cids, wl["requests"], group
                 )
-                if rps > best_by_batch[max_batch][0]:
-                    best_by_batch[max_batch] = (rps, lat)
-            ratio = max(v[0] for v in best_by_batch.values()) / base_rps
+                if rps > best_by_group[group][0]:
+                    best_by_group[group] = (rps, lat)
+            ratio = max(v[0] for v in best_by_group.values()) / base_rps
             if round_no + 1 >= MIN_ROUNDS and ratio >= TARGET_RATIO:
                 break
 
         batched_rows = [
             {
-                "max_batch": max_batch,
-                "throughput_rps": best_by_batch[max_batch][0],
-                **_percentiles_ms(best_by_batch[max_batch][1]),
+                "group": group,
+                "throughput_rps": best_by_group[group][0],
+                **_percentiles_ms(best_by_group[group][1]),
             }
-            for max_batch in BATCH_SETTINGS
+            for group in GROUP_SIZES
         ]
         best = max(batched_rows, key=lambda r: r["throughput_rps"])
         speedup = best["throughput_rps"] / base_rps
@@ -298,13 +295,13 @@ class TestServingThroughput:
         )
         for row in batched_rows:
             lines.append(
-                f"{'batch(' + str(row['max_batch']) + ')':>14} "
+                f"{'group(' + str(row['group']) + ')':>14} "
                 f"{row['throughput_rps']:>12,.0f} {row['p50_ms']:>9.3f} "
                 f"{row['p95_ms']:>9.3f} {row['p99_ms']:>9.3f}"
             )
         lines.append("")
         lines.append(
-            f"best batched vs baseline: {speedup:.1f}x (gate: >= {MIN_SPEEDUP}x)"
+            f"best grouped vs baseline: {speedup:.1f}x (gate: >= {MIN_SPEEDUP}x)"
         )
         save_result("perf_serving", "\n".join(lines))
 
@@ -327,7 +324,7 @@ class TestServingThroughput:
         _update_bench_json(payload)
 
         assert speedup >= MIN_SPEEDUP, (
-            f"micro-batched throughput only {speedup:.1f}x the one-at-a-time "
+            f"grouped throughput only {speedup:.1f}x the one-at-a-time "
             f"baseline (gate {MIN_SPEEDUP}x): {best['throughput_rps']:,.0f} vs "
             f"{base_rps:,.0f} req/s"
         )
@@ -391,7 +388,7 @@ class TestIngestBurstThroughput:
             )
 
         def run_scalar():
-            service = _make_service(registry, 64)
+            service = ScoringService(registry)
             t0 = time.perf_counter()
             for cid, node, t in stream:
                 service.ingest(cid, node, t)
@@ -400,7 +397,7 @@ class TestIngestBurstThroughput:
             return elapsed, service
 
         def run_batched():
-            service = _make_service(registry, 64)
+            service = ScoringService(registry)
             t0 = time.perf_counter()
             for cids, nodes, times in col_bursts:
                 service.ingest_columns(cids, nodes, times)
@@ -413,7 +410,7 @@ class TestIngestBurstThroughput:
         # must all land on bit-identical feature vectors
         _, svc_a = run_scalar()
         _, svc_b = run_batched()
-        svc_c = _make_service(registry, 64)
+        svc_c = ScoringService(registry)
         for burst in bursts:
             svc_c.ingest_many(burst)
         snap = registry.current()
@@ -503,7 +500,7 @@ class TestJournalDurability:
         run_no = [0]
 
         def run(fsync):
-            service = _make_service(registry, 64)
+            service = ScoringService(registry)
             if fsync is not None:
                 run_no[0] += 1
                 service.attach_journal(
@@ -586,7 +583,7 @@ class TestJournalDurability:
         # snapshot, half left as replayable tail — the shape a crashed
         # steady-state service actually leaves behind
         config = JournalConfig(directory=tmp_path / "wal", fsync="off")
-        service = _make_service(registry, 64)
+        service = ScoringService(registry)
         service.attach_journal(EventJournal(config))
         service.publish(model, predictor=predictor, source="seed")
         half = len(col_bursts) // 2
@@ -862,52 +859,68 @@ def _traced_bytes(fn):
     return max(0, current - base), max(0, peak - base)
 
 
-class TestFlushAllocations:
-    def test_steady_state_flush_is_allocation_free(self):
-        """With the workspace warm, a full submit→flush cycle must not
-        grow the heap: the drain list, gather vectors, and batch matrix
-        all live in pooled buffers.  Transient python objects (requests,
-        results, latency records) are freed within the cycle and so do
-        not count against the net budget — exactly the PR 4 gate."""
+class TestScoreAllocations:
+    def test_steady_state_score_columns_is_allocation_free(self):
+        """With the workspace warm, scoring a group of 256 ids must not
+        grow the heap: the gather vectors and group matrix all live in
+        pooled buffers.  Transient python objects (the output columns)
+        are freed within the call and so do not count against the net
+        budget — exactly the PR 4 gate."""
         scale = current_scale()
         wl = _workload(scale)
         model, predictor = _make_parts(13, wl["n_nodes"])
         registry = ModelRegistry()
         registry.publish(model, predictor=predictor)
-        service = _make_service(registry, max_batch=256)
+        service = ScoringService(registry)
         events = _events(
             np.random.default_rng(13), wl["n_nodes"], wl["cascades"], wl["events_per"]
         )
         _ingest_all(service, events)
         cids = [cid for cid, _, _ in events]
-        batch = [cids[i % len(cids)] for i in range(256)]
+        group = [cids[i % len(cids)] for i in range(256)]
 
         def cycle():
-            service.submit_many(batch)
-            results = service.flush()
-            assert len(results) == len(batch)
+            assert len(service.score_columns(group)) == len(group)
 
         for _ in range(5):  # warm the workspace and every code path
             cycle()
         net, peak = _traced_bytes(cycle)
         save_result(
             "perf_serving_alloc",
-            f"steady-state flush (batch=256): net={net} B  peak={peak} B  "
-            f"budget={FLUSH_STEADY_STATE_BYTES} B",
+            f"steady-state score_columns (group=256): net={net} B  peak={peak} B  "
+            f"budget={SCORE_STEADY_STATE_BYTES} B",
         )
         _update_bench_json(
             {
-                "flush_alloc": {
+                "score_columns_alloc": {
                     "scale": scale.name,
-                    "batch": 256,
+                    "group": 256,
                     "net_bytes": net,
                     "peak_bytes": peak,
-                    "budget_bytes": FLUSH_STEADY_STATE_BYTES,
+                    "budget_bytes": SCORE_STEADY_STATE_BYTES,
                 }
-            }
+            },
+            retired=("flush_alloc",),
         )
-        assert net < FLUSH_STEADY_STATE_BYTES, (
-            f"warm flush allocated {net} B net "
-            f"(budget {FLUSH_STEADY_STATE_BYTES} B) — a pooled buffer is "
-            "being reallocated per flush"
+        assert net < SCORE_STEADY_STATE_BYTES, (
+            f"warm score_columns allocated {net} B net "
+            f"(budget {SCORE_STEADY_STATE_BYTES} B) — a pooled buffer is "
+            "being reallocated per call"
         )
+
+
+class TestConcurrentScore:
+    def test_group_commit_answers_concurrent_score_ops(self, tmp_path):
+        """Single ``score`` ops from N connections: every reply equals
+        its ``score_many`` row, and concurrent ops share scoring calls."""
+        result = serve_concurrency.measure(tmp_path)
+        save_result("perf_serving_concurrency", "\n".join(serve_concurrency.format_cells(result)))
+        _update_bench_json({"concurrent_score": result})
+        cells = result["cells"]
+        assert cells and all(c["replies"] > 0 and c["mismatches"] == 0 for c in cells)
+        for tier, _ in serve_concurrency.TIERS:
+            (at32,) = [c for c in cells if c["tier"] == tier and c["connections"] == 32]
+            assert at32["mean_group_size"] > 1.0, (
+                f"{tier}: 32 concurrent connections formed no groups "
+                f"(mean group size {at32['mean_group_size']:.2f})"
+            )

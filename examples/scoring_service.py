@@ -88,8 +88,6 @@ def run(workdir: Path) -> None:
     service = build_service(
         str(workdir / "model.npz"),
         predictor_path=str(workdir / "svm.npz"),
-        max_batch=32,
-        max_delay=0.002,
         journal_dir=workdir / "wal",
     )
     client = ScoringClient(service)
@@ -186,7 +184,7 @@ def run(workdir: Path) -> None:
     )
     print(f"  recovered scores bit-identical to pre-crash: {identical}")
     assert identical
-    recovered.drain()  # graceful this time: flush, seal, stop
+    recovered.drain()  # graceful this time: seal, stop
 
     print("\n=== 6. Scale out: the same artifacts behind a sharded tier")
     # DESIGN.md §16: ``--shards N`` splits tracker state across N worker
@@ -199,8 +197,6 @@ def run(workdir: Path) -> None:
         str(workdir / "model.npz"),
         n_shards=2,
         predictor_path=str(workdir / "svm.npz"),
-        max_batch=32,
-        max_delay=0.002,
     )
     try:
         sh_client = ScoringClient(sharded)
@@ -251,8 +247,6 @@ def run(workdir: Path) -> None:
         str(workdir / "model.npz"),
         n_shards=2,
         predictor_path=str(workdir / "svm.npz"),
-        max_batch=32,
-        max_delay=0.002,
     )
     try:
         report = replay_recording(

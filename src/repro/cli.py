@@ -200,15 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=7569)
     p.add_argument("--stdio", action="store_true",
                    help="speak the protocol on stdin/stdout instead of TCP")
-    p.add_argument("--max-batch", type=int, default=64,
-                   help="flush as soon as this many score requests are queued")
-    p.add_argument("--max-delay", type=float, default=0.005,
-                   help="max seconds a queued score request waits for a batch")
-    p.add_argument("--max-pending", type=int, default=1024,
-                   help="queue depth bound before backpressure kicks in")
-    p.add_argument("--overflow", choices=("reject", "shed_oldest"),
-                   default="reject",
-                   help="full-queue policy: refuse new or drop oldest")
     p.add_argument("--capacity", type=int, default=100_000,
                    help="max cascades tracked before LRU eviction")
     p.add_argument("--ttl", type=float, default=None,
@@ -229,9 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard cascade state across N worker processes "
                    "(1 = in-process, the default); model hot-swaps are "
                    "broadcast zero-copy through one shared-memory segment")
-    p.add_argument("--shard-backlog", type=int, default=None,
-                   help="per-shard pending-queue bound under --shards "
-                   "(default: --max-pending; must be >= --max-batch)")
 
     return parser
 
@@ -342,7 +330,11 @@ def _cmd_replay(args) -> int:
 
     from repro.ingest import ReplayConfig, ReplayOverloadError, replay_recording
     from repro.ingest.recorder import RecordingError, stream_info
-    from repro.serving.client import ServerUnreachableError, TCPScoringClient
+    from repro.serving.client import (
+        RemoteError,
+        ServerUnreachableError,
+        TCPScoringClient,
+    )
 
     try:
         info = stream_info(args.recording)
@@ -413,7 +405,9 @@ def _cmd_replay(args) -> int:
             target = service
         try:
             report = replay_recording(args.recording, target, config)
-        except ServerUnreachableError as exc:
+        except (ServerUnreachableError, RemoteError, ValueError) as exc:
+            # a stream the model cannot take (a node outside its universe)
+            # raises ValueError in process and RemoteError over TCP
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except ReplayOverloadError as exc:
@@ -575,8 +569,7 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from repro.prediction.features import EXTENDED_FEATURES, PAPER_FEATURES
-    from repro.serving.batching import BatchPolicy
-    from repro.serving.durability import JournalConfig, recover_service
+    from repro.serving.durability import JournalConfig, JournalError, recover_service
     from repro.serving.server import ScoringServer, build_service, serve_stdio
     from repro.serving.tracker import StoreConfig
 
@@ -587,12 +580,6 @@ def _cmd_serve(args) -> int:
         print("--shards must be >= 1", file=sys.stderr)
         return 2
     sharded = args.shards > 1
-    policy = BatchPolicy(
-        max_batch=args.max_batch,
-        max_delay=args.max_delay,
-        max_pending=args.max_pending,
-        overflow=args.overflow,
-    )
     if args.recover:
         if args.journal_dir is None:
             print("--recover requires --journal-dir", file=sys.stderr)
@@ -608,11 +595,6 @@ def _cmd_serve(args) -> int:
                     args.journal_dir,
                     n_shards=args.shards,
                     feature_set=feature_set,
-                    max_batch=args.max_batch,
-                    max_delay=args.max_delay,
-                    max_pending=args.max_pending,
-                    overflow=args.overflow,
-                    shard_backlog=args.shard_backlog,
                     capacity=args.capacity,
                     ttl=args.ttl,
                     fsync=args.fsync,
@@ -622,16 +604,19 @@ def _cmd_serve(args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
         else:
-            service, report = recover_service(
-                JournalConfig(
-                    directory=args.journal_dir,
-                    fsync=args.fsync,
-                    fsync_interval=args.fsync_interval,
-                ),
-                feature_set=feature_set,
-                store_config=StoreConfig(capacity=args.capacity, ttl=args.ttl),
-                policy=policy,
-            )
+            try:
+                service, report = recover_service(
+                    JournalConfig(
+                        directory=args.journal_dir,
+                        fsync=args.fsync,
+                        fsync_interval=args.fsync_interval,
+                    ),
+                    feature_set=feature_set,
+                    store_config=StoreConfig(capacity=args.capacity, ttl=args.ttl),
+                )
+            except JournalError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
         print(
             f"recovered {report.snapshot_cascades} cascades from snapshot "
             f"(+{report.events_replayed} events, {report.swaps_replayed} swaps "
@@ -656,11 +641,6 @@ def _cmd_serve(args) -> int:
                     n_shards=args.shards,
                     predictor_path=args.predictor,
                     feature_set=feature_set,
-                    max_batch=args.max_batch,
-                    max_delay=args.max_delay,
-                    max_pending=args.max_pending,
-                    overflow=args.overflow,
-                    shard_backlog=args.shard_backlog,
                     capacity=args.capacity,
                     ttl=args.ttl,
                     journal_dir=args.journal_dir,
@@ -675,10 +655,6 @@ def _cmd_serve(args) -> int:
                 args.model,
                 predictor_path=args.predictor,
                 feature_set=feature_set,
-                max_batch=args.max_batch,
-                max_delay=args.max_delay,
-                max_pending=args.max_pending,
-                overflow=args.overflow,
                 capacity=args.capacity,
                 ttl=args.ttl,
                 journal_dir=args.journal_dir,
@@ -694,9 +670,7 @@ def _cmd_serve(args) -> int:
     )
     tier = f"{args.shards} shard processes" if sharded else "in-process"
     print(
-        f"serving model v{snap.version} ({snap.source}; {scorer}); {tier}; "
-        f"batch<= {args.max_batch}, delay {args.max_delay * 1e3:.1f} ms, "
-        f"queue {args.max_pending} ({args.overflow}); {durable}",
+        f"serving model v{snap.version} ({snap.source}; {scorer}); {tier}; {durable}",
         file=sys.stderr,
     )
 
@@ -709,8 +683,8 @@ def _cmd_serve(args) -> int:
         )
         await server.start()
         print(f"listening on {args.host}:{server.port}", file=sys.stderr)
-        # run() returns after a SIGTERM-triggered graceful drain: the
-        # pending batch flushes, the journal seals, and we exit 0.
+        # run() returns after a SIGTERM-triggered graceful drain: waiting
+        # score ops are answered, the journal seals, and we exit 0.
         await server.run()
         print("drained; journal sealed", file=sys.stderr)
 

@@ -8,20 +8,23 @@ adoption events arrive:
   store (O(mK) per event instead of an O(m²K) recompute, vectorized
   burst folding, LRU + TTL bounded with an O(expired) lazy-heap sweep);
 * :mod:`repro.serving.workspace` — persistent buffer pool so the
-  steady-state flush/score hot path allocates nothing;
+  steady-state ``score_columns`` hot path allocates nothing;
 * :mod:`repro.serving.registry` — versioned, atomically hot-swappable
   model snapshots, loadable from ``.npz`` archives, hierarchical-fit
   checkpoints, or a live online estimator;
-* :mod:`repro.serving.batching` — micro-batching queue with explicit
-  backpressure and per-request latency accounting;
+* :mod:`repro.serving.batching` — the scoring result types (columnar
+  group results, per-request results with latency accounting) and the
+  backpressure error;
 * :mod:`repro.serving.service` — the synchronous, thread-safe scoring
   core tying the three together;
 * :mod:`repro.serving.client` — in-process synchronous client, plus a
   reconnecting TCP client speaking the server's wire protocol (the
   replay harness's remote feed point);
 * :mod:`repro.serving.server` — asyncio newline-JSON front end
-  (TCP or stdio) with bounded reads, per-connection timeouts, and
-  supervised background tasks; wired into the CLI as ``repro serve``;
+  (TCP or stdio) with group commit for concurrent ``score`` ops, an
+  in-flight bound that refuses excess data requests with ``queue
+  full``, bounded reads, per-connection timeouts, and supervised
+  background tasks; wired into the CLI as ``repro serve``;
 * :mod:`repro.serving.durability` — segmented, checksummed write-ahead
   event journal with fsync policy, rotation, snapshot compaction, and
   bit-identical crash recovery (``repro serve --journal-dir``);
@@ -37,12 +40,9 @@ adoption events arrive:
 """
 
 from repro.serving.batching import (
-    BatchPolicy,
     LatencyBreakdown,
-    PendingQueue,
     QueueFullError,
     ScoreColumns,
-    ScoreRequest,
     ScoreResult,
 )
 from repro.serving.client import (
@@ -83,7 +83,6 @@ from repro.serving.tracker import CascadeTracker, FeatureStore, StoreConfig, Sto
 from repro.serving.workspace import ScoringWorkspace
 
 __all__ = [
-    "BatchPolicy",
     "CascadeTracker",
     "EventJournal",
     "FaultRecord",
@@ -95,12 +94,10 @@ __all__ = [
     "LatencyBreakdown",
     "ModelRegistry",
     "ModelSnapshot",
-    "PendingQueue",
     "QueueFullError",
     "RecoveryReport",
     "RemoteError",
     "ScoreColumns",
-    "ScoreRequest",
     "ScoreResult",
     "ScoringClient",
     "ScoringServer",

@@ -12,9 +12,10 @@ the hardening a replay run needs: lazy connect, reconnect with bounded
 exponential backoff when the server drops mid-exchange (requests are
 re-sent — at-least-once delivery; the store's duplicate filter makes
 ingest re-sends idempotent), a clean :class:`ServerUnreachableError`
-once the budget is spent, and server-side "queue full" rejects mapped
-onto :class:`~repro.serving.batching.QueueFullError` so the replay
-engine's retry ladder treats local and remote backpressure the same.
+once the budget is spent, and the server's "queue full" refusals (its
+in-flight bound) raised as
+:class:`~repro.serving.batching.QueueFullError`, the backpressure the
+replay engine's retry ladder handles.
 """
 
 from __future__ import annotations
@@ -81,9 +82,8 @@ class ScoringClient:
         """Score a group of cascades in one ``score_columns`` call.
 
         One snapshot read and one vectorized SVM evaluation for the
-        whole group, never queued behind the micro-batcher; results
-        come back in request order, an untracked cascade as an
-        ``"unknown_cascade"`` result of its own.
+        whole group; results come back in request order, an untracked
+        cascade as an ``"unknown_cascade"`` result of its own.
         """
         columns = self.service.score_columns(
             cascade_ids, include_features=include_features
@@ -102,7 +102,7 @@ class RemoteError(RuntimeError):
     """The server answered ``{"ok": false}`` with a non-backpressure error."""
 
 
-#: substring the server uses for batcher overflow rejects
+#: substring of the server's reply when its in-flight bound refuses a request
 _QUEUE_FULL_MARKER = "queue full"
 
 
@@ -327,9 +327,8 @@ class TCPScoringClient:
         """Score a group of cascades in one ``score_many`` exchange.
 
         The server answers the whole group with one ``score_columns``
-        call — no micro-batcher queue, no ``max_delay`` wait — and the
-        replies come back in request order.  A cascade the server does
-        not track raises :class:`RemoteError` naming it.
+        call, and the replies come back in request order.  A cascade the
+        server does not track raises :class:`RemoteError` naming it.
         """
         response = self._request(
             {
@@ -339,10 +338,6 @@ class TCPScoringClient:
             }
         )
         return [self._check(r) for r in response["results"]]
-
-    def flush(self) -> int:
-        """Force a micro-batch flush; returns how many requests flushed."""
-        return int(self._request({"op": "flush"})["flushed"])
 
     def swap(self, path: str) -> Dict[str, Any]:
         """Hot-swap the model from a filesystem artifact."""

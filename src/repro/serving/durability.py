@@ -111,6 +111,8 @@ _FRAME = struct.Struct("<II")
 #: payload record types
 _RT_EVENTS = 1
 _RT_SWAP = 2
+#: events record head: type, event count, id-column byte length
+_EVENTS_HEAD = struct.Struct("<BII")
 
 _SEGMENT_GLOB = "wal-*.log"
 _SNAPSHOT_GLOB = "snap-*.npz"
@@ -123,7 +125,7 @@ class JournalError(RuntimeError):
 
 
 class JournalCorruptError(JournalError):
-    """A record *before* the journal tail failed its checksum.
+    """A record *before* the journal tail failed its checksum or decode.
 
     A torn/truncated **final** record is expected after a crash and is
     repaired silently; a bad record anywhere else means the log can no
@@ -273,7 +275,7 @@ def _encode_events(
     n = int(node_arr.shape[0])
     return b"".join(
         (
-            struct.pack("<BII", _RT_EVENTS, n, len(cid_blob)),
+            _EVENTS_HEAD.pack(_RT_EVENTS, n, len(cid_blob)),
             cid_blob,
             node_arr.tobytes(),
             time_arr.tobytes(),
@@ -282,18 +284,30 @@ def _encode_events(
 
 
 def _decode_events(payload: memoryview) -> EventsRecord:
-    rtype, n, blob_len = struct.unpack_from("<BII", payload, 0)
-    assert rtype == _RT_EVENTS
-    off = struct.calcsize("<BII")
-    cids = json.loads(bytes(payload[off : off + blob_len]).decode("utf-8"))
+    """Decode an events record, refusing any payload of the wrong shape.
+
+    Raises :class:`JournalCorruptError`, never an untyped error: as a
+    segment's final record that is a torn tail recovery repairs.
+    """
+    if len(payload) < _EVENTS_HEAD.size:
+        raise JournalCorruptError("events record shorter than its header")
+    _, n, blob_len = _EVENTS_HEAD.unpack_from(payload, 0)
+    off = _EVENTS_HEAD.size
+    expected = off + blob_len + 16 * n
+    if len(payload) != expected:
+        raise JournalCorruptError(
+            f"events record is {len(payload)} bytes, expected {expected}"
+        )
+    try:
+        cids = json.loads(bytes(payload[off : off + blob_len]).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both
+        raise JournalCorruptError(f"events record id column: {exc}") from exc
     off += blob_len
     nodes = np.frombuffer(payload, dtype=np.int64, count=n, offset=off).copy()
     off += n * 8
     times = np.frombuffer(payload, dtype=np.float64, count=n, offset=off).copy()
-    if len(cids) != n:
-        raise JournalCorruptError(
-            f"events record id column length {len(cids)} != {n}"
-        )
+    if not isinstance(cids, list) or len(cids) != n:
+        raise JournalCorruptError(f"events record id column does not hold {n} ids")
     return EventsRecord(cascade_ids=tuple(cids), nodes=nodes, times=times)
 
 
@@ -332,16 +346,19 @@ def _encode_swap(snapshot: ModelSnapshot) -> bytes:
 
 
 def _decode_swap(payload: memoryview) -> SwapRecord:
-    with np.load(io.BytesIO(bytes(payload[1:]))) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        model = EmbeddingModel(data["A"].copy(), data["B"].copy())
-        predictor = _predictor_from_arrays(data)
-    return SwapRecord(
-        source=str(meta["source"]),
-        fingerprint=str(meta["fingerprint"]),
-        model=model,
-        predictor=predictor,
-    )
+    try:
+        with np.load(io.BytesIO(bytes(payload[1:]))) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            return SwapRecord(
+                source=str(meta["source"]),
+                fingerprint=str(meta["fingerprint"]),
+                model=EmbeddingModel(data["A"].copy(), data["B"].copy()),
+                predictor=_predictor_from_arrays(data),
+            )
+    except Exception as exc:  # any load failure: the record is unusable
+        raise JournalCorruptError(
+            f"swap record does not load ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def _decode_record(payload: memoryview) -> Union[EventsRecord, SwapRecord]:
@@ -881,7 +898,6 @@ def recover_service(
     config: JournalConfig,
     feature_set: Optional[Sequence[str]] = None,
     store_config: Optional[object] = None,
-    policy: Optional[object] = None,
     clock: Callable[[], float] = time.monotonic,
     compact: bool = True,
     _chaos: Optional[_ChaosPlan] = None,
@@ -916,7 +932,6 @@ def recover_service(
         registry,
         feature_set=tuple(feature_set) if feature_set is not None else PAPER_FEATURES,
         store_config=store_config,  # type: ignore[arg-type]
-        policy=policy,  # type: ignore[arg-type]
         clock=clock,
     )
     service.begin_recovery()

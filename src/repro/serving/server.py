@@ -9,21 +9,21 @@ One request per line, one JSON object per response.  Operations:
     and one vectorized fold per touched cascade (the firehose path).
     Responds ``{"ok": true, "applied": <non-duplicates>}``.
 ``{"op": "score", "cascade": "c1"}``
-    Queue a score request; the response arrives once the micro-batcher
-    flushes (batch full or ``max_delay`` elapsed).  Add
-    ``"features": true`` to embed the feature vector.  A flush that
-    cannot score (no model published yet) answers ``"ok": false,
-    "status": "failed"``.
+    Score one cascade.  Concurrent ``score`` ops are answered by group
+    commit: one scorer task scores every waiting op with a single
+    ``score_columns`` call, then repeats while ops are waiting — a lone
+    op is scored at once, a burst shares one snapshot read, gather and
+    SVM evaluation.  ``latency_ms.queued`` is the op's wait for its
+    group, ``batch_size`` the group size.  Add ``"features": true`` to
+    embed the feature vector.  An op that cannot be scored (no model
+    published yet) gets the one-line error reply ``score_many`` gives.
 ``{"op": "score_many", "cascades": ["c1", "c2", ...], "features": false}``
     Score a group of cascades in one exchange: one ``score_columns``
-    call (one executor hop; one fan-out on the sharded tier) instead of
-    one queued request per cascade, so the group never waits on the
-    micro-batcher's ``max_delay`` timer.  Responds ``{"ok": true,
-    "results": [...]}`` with one ``score``-shaped object per cascade in
-    request order (``latency_ms.queued`` is 0, ``batch_size`` the group
-    size); ``"features": true`` embeds the feature vectors.
-``{"op": "flush"}``
-    Force an immediate flush (mostly for tests and drains).
+    call (one executor hop; one fan-out on the sharded tier).  Responds
+    ``{"ok": true, "results": [...]}`` with one ``score``-shaped object
+    per cascade in request order (``latency_ms.queued`` is 0,
+    ``batch_size`` the group size); ``"features": true`` embeds the
+    feature vectors.
 ``{"op": "swap", "path": "model.npz"}``
     Hot-swap the model from a filesystem artifact (embedding ``.npz``
     or training checkpoint).  The currently published predictor is
@@ -32,17 +32,17 @@ One request per line, one JSON object per response.  Operations:
     Service state / liveness.
 
 Every request may carry an ``"id"`` which is echoed in the response, so
-clients can pipeline requests and match answers out of order (score
-responses are inherently deferred behind the batcher).
+clients can pipeline requests and match answers out of order (a score
+reply waits for its group's scoring call and may overtake or trail the
+replies around it).
 
 ``{"op": "health"}``
     Lifecycle/readiness snapshot (see :mod:`repro.serving.health`):
     ``state`` (``serving``/``degraded``/``draining``/...), ``ready``,
     ``healthy``, active degraded reasons, recent structured faults.
 
-The server never blocks the event loop: scoring requests resolve via
-``on_done`` callbacks marshalled onto the loop, a background flusher
-task enforces ``max_delay``, and the stdio front end reads stdin
+The server never blocks the event loop: ``score`` ops resolve through
+futures the scorer task sets, and the stdio front end reads stdin
 through the default executor.  (The REP008 lint rule polices exactly
 this property.)
 
@@ -55,16 +55,25 @@ Robustness (DESIGN.md §14):
   drop pipelined bytes after the newline).
 * **Read timeouts** — a connection idle past ``read_timeout`` is closed
   (a stuck peer cannot pin a connection slot forever).
-* **Supervised background tasks** — the flusher and sweeper run under a
-  restart wrapper: a crashed loop is fault-logged and restarted with
-  exponential backoff; past the restart budget the task is abandoned
-  and the service degrades (``task:<name>``) instead of silently losing
-  its ``max_delay`` guarantee.
+* **Backpressure** — at most ``_MAX_IN_FLIGHT`` data requests
+  (``event``, ``events``, ``score``, ``score_many``) are in flight
+  across all connections; one more gets an immediate ``{"ok": false,
+  "error": "queue full: ..."}`` reply, counted as ``rejected`` in the
+  ``stats`` reply.  The TCP client raises it as
+  :class:`~repro.serving.batching.QueueFullError`, which the replay
+  engine's retry ladder handles.
+* **Supervised background tasks** — the journal heartbeat (task
+  ``flusher``: an interval-fsync tick every ``_HEARTBEAT_INTERVAL``)
+  and the sweeper run under a restart wrapper: a crashed loop is
+  fault-logged and restarted with exponential backoff; past the restart
+  budget the task is abandoned and the service degrades
+  (``task:<name>``) instead of silently losing its contract.
 * **Graceful drain** — :meth:`ScoringServer.run` installs a SIGTERM
-  handler that stops accepting, flushes everything pending, seals the
-  journal, and returns (the CLI then exits 0).  A hard
-  :meth:`ScoringServer.stop` fails still-queued requests with
-  ``"aborted"`` so no waiter hangs.
+  handler that stops accepting, lets the scorer answer every waiting
+  ``score`` op, seals the journal, and returns (the CLI then exits 0).
+  A hard :meth:`ScoringServer.stop` answers waiting ops the same way
+  before it closes the service: no op waits longer than one scoring
+  call, and that call — or its error — answers it.
 """
 
 from __future__ import annotations
@@ -74,12 +83,13 @@ import functools
 import json
 import signal
 import sys
+import time
 from typing import IO, Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.prediction.features import PAPER_FEATURES
-from repro.serving.batching import BatchPolicy, ScoreColumns, ScoreResult
+from repro.serving.batching import ScoreColumns, ScoreResult
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.tracker import StoreConfig
@@ -94,6 +104,14 @@ __all__ = [
 
 #: sweep TTL-stale cascades this often (seconds) while a server runs
 _SWEEP_INTERVAL = 1.0
+#: journal heartbeat (seconds): gives ``fsync="interval"`` a chance to
+#: sync a quiet stream
+_HEARTBEAT_INTERVAL = 0.005
+#: data requests in flight across all connections before the server
+#: answers "queue full"
+_MAX_IN_FLIGHT = 1024
+#: the ops the in-flight bound counts; control ops always answer
+_DATA_OPS = frozenset({"event", "events", "score", "score_many"})
 #: socket read granularity for the bounded line assembler
 _READ_CHUNK = 65536
 
@@ -147,10 +165,6 @@ def build_service(
     model_path: str,
     predictor_path: Optional[str] = None,
     feature_set: Any = PAPER_FEATURES,
-    max_batch: int = 64,
-    max_delay: float = 0.005,
-    max_pending: int = 1024,
-    overflow: str = "reject",
     capacity: int = 100_000,
     ttl: Optional[float] = None,
     journal_dir: Optional[str] = None,
@@ -160,7 +174,7 @@ def build_service(
     """Assemble a ready-to-serve :class:`ScoringService` from artifacts.
 
     This is the one factory the CLI, the examples, and the server tests
-    share: registry + initial publish + policy + store config.  With
+    share: registry + initial publish + store config.  With
     *journal_dir* set, a write-ahead journal is attached and the
     initial publish is journaled — a scorer built this way is
     recoverable from its first event on (``repro serve --recover``).
@@ -175,12 +189,6 @@ def build_service(
         registry,
         feature_set=feature_set,
         store_config=StoreConfig(capacity=capacity, ttl=ttl),
-        policy=BatchPolicy(
-            max_batch=max_batch,
-            max_delay=max_delay,
-            max_pending=max_pending,
-            overflow=overflow,
-        ),
     )
     if journal_dir is not None:
         from repro.serving.durability import EventJournal, JournalConfig
@@ -283,7 +291,7 @@ class ScoringServer:
         Hard bound on one request line; longer lines get a structured
         error reply and are discarded (connection stays alive).
     max_task_restarts:
-        How many times a crashed background task (flusher/sweeper) is
+        How many times a crashed background task (heartbeat/sweeper) is
         restarted before it is abandoned and the service degrades.
     restart_backoff:
         First restart delay; doubles per consecutive restart.
@@ -315,12 +323,17 @@ class ScoringServer:
         self._server: Optional[asyncio.Server] = None
         self._flusher: Optional[asyncio.Task] = None
         self._sweeper: Optional[asyncio.Task] = None
-        self._wake: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        # group commit: score ops waiting for the next scoring call, as
+        # (cascade id, wants features, enqueue time, future), and the
+        # one task that answers them
+        self._waiting: List[Tuple[str, bool, float, "asyncio.Future[Dict[str, Any]]"]] = []
+        self._scorer: Optional[asyncio.Task] = None
+        self._in_flight = 0
         self._stopping = False
         self.task_restarts: Dict[str, int] = {}
         self.timeouts = 0
         self.oversized = 0
+        self.rejected = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -340,7 +353,7 @@ class ScoringServer:
         return await loop.run_in_executor(None, functools.partial(fn, *args, **kwargs))
 
     async def start(self) -> None:
-        """Bind the TCP listener and start the background flusher."""
+        """Bind the TCP listener and start the background tasks."""
         self._start_background()
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self.port
@@ -349,8 +362,9 @@ class ScoringServer:
         self.port = sock.getsockname()[1]
         await self._call_service(self.service.begin_serving)
 
-    async def stop(self) -> None:
-        """Hard stop: close the listener, kill tasks, abort the queue."""
+    async def _shutdown(self) -> None:
+        """Close the listener, end the background tasks, and let the
+        scorer answer every waiting ``score`` op."""
         self._stopping = True
         if self._server is not None:
             self._server.close()
@@ -365,8 +379,13 @@ class ScoringServer:
                     pass
         self._flusher = None
         self._sweeper = None
-        # release any waiter still parked on the batcher
-        await self._call_service(self.service.abort_pending)
+        # an op arriving on a live connection meanwhile starts a new scorer
+        while self._scorer is not None:
+            await self._scorer
+
+    async def stop(self) -> None:
+        """Hard stop: shut down, then close the service."""
+        await self._shutdown()
         # a sharded service also owns worker processes and a shared
         # segment; a hard stop must reap them (no-op for the in-process
         # service, which has no close)
@@ -375,22 +394,10 @@ class ScoringServer:
             await self._call_service(closer)
 
     async def drain(self) -> None:
-        """Graceful shutdown: stop accepting, flush pending, seal journal."""
+        """Graceful shutdown: stop accepting, answer waiting ops, seal journal."""
         self._stopping = True
         await self._call_service(self.service.begin_draining)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in (self._flusher, self._sweeper):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-        self._flusher = None
-        self._sweeper = None
+        await self._shutdown()
         await self._call_service(self.service.drain)
 
     async def serve_forever(self) -> None:
@@ -404,8 +411,8 @@ class ScoringServer:
         """Serve until SIGTERM, then drain gracefully and return.
 
         This is the supervised entry point the CLI uses: on SIGTERM the
-        listener closes, the pending batch flushes, the journal seals,
-        and the method returns normally (the process then exits 0).
+        listener closes, waiting ``score`` ops are answered, the journal
+        seals, and the method returns normally (the process then exits 0).
         """
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
@@ -421,11 +428,9 @@ class ScoringServer:
         await self.drain()
 
     def _start_background(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._wake = asyncio.Event()
         self._stopping = False
         self._flusher = asyncio.create_task(
-            self._supervised("flusher", self._flush_loop)
+            self._supervised("flusher", self._heartbeat)
         )
         if self.service.ttl_enabled():
             self._sweeper = asyncio.create_task(
@@ -443,7 +448,7 @@ class ScoringServer:
 
         A background loop has no business returning before shutdown or
         raising — either means it is dead and the service is quietly
-        violating its ``max_delay`` (flusher) or TTL (sweeper) contract.
+        violating its interval-fsync (flusher) or TTL (sweeper) contract.
         Each death is recorded as a structured fault and the loop
         restarts after ``restart_backoff * 2^k``; once
         ``max_task_restarts`` is exhausted the task is abandoned and the
@@ -478,30 +483,18 @@ class ScoringServer:
             )
             await asyncio.sleep(self.restart_backoff * (2 ** (attempts - 1)))
 
-    async def _flush_loop(self) -> None:
-        """Enforce ``max_delay``: flush whenever requests come due.
-
-        Wakes early (via ``_wake``) when a submit fills the batch, so a
-        full batch never waits out the delay timer.  Doubles as the
-        journal's heartbeat: each pass gives ``fsync="interval"`` a
-        chance to sync a quiet stream.
+    async def _heartbeat(self) -> None:
+        """Tick the journal every ``_HEARTBEAT_INTERVAL`` seconds, so
+        ``fsync="interval"`` syncs a quiet stream too.
 
         Ends on ``_stopping`` rather than relying on cancellation alone:
-        Python 3.11's ``asyncio.wait_for`` returns the inner result when
-        a cancel races its completion, and a loop that survived its
-        cancel would keep :meth:`drain` waiting forever.  A swallowed
-        cancel now costs at most one ``max_delay``.
+        an awaitable that swallows a cancel (Python 3.11's
+        ``asyncio.wait_for`` can, when the cancel races its completion)
+        would otherwise keep :meth:`drain` waiting forever.  A swallowed
+        cancel now costs at most one interval.
         """
-        assert self._wake is not None
-        delay = max(self.service.policy.max_delay, 1e-4)
         while not self._stopping:
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout=delay)
-            except asyncio.TimeoutError:
-                pass
-            self._wake.clear()
-            while await self._call_service(self.service.due):
-                await self._call_service(self.service.flush)
+            await asyncio.sleep(_HEARTBEAT_INTERVAL)
             await self._call_service(self.service.journal_tick)
 
     async def _sweep_loop(self) -> None:
@@ -516,9 +509,9 @@ class ScoringServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # Each line is dispatched as its own task so a score request
-        # awaiting the batcher never blocks the read loop — that is
-        # what lets one connection pipeline a whole batch.  A lock
+        # Each line is dispatched as its own task so a score op awaiting
+        # its group never blocks the read loop — that is what lets one
+        # connection pipeline a whole group.  A lock
         # keeps concurrent responses from interleaving on the wire.
         # Lines are assembled from fixed-size reads through the bounded
         # carry buffer (never readline: LimitOverrunError recovery
@@ -588,9 +581,34 @@ class ScoringServer:
         return await self.dispatch(message)
 
     async def dispatch(self, message: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """Handle one decoded request; returns the response object."""
+        """Handle one decoded request; returns the response object.
+
+        A data op beyond ``_MAX_IN_FLIGHT`` in flight is refused at once
+        with ``queue full``; control ops (``ping``, ``health``,
+        ``stats``, ``swap``) always answer.
+        """
         req_id = message.get("id")
         op = message.get("op")
+        if op not in _DATA_OPS:
+            response = await self._answer(op, message)
+        elif self._in_flight >= _MAX_IN_FLIGHT:
+            self.rejected += 1
+            response = {
+                "ok": False,
+                "error": f"queue full: {_MAX_IN_FLIGHT} data requests in flight",
+            }
+        else:
+            self._in_flight += 1
+            try:
+                response = await self._answer(op, message)
+            finally:
+                self._in_flight -= 1
+        if req_id is not None:
+            response["id"] = req_id
+        return response
+
+    async def _answer(self, op: Any, message: Dict[str, Any]) -> Dict[str, Any]:
+        """The reply to one admitted op; a bad request is a one-line error."""
         try:
             if op == "event":
                 applied = await self._call_service(
@@ -599,83 +617,95 @@ class ScoringServer:
                     int(message["node"]),
                     float(message["t"]),
                 )
-                response: Dict[str, Any] = {"ok": True, "applied": applied}
-            elif op == "events":
+                return {"ok": True, "applied": applied}
+            if op == "events":
                 burst = [
                     (str(cascade), int(node), float(t))
                     for cascade, node, t in message["events"]
                 ]
                 count = await self._call_service(self.service.ingest_many, burst)
-                response = {"ok": True, "applied": count, "count": len(burst)}
-            elif op == "score":
-                response = await self._score(message)
-            elif op == "score_many":
+                return {"ok": True, "applied": count, "count": len(burst)}
+            if op == "score":
+                return await self._score(
+                    str(message["cascade"]), bool(message.get("features", False))
+                )
+            if op == "score_many":
                 cascade_ids = _cascade_ids(message["cascades"])
                 columns = await self._call_service(
                     self.service.score_columns,
                     cascade_ids,
                     include_features=bool(message.get("features", False)),
                 )
-                response = {
-                    "ok": True,
-                    "results": columns_to_dicts(cascade_ids, columns),
-                }
-            elif op == "flush":
-                results = await self._call_service(self.service.flush)
-                response = {"ok": True, "flushed": len(results)}
-            elif op == "swap":
+                return {"ok": True, "results": columns_to_dicts(cascade_ids, columns)}
+            if op == "swap":
                 snap = await self._call_service(
                     self.service.swap_path, str(message["path"])
                 )
-                response = {
+                return {
                     "ok": True,
                     "model_version": snap.version,
                     "source": snap.source,
                     "fingerprint": snap.fingerprint,
                 }
-            elif op == "stats":
-                response = {
-                    "ok": True,
-                    "stats": await self._call_service(self.service.stats),
-                }
-            elif op == "health":
-                response = {
+            if op == "stats":
+                stats = await self._call_service(self.service.stats)
+                # refusals happen here, not in the service; nothing is
+                # ever shed, and "shed" stays for the perfbench check
+                # that reads it
+                stats.update(rejected=self.rejected, shed=0)
+                return {"ok": True, "stats": stats}
+            if op == "health":
+                return {
                     "ok": True,
                     **await self._call_service(self.service.health_snapshot),
                 }
-            elif op == "ping":
-                response = {"ok": True, "pong": True}
-            else:
-                response = {"ok": False, "error": f"unknown op: {op!r}"}
+            if op == "ping":
+                return {"ok": True, "pong": True}
+            return {"ok": False, "error": f"unknown op: {op!r}"}
         except (KeyError, TypeError, ValueError) as exc:
-            response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         except (LookupError, RuntimeError, FileNotFoundError) as exc:
-            response = {"ok": False, "error": str(exc)}
-        if req_id is not None:
-            response["id"] = req_id
-        return response
+            return {"ok": False, "error": str(exc)}
 
-    async def _score(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Submit to the micro-batcher; await the batched completion."""
-        assert self._loop is not None and self._wake is not None
-        loop = self._loop
-        future: "asyncio.Future[ScoreResult]" = loop.create_future()
-
-        def on_done(result: ScoreResult) -> None:
-            loop.call_soon_threadsafe(
-                lambda: future.done() or future.set_result(result)
-            )
-
-        await self._call_service(
-            self.service.submit,
-            str(message["cascade"]),
-            include_features=bool(message.get("features", False)),
-            on_done=on_done,
+    async def _score(self, cascade_id: str, include_features: bool) -> Dict[str, Any]:
+        """Join the waiting group; the scorer task answers it."""
+        future: "asyncio.Future[Dict[str, Any]]" = (
+            asyncio.get_running_loop().create_future()
         )
-        if await self._call_service(self.service.pending) >= self.service.policy.max_batch:
-            self._wake.set()  # full batch: flush now, don't wait out the timer
-        result = await future
-        return result_to_dict(result)
+        self._waiting.append((cascade_id, include_features, time.monotonic(), future))
+        if self._scorer is None:
+            self._scorer = asyncio.create_task(self._score_waiting())
+        return await future
+
+    async def _score_waiting(self) -> None:
+        """Group commit: score every waiting op in one call, repeat.
+
+        Each pass takes the whole waiting list, so the ops that arrived
+        while the previous call ran form the next group; a lone op is
+        scored on the next turn of the loop.  The task ends when no op
+        is waiting, and the next ``score`` op starts a new one.
+        """
+        try:
+            while self._waiting:
+                group, self._waiting = self._waiting, []
+                start = time.monotonic()
+                try:
+                    columns = await self._call_service(
+                        self.service.score_columns,
+                        [cascade_id for cascade_id, *_ in group],
+                        include_features=any(features for _, features, *_ in group),
+                    )
+                except Exception as exc:  # the group's error answers each op
+                    for *_, future in group:
+                        if not future.done():
+                            future.set_exception(exc)
+                    continue
+                for i, (cascade_id, features, enqueued, future) in enumerate(group):
+                    if not future.done():
+                        result = columns.result(i, cascade_id, features, start - enqueued)
+                        future.set_result(result_to_dict(result))
+        finally:
+            self._scorer = None
 
 
 async def serve_stdio(
@@ -686,7 +716,7 @@ async def serve_stdio(
     """Drive the same protocol over stdin/stdout (one JSON per line).
 
     Stdin is read through the default executor so the loop — and with
-    it the flusher that enforces ``max_delay`` — keeps running between
+    it the scorer and the journal heartbeat — keeps running between
     lines.
     """
     fin = stdin if stdin is not None else sys.stdin

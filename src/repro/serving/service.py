@@ -1,9 +1,9 @@
-"""The synchronous scoring core: trackers + registry + micro-batching.
+"""The synchronous scoring core: trackers + registry + vectorized scoring.
 
 :class:`ScoringService` is the piece every front end shares (the
 in-process :class:`~repro.serving.client.ScoringClient`, the asyncio
 server, the benchmarks).  It is thread-safe — one re-entrant lock
-serializes ingest/flush/sweep — and clock-agnostic: all timing uses the
+serializes ingest/score/sweep — and clock-agnostic: all timing uses the
 injected monotonic clock, so tests can drive time deterministically.
 
 :meth:`ScoringService.score_columns` is the one code path that turns
@@ -20,15 +20,11 @@ cascade ids into scores:
 
 Every numpy intermediate lives in the service's persistent
 :class:`~repro.serving.workspace.ScoringWorkspace`; only the output
-columns are allocated per call.  Everything else rides it: a
-:meth:`~ScoringService.flush` drains the micro-batcher's queue, makes
-one ``score_columns`` call over the drained ids and converts each row
-with :meth:`ScoreColumns.result`; :meth:`~ScoringService.score` is row
-0 of ``score_columns([cascade_id])``.  One-off and batched scores are
-bit-identical by construction.
-
-Per-request latency is split into queued time (submit → flush start)
-and the batch's shared compute time.
+columns are allocated per call.  Everything else rides it:
+:meth:`~ScoringService.score` is row 0 of ``score_columns([cascade_id])``
+and the asyncio server answers a group of concurrent ``score`` ops with
+one call (group commit, DESIGN.md §12.3).  One-off and grouped scores
+are bit-identical by construction.  The service keeps no request queue.
 
 Durability is opt-in: with a journal attached
 (:meth:`ScoringService.attach_journal`), every validated ingest burst
@@ -44,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,14 +48,7 @@ from repro.devtools.sanitize import LockLike, guarded_rlock
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.features import PAPER_FEATURES
 from repro.prediction.pipeline import ViralityPredictor
-from repro.serving.batching import (
-    BatchPolicy,
-    PendingQueue,
-    ScoreColumns,
-    ScoreRequest,
-    ScoreResult,
-    finish_requests,
-)
+from repro.serving.batching import ScoreColumns, ScoreResult
 from repro.serving.health import HealthMonitor
 from repro.serving.registry import ModelRegistry, ModelSnapshot, SnapshotLoadError
 from repro.serving.tracker import FeatureStore, StoreConfig
@@ -80,33 +69,28 @@ class ServiceStats:
     batches: int = 0
     unknown: int = 0
     journal_faults: int = 0
-    aborted: int = 0
-    failed: int = 0
 
 
 class ScoringService:
-    """Event-driven virality scorer with micro-batched evaluation."""
+    """Event-driven virality scorer with vectorized group evaluation."""
 
     def __init__(
         self,
         registry: ModelRegistry,
         feature_set: Sequence[str] = PAPER_FEATURES,
         store_config: Optional[StoreConfig] = None,
-        policy: Optional[BatchPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.registry = registry
-        self.policy = policy if policy is not None else BatchPolicy()
         self._clock = clock
-        # Reentrant: drain() flushes and seals while already holding it.
+        # Reentrant: drain() seals and an ingest compacts while already
+        # holding it.
         # Under REPRO_SANITIZE=1 the factory returns an order-tracked
         # wrapper feeding the runtime lock-order sanitizer.
         self._lock: LockLike = guarded_rlock("ScoringService._lock")
         self.store = FeatureStore(feature_set, config=store_config, clock=clock)  # guarded-by: _lock
-        self.queue = PendingQueue(self.policy)  # guarded-by: _lock
         self.stats_counters = ServiceStats()  # guarded-by: _lock
         self.health = HealthMonitor(clock=clock)  # guarded-by: _lock
-        self._next_request_id = 0  # guarded-by: _lock
         # one workspace per service, used only under the lock
         self._ws = ScoringWorkspace()  # guarded-by: _lock
         self._journal: Optional["EventJournal"] = None  # guarded-by: _lock
@@ -168,7 +152,7 @@ class ScoringService:
             self.compact()
 
     def journal_tick(self) -> None:
-        """Opportunistic interval-fsync; driven by the server's flusher."""
+        """Opportunistic interval-fsync; driven by the server's heartbeat."""
         with self._lock:
             journal = self._journal
             if journal is None or self._journal_suspended:
@@ -302,97 +286,12 @@ class ScoringService:
     # Scoring
     # ------------------------------------------------------------------ #
 
-    def submit(
-        self,
-        cascade_id: str,
-        include_features: bool = False,
-        on_done: Optional[Callable[[ScoreResult], None]] = None,
-    ) -> ScoreRequest:
-        """Queue a score request; it completes at the next flush.
-
-        Raises
-        ------
-        QueueFullError
-            Under ``overflow="reject"`` when the queue is at capacity.
-        """
-        with self._lock:
-            self._next_request_id += 1
-            request = ScoreRequest(
-                cascade_id=cascade_id,
-                request_id=self._next_request_id,
-                enqueued_at=self._clock(),
-                include_features=include_features,
-                on_done=on_done,
-            )
-            self.queue.submit(request)
-            return request
-
-    def submit_many(
-        self, cascade_ids: Sequence[str], include_features: bool = False
-    ) -> List[ScoreRequest]:
-        """Queue a burst of score requests under one lock acquisition.
-
-        Burst arrivals (a poll cycle, a replayed stream segment) pay one
-        lock round-trip and one clock read instead of one per request;
-        the requests complete at the next :meth:`flush`.  A caller that
-        wants the scores now calls :meth:`score_columns` instead.
-        """
-        with self._lock:
-            now = self._clock()
-            rid = self._next_request_id
-            requests = [
-                ScoreRequest(
-                    cascade_id=cid,
-                    request_id=rid + i,
-                    enqueued_at=now,
-                    include_features=include_features,
-                )
-                for i, cid in enumerate(cascade_ids, start=1)
-            ]
-            self._next_request_id = rid + len(requests)
-            self.queue.submit_many(requests)
-            return requests
-
-    def pending(self) -> int:
-        with self._lock:
-            return len(self.queue)
-
-    def due(self, now: Optional[float] = None) -> bool:
-        """True when the queue warrants a flush (full batch or aged head)."""
-        with self._lock:
-            return self.queue.due(now if now is not None else self._clock())
-
-    def flush(self) -> List[ScoreResult]:
-        """Score up to ``max_batch`` queued requests in one
-        :meth:`score_columns` call, in submit order.
-
-        When scoring raises (no model published yet, say), every drained
-        request is finished as ``"failed"`` and counted, and one
-        ``flush_failed`` fault records the cause: a waiter is never
-        stranded and the server's flusher keeps running.
-        """
-        with self._lock:
-            start = self._clock()
-            batch = self.queue.drain(self.policy.max_batch)
-            if not batch:
-                return []
-            try:
-                columns = self.score_columns(
-                    [r.cascade_id for r in batch],
-                    include_features=any(r.include_features for r in batch),
-                )
-            except Exception as exc:  # finish the drained requests, never strand them
-                self.stats_counters.failed += len(batch)
-                self.health.record_fault("flush_failed", f"{type(exc).__name__}: {exc}")
-                return [request.fail("failed") for request in batch]
-            return finish_requests(batch, columns, start)
-
     def score(self, cascade_id: str, include_features: bool = False) -> ScoreResult:
         """Synchronous one-shot score: row 0 of :meth:`score_columns`.
 
-        This is the unbatched baseline path — every call pays the full
-        snapshot + predict cost for a batch of one — and bit-identical
-        to scoring the same cascade inside a batch.
+        This is the one-at-a-time baseline path — every call pays the
+        full snapshot + predict cost for a group of one — and
+        bit-identical to scoring the same cascade inside a group.
         """
         columns = self.score_columns([cascade_id], include_features=include_features)
         return columns.result(0, cascade_id)
@@ -402,14 +301,14 @@ class ScoringService:
     ) -> ScoreColumns:
         """Bulk synchronous scoring: columns in, columns out.
 
-        The one code path that turns cascade ids into scores (flushes,
-        :meth:`score`, the clients' ``score_many`` and the sharded
-        router's workers all ride it): one snapshot read, one gather,
-        one ``decision_function`` over the whole batch, no queue and no
-        per-request dataclass.  Row *i* of every returned column answers
-        ``cascade_ids[i]``; per-row SVM margins are independent of batch
-        composition, so a row is bit-identical whatever else is in the
-        batch.
+        The one code path that turns cascade ids into scores (the
+        server's ``score`` groups, :meth:`score`, the clients'
+        ``score_many`` and the sharded router's workers all ride it): one
+        snapshot read, one gather, one ``decision_function`` over the
+        whole group, no queue and no per-request dataclass.  Row *i* of
+        every returned column answers ``cascade_ids[i]``; per-row SVM
+        margins are independent of group composition, so a row is
+        bit-identical whatever else is in the group.
         """
         with self._lock:
             start = self._clock()
@@ -516,7 +415,7 @@ class ScoringService:
         except LookupError:
             predictor = None
         # The artifact load runs outside the lock on purpose — a slow or
-        # hung filesystem must not stall ingest/flush — but the health
+        # hung filesystem must not stall ingest/scoring — but the health
         # transitions and journal append are lock-guarded state.
         try:
             snapshot = self.registry.publish_path(path, predictor=predictor)  # type: ignore[arg-type]
@@ -531,33 +430,17 @@ class ScoringService:
     # Shutdown
     # ------------------------------------------------------------------ #
 
-    def drain(self) -> int:
-        """Graceful shutdown: flush everything pending, seal the journal.
+    def drain(self) -> None:
+        """Graceful shutdown: seal the journal.
 
-        Returns how many requests were scored during the drain.  After
-        this the service refuses nothing structurally (it has no
+        After this the service refuses nothing structurally (it has no
         "closed" latch — the front end stops feeding it), but the
         journal is sealed, so durability is over.
         """
         with self._lock:
             self.health.begin_draining()
-            drained = 0
-            while len(self.queue):
-                drained += len(self.flush())
             self.seal_journal()
             self.health.stopped()
-            return drained
-
-    def abort_pending(self) -> int:
-        """Hard stop: fail every queued request with ``"aborted"``.
-
-        Used by the non-graceful stop path so waiters (asyncio futures
-        in the server) are released instead of hanging forever.
-        """
-        with self._lock:
-            n = self.queue.fail_all("aborted")
-            self.stats_counters.aborted += n
-            return n
 
     # ------------------------------------------------------------------ #
     # Lifecycle / health (the locked front door to ``self.health``)
@@ -601,7 +484,7 @@ class ScoringService:
             return self.store.config.ttl is not None
 
     def stats(self) -> Dict[str, object]:
-        """One JSON-friendly dict of service/store/queue state."""
+        """One JSON-friendly dict of service/store state."""
         with self._lock:
             try:
                 version = self.registry.current().version
@@ -612,7 +495,6 @@ class ScoringService:
                 "model_version": version,
                 "state": self.health.state(),
                 "tracked_cascades": len(self.store),
-                "pending": len(self.queue),
                 "ingested": self.stats_counters.ingested,
                 "scored": self.stats_counters.scored,
                 "batches": self.stats_counters.batches,
@@ -621,10 +503,6 @@ class ScoringService:
                 "evictions": self.store.stats.evictions,
                 "expirations": self.store.stats.expirations,
                 "rebuilds": self.store.stats.rebuilds,
-                "shed": self.queue.shed,
-                "rejected": self.queue.rejected,
-                "aborted": self.stats_counters.aborted,
-                "failed": self.stats_counters.failed,
                 "journal_faults": self.stats_counters.journal_faults,
                 "load_failures": self.registry.load_failure_count(),
             }

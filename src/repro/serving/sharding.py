@@ -8,9 +8,10 @@ the front door:
 
 * :class:`ShardedScoringService` is the router.  It duck-types the
   synchronous :class:`ScoringService` surface the asyncio server and
-  the in-process client consume (ingest/submit/flush/publish/stats/
+  the in-process client consume (ingest/score_columns/publish/stats/
   health/drain), so ``repro serve --shards N`` is a flag, not a fork of
-  the serving tier.
+  the serving tier.  The router keeps no request queue: a group of
+  cascade ids is one fan-out.
 * Each worker (:func:`_shard_main`) runs a full single-process
   :class:`ScoringService` — tracker store, registry, optional
   write-ahead journal — and speaks a tuple protocol over a duplex pipe:
@@ -66,14 +67,7 @@ from repro.devtools.sanitize import LockLike, guarded_rlock
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.features import PAPER_FEATURES
 from repro.prediction.pipeline import ViralityPredictor
-from repro.serving.batching import (
-    BatchPolicy,
-    PendingQueue,
-    ScoreColumns,
-    ScoreRequest,
-    ScoreResult,
-    finish_requests,
-)
+from repro.serving.batching import ScoreColumns, ScoreResult
 from repro.serving.durability import (
     RecoveryReport,
     coalesce_reports,
@@ -377,8 +371,6 @@ class ShardedScoringService:
         feature_set: Sequence[str] = PAPER_FEATURES,
         capacity: int = 100_000,
         ttl: Optional[float] = None,
-        policy: Optional[BatchPolicy] = None,
-        shard_backlog: Optional[int] = None,
         journal_dir: Optional[Union[str, Path]] = None,
         fsync: str = "interval",
         fsync_interval: float = 0.05,
@@ -388,19 +380,7 @@ class ShardedScoringService:
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        base_policy = policy if policy is not None else BatchPolicy()
-        backlog = shard_backlog if shard_backlog is not None else base_policy.max_pending
-        # per-shard queues reuse the batching policy with the backlog
-        # bound; BatchPolicy.__post_init__ enforces backlog >= max_batch
-        shard_policy = BatchPolicy(
-            max_batch=base_policy.max_batch,
-            max_delay=base_policy.max_delay,
-            max_pending=backlog,
-            overflow=base_policy.overflow,
-        )
         self.n_shards = n_shards
-        self.policy = shard_policy
-        self.shard_backlog = backlog
         self.registry = ModelRegistry()  # router-local authoritative copy
         self._clock = clock
         self._feature_set = tuple(feature_set)
@@ -410,15 +390,10 @@ class ShardedScoringService:
         self._fsync = fsync
         self._fsync_interval = fsync_interval
         self._startup_timeout = startup_timeout
-        # Reentrant for the same reason as ScoringService: drain() and
-        # score() flush while already holding it.  Order-tracked under
-        # REPRO_SANITIZE=1.
+        # Reentrant: ingest() rides ingest_columns() while already
+        # holding it.  Order-tracked under REPRO_SANITIZE=1.
         self._lock: LockLike = guarded_rlock("ShardedScoringService._lock")
         self._handles: List[_ShardHandle] = []  # guarded-by: _lock
-        self._queues: List[PendingQueue] = [  # guarded-by: _lock
-            PendingQueue(shard_policy) for _ in range(n_shards)
-        ]
-        self._next_request_id = 0  # guarded-by: _lock
         self.stats_counters = ServiceStats()  # guarded-by: _lock
         self.health = HealthMonitor(clock=clock)  # guarded-by: _lock
         self.shard_restarts = 0  # guarded-by: _lock
@@ -712,9 +687,10 @@ class ShardedScoringService:
             return []
         if self.n_shards == 1:
             return [(0, slice(None), list(cascade_ids))]
-        lookup = self._shard_index
+        # a direct call, not a local alias: the REP101 analyzer must see
+        # _shard_index (and its guarded cache) reached under the lock
         shard_idx = np.fromiter(
-            (lookup(c) for c in cascade_ids), dtype=np.int64, count=n
+            (self._shard_index(c) for c in cascade_ids), dtype=np.int64, count=n
         )
         lo = int(shard_idx[0])
         if bool((shard_idx == lo).all()):
@@ -785,85 +761,6 @@ class ShardedScoringService:
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
-
-    def submit(
-        self,
-        cascade_id: str,
-        include_features: bool = False,
-        on_done: Optional[Callable[[ScoreResult], None]] = None,
-    ) -> ScoreRequest:
-        """Queue a score request on its shard's pending queue.
-
-        Backpressure is per shard (``--shard-backlog``): one hot hash
-        range rejects or sheds without touching its siblings' queues.
-        """
-        with self._lock:
-            self._next_request_id += 1
-            request = ScoreRequest(
-                cascade_id=cascade_id,
-                request_id=self._next_request_id,
-                enqueued_at=self._clock(),
-                include_features=include_features,
-                on_done=on_done,
-            )
-            self._queues[self._shard_index(cascade_id)].submit(request)
-            return request
-
-    def submit_many(
-        self, cascade_ids: Sequence[str], include_features: bool = False
-    ) -> List[ScoreRequest]:
-        with self._lock:
-            now = self._clock()
-            rid = self._next_request_id
-            requests: List[ScoreRequest] = []
-            for i, cid in enumerate(cascade_ids, start=1):
-                request = ScoreRequest(
-                    cascade_id=cid,
-                    request_id=rid + i,
-                    enqueued_at=now,
-                    include_features=include_features,
-                )
-                self._queues[self._shard_index(cid)].submit(request)
-                requests.append(request)
-            self._next_request_id = rid + len(cascade_ids)
-            return requests
-
-    def pending(self) -> int:
-        with self._lock:
-            return sum(len(q) for q in self._queues)
-
-    def due(self, now: Optional[float] = None) -> bool:
-        with self._lock:
-            at = now if now is not None else self._clock()
-            return any(q.due(at) for q in self._queues)
-
-    def flush(self) -> List[ScoreResult]:
-        """Drain every shard's queue into one :meth:`score_columns` fan-out.
-
-        Up to ``max_batch`` requests leave each shard's queue; together,
-        in submit order, they are one batch: ``batch_size`` is the
-        flush's total and ``compute_s`` the whole fan-out, while
-        ``queued_s`` runs on the router clock from each request's submit
-        to the flush start.  A fan-out that raises finishes every drained
-        request as ``"failed"``, exactly as :meth:`ScoringService.flush`
-        does.
-        """
-        with self._lock:
-            start = self._clock()
-            batch = [r for q in self._queues for r in q.drain(self.policy.max_batch)]
-            if not batch:
-                return []
-            batch.sort(key=lambda r: r.request_id)
-            try:
-                columns = self.score_columns(
-                    [r.cascade_id for r in batch],
-                    include_features=any(r.include_features for r in batch),
-                )
-            except Exception as exc:  # finish the drained requests, never strand them
-                self.stats_counters.failed += len(batch)
-                self.health.record_fault("flush_failed", f"{type(exc).__name__}: {exc}")
-                return [request.fail("failed") for request in batch]
-            return finish_requests(batch, columns, start)
 
     def score(self, cascade_id: str, include_features: bool = False) -> ScoreResult:
         """One-shot score: row 0 of :meth:`score_columns`."""
@@ -1051,13 +948,10 @@ class ShardedScoringService:
     def ttl_enabled(self) -> bool:
         return self._ttl is not None
 
-    def drain(self) -> int:
-        """Graceful shutdown: flush pending, drain + stop every worker."""
+    def drain(self) -> None:
+        """Graceful shutdown: drain (seal) + stop every worker."""
         with self._lock:
             self.health.begin_draining()
-            drained = 0
-            while any(len(q) for q in self._queues):
-                drained += len(self.flush())
             for shard_id in range(len(self._handles)):
                 try:
                     self._roundtrip(self._handles[shard_id], ("drain",))
@@ -1065,18 +959,10 @@ class ShardedScoringService:
                     pass
             self._shutdown_workers()
             self.health.stopped()
-            return drained
-
-    def abort_pending(self) -> int:
-        with self._lock:
-            n = sum(q.fail_all("aborted") for q in self._queues)
-            self.stats_counters.aborted += n
-            return n
 
     def close(self) -> None:
-        """Hard stop: abort waiters, kill workers, release the segment."""
+        """Hard stop: kill workers, release the segment."""
         with self._lock:
-            self.abort_pending()
             for handle in self._handles:
                 try:
                     handle.conn.send(("exit",))
@@ -1159,7 +1045,6 @@ class ShardedScoringService:
                 "n_shards": self.n_shards,
                 "shard_restarts": self.shard_restarts,
                 "tracked_cascades": total("tracked_cascades"),
-                "pending": sum(len(q) for q in self._queues),
                 "ingested": self.stats_counters.ingested,
                 "scored": self.stats_counters.scored,
                 "batches": self.stats_counters.batches,
@@ -1168,10 +1053,6 @@ class ShardedScoringService:
                 "evictions": total("evictions"),
                 "expirations": total("expirations"),
                 "rebuilds": total("rebuilds"),
-                "shed": sum(q.shed for q in self._queues),
-                "rejected": sum(q.rejected for q in self._queues),
-                "aborted": self.stats_counters.aborted,
-                "failed": self.stats_counters.failed,
                 "journal_faults": total("journal_faults"),
                 "load_failures": self.registry.load_failure_count(),
                 "shards": shard_stats,
@@ -1189,11 +1070,6 @@ def build_sharded_service(
     n_shards: int,
     predictor_path: Optional[str] = None,
     feature_set: Sequence[str] = PAPER_FEATURES,
-    max_batch: int = 64,
-    max_delay: float = 0.005,
-    max_pending: int = 1024,
-    overflow: str = "reject",
-    shard_backlog: Optional[int] = None,
     capacity: int = 100_000,
     ttl: Optional[float] = None,
     journal_dir: Optional[Union[str, Path]] = None,
@@ -1217,13 +1093,6 @@ def build_sharded_service(
         feature_set=feature_set,
         capacity=capacity,
         ttl=ttl,
-        policy=BatchPolicy(
-            max_batch=max_batch,
-            max_delay=max_delay,
-            max_pending=max_pending,
-            overflow=overflow,
-        ),
-        shard_backlog=shard_backlog,
         journal_dir=journal_dir,
         fsync=fsync,
         fsync_interval=fsync_interval,
@@ -1242,11 +1111,6 @@ def recover_sharded_service(
     journal_dir: Union[str, Path],
     n_shards: int,
     feature_set: Sequence[str] = PAPER_FEATURES,
-    max_batch: int = 64,
-    max_delay: float = 0.005,
-    max_pending: int = 1024,
-    overflow: str = "reject",
-    shard_backlog: Optional[int] = None,
     capacity: int = 100_000,
     ttl: Optional[float] = None,
     fsync: str = "interval",
@@ -1264,13 +1128,6 @@ def recover_sharded_service(
         feature_set=feature_set,
         capacity=capacity,
         ttl=ttl,
-        policy=BatchPolicy(
-            max_batch=max_batch,
-            max_delay=max_delay,
-            max_pending=max_pending,
-            overflow=overflow,
-        ),
-        shard_backlog=shard_backlog,
         journal_dir=journal_dir,
         fsync=fsync,
         fsync_interval=fsync_interval,

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
-from repro.serving.batching import BatchPolicy
 from repro.serving.durability import (
     EventJournal,
     InjectedCrash,
@@ -56,7 +55,6 @@ def make_service(capacity):
     return ScoringService(
         ModelRegistry(),
         store_config=StoreConfig(capacity=capacity),
-        policy=BatchPolicy(max_batch=8, max_delay=0.001),
     )
 
 
@@ -178,7 +176,6 @@ class TestCrashRecovery:
             service = ScoringService(
                 ModelRegistry(),
                 store_config=store_config,
-                policy=BatchPolicy(max_batch=8, max_delay=0.001),
             )
             service.attach_journal(EventJournal(config, _chaos=chaos))
             crashed = False
@@ -195,7 +192,6 @@ class TestCrashRecovery:
             reference = ScoringService(
                 ModelRegistry(),
                 store_config=StoreConfig(capacity=capacity),
-                policy=BatchPolicy(max_batch=8, max_delay=0.001),
             )
             reference.registry.publish(
                 make_model(0), predictor=PREDICTOR, source="seed"
@@ -222,7 +218,6 @@ class TestCrashRecovery:
             service = ScoringService(
                 ModelRegistry(),
                 store_config=StoreConfig(capacity=capacity),
-                policy=BatchPolicy(max_batch=8, max_delay=0.001),
             )
             service.attach_journal(EventJournal(config, _chaos=chaos))
             try:

@@ -24,7 +24,6 @@ from repro.ingest.recorder import StreamWriter, iter_batches, stream_info
 from repro.ingest.replay import ReplayConfig, replay_recording
 from repro.ingest.sources import chunk_columns
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
-from repro.serving.batching import BatchPolicy
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.tracker import StoreConfig
@@ -54,7 +53,6 @@ def make_service(seed, capacity=None):
     return ScoringService(
         reg,
         store_config=store_config,
-        policy=BatchPolicy(max_batch=16, max_delay=0.0),
     )
 
 

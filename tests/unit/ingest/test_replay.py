@@ -16,7 +16,7 @@ from repro.ingest.replay import (
 )
 from repro.ingest.sources import EventBatch, batches_from_cascades
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
-from repro.serving.batching import BatchPolicy, QueueFullError
+from repro.serving.batching import QueueFullError
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.tracker import StoreConfig
@@ -43,7 +43,6 @@ def make_service(seed=0, capacity=100_000):
     return ScoringService(
         reg,
         store_config=StoreConfig(capacity=capacity),
-        policy=BatchPolicy(max_batch=64, max_delay=0.0),
     )
 
 

@@ -20,7 +20,6 @@ from repro.ingest.recorder import StreamWriter
 from repro.ingest.replay import ReplayConfig, replay_recording
 from repro.ingest.sources import chunk_columns
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
-from repro.serving.batching import BatchPolicy
 from repro.serving.client import TCPScoringClient
 from repro.serving.durability import EventJournal, JournalConfig, recover_service
 from repro.serving.registry import ModelRegistry
@@ -47,9 +46,7 @@ def make_predictor(seed=0):
 def make_service(seed=0):
     reg = ModelRegistry()
     reg.publish(make_model(seed), predictor=make_predictor(seed))
-    service = ScoringService(
-        reg, policy=BatchPolicy(max_batch=64, max_delay=0.0)
-    )
+    service = ScoringService(reg)
     service.begin_serving()
     return service
 
@@ -170,9 +167,7 @@ class TestServerRestartMidReplay:
         path = record(tmp_path, batches)
 
         config = JournalConfig(directory=tmp_path / "wal")
-        service = ScoringService(
-            ModelRegistry(), policy=BatchPolicy(max_batch=64, max_delay=0.0)
-        )
+        service = ScoringService(ModelRegistry())
         service.attach_journal(EventJournal(config))
         # publish *after* attach so the swap record lands in the journal
         service.publish(make_model(2), predictor=make_predictor(2), source="seed")

@@ -1,104 +1,11 @@
-"""Unit tests for the micro-batching queue and backpressure policies."""
+"""Unit tests for the scoring result types."""
 
 import pytest
 
-from repro.serving.batching import (
-    BatchPolicy,
-    LatencyBreakdown,
-    PendingQueue,
-    QueueFullError,
-    ScoreRequest,
-)
-
-
-def make_request(i, t=0.0):
-    return ScoreRequest(cascade_id=f"c{i}", request_id=i, enqueued_at=t)
-
-
-class TestBatchPolicy:
-    def test_defaults_valid(self):
-        BatchPolicy()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_batch": 0},
-            {"max_delay": -0.1},
-            {"max_batch": 8, "max_pending": 4},
-            {"overflow": "explode"},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            BatchPolicy(**kwargs)
+from repro.serving.batching import LatencyBreakdown
 
 
 class TestLatencyBreakdown:
     def test_total(self):
         lat = LatencyBreakdown(queued_s=0.002, compute_s=0.001, batch_size=4)
         assert lat.total_s == pytest.approx(0.003)
-
-
-class TestPendingQueue:
-    def test_fifo_drain(self):
-        q = PendingQueue(BatchPolicy(max_batch=2, max_pending=10))
-        for i in range(5):
-            q.submit(make_request(i))
-        assert len(q) == 5
-        batch = q.drain(2)
-        assert [r.request_id for r in batch] == [0, 1]
-        assert len(q) == 3
-
-    def test_due_on_full_batch(self):
-        q = PendingQueue(BatchPolicy(max_batch=2, max_delay=10.0, max_pending=10))
-        q.submit(make_request(0, t=0.0))
-        assert not q.due(now=0.001)
-        q.submit(make_request(1, t=0.0))
-        assert q.due(now=0.001)
-
-    def test_due_on_aged_head(self):
-        q = PendingQueue(BatchPolicy(max_batch=64, max_delay=0.005))
-        q.submit(make_request(0, t=0.0))
-        assert not q.due(now=0.004)
-        assert q.due(now=0.006)
-
-    def test_empty_queue_never_due(self):
-        q = PendingQueue(BatchPolicy())
-        assert not q.due(now=1e9)
-
-    def test_reject_overflow(self):
-        q = PendingQueue(BatchPolicy(max_batch=1, max_pending=2, overflow="reject"))
-        q.submit(make_request(0))
-        q.submit(make_request(1))
-        with pytest.raises(QueueFullError):
-            q.submit(make_request(2))
-        assert q.rejected == 1
-        assert len(q) == 2  # queue unchanged
-
-    def test_shed_oldest_overflow(self):
-        q = PendingQueue(
-            BatchPolicy(max_batch=1, max_pending=2, overflow="shed_oldest")
-        )
-        done = []
-        first = make_request(0)
-        first.on_done = done.append
-        q.submit(first)
-        q.submit(make_request(1))
-        q.submit(make_request(2))  # sheds request 0
-        assert len(q) == 2
-        assert q.shed == 1
-        assert [r.request_id for r in q.drain(10)] == [1, 2]
-        assert len(done) == 1 and done[0].status == "shed"
-        assert first.result.status == "shed"
-
-    def test_on_done_fires_once_with_result(self):
-        q = PendingQueue(BatchPolicy())
-        seen = []
-        req = make_request(0)
-        req.on_done = seen.append
-        q.submit(req)
-        (drained,) = q.drain(1)
-        from repro.serving.batching import ScoreResult
-
-        drained.finish(ScoreResult(cascade_id="c0", request_id=0, status="ok"))
-        assert len(seen) == 1 and seen[0].ok

@@ -10,13 +10,23 @@ deterministic mechanics (framing, rotation, compaction, torn tails,
 fsync policy, the chaos harness itself).
 """
 
+import struct
+import subprocess
+import sys
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
-from repro.serving.batching import BatchPolicy
 from repro.serving.durability import (
+    _FORMAT_VERSION,
+    _FRAME,
+    _HEADER,
+    _MAGIC,
     EventJournal,
     EventsRecord,
     InjectedCrash,
@@ -25,8 +35,11 @@ from repro.serving.durability import (
     JournalError,
     SwapRecord,
     _ChaosPlan,
+    _encode_events,
+    _encode_swap,
     _list_segments,
     _list_snapshots,
+    _segment_path,
     iter_journal_events,
     recover_service,
     scan_journal,
@@ -50,11 +63,7 @@ def make_predictor(seed=0, d=3):
 
 
 def make_service(store_config=None):
-    return ScoringService(
-        ModelRegistry(),
-        store_config=store_config,
-        policy=BatchPolicy(max_batch=8, max_delay=0.001),
-    )
+    return ScoringService(ModelRegistry(), store_config=store_config)
 
 
 def journaled_service(tmp_path, chaos=None, store_config=None, **cfg):
@@ -506,3 +515,79 @@ class TestSwapRecords:
         (swap,) = scan.records
         assert isinstance(swap, SwapRecord)
         assert swap.predictor is None
+
+
+def _events_payload():
+    return _encode_events(["a"], np.array([1]), np.array([0.0]))
+
+
+#: records that pass their checksum but do not decode
+MALFORMED = {
+    # declares 5 events, carries the columns of 1
+    "n_too_large": struct.pack("<BII", 1, 5, len(b'["a"]'))
+    + b'["a"]'
+    + np.array([1], dtype=np.int64).tobytes()
+    + np.array([0.0]).tobytes(),
+    "trailing_bytes": _events_payload() + b"\x00" * 7,
+    "non_npz_swap": b"\x02" + b"not an npz archive",
+    "shorter_than_header": b"\x01\x00\x00",
+}
+MALFORMED_CASES = [
+    pytest.param(name, where, False, id=f"{name}-{where}")
+    for name in MALFORMED
+    for where in ("mid", "final")
+] + [pytest.param("n_too_large", "mid", True, id="n_too_large-mid-python-O")]
+
+#: scan a journal; exit 0 only on the typed error
+_SCAN_SCRIPT = """
+import sys
+from repro.serving.durability import JournalCorruptError, scan_journal
+try:
+    scan_journal(sys.argv[1])
+except JournalCorruptError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+class TestMalformedRecords:
+    """A record whose checksum holds but whose payload is malformed is
+    corruption: mid-segment it stops recovery with
+    :class:`JournalCorruptError`, as the final record it is a torn tail
+    that recovery repairs."""
+
+    @pytest.mark.parametrize("name,where,optimized", MALFORMED_CASES)
+    def test_malformed_record_is_typed_corruption(self, tmp_path, name, where, optimized):
+        registry = ModelRegistry()
+        swap = _encode_swap(registry.publish(make_model(0)))
+        good, bad = _events_payload(), MALFORMED[name]
+        payloads = [swap, bad, good] if where == "mid" else [swap, good, bad]
+        wal = tmp_path / "wal"
+        wal.mkdir()
+        _segment_path(wal, 1).write_bytes(
+            _HEADER.pack(_MAGIC, _FORMAT_VERSION, 0)
+            + b"".join(_FRAME.pack(len(p), zlib.crc32(p)) + p for p in payloads)
+        )
+        if optimized:
+            # asserts vanish under -O, so the checks must not be asserts;
+            # a subprocess, because an -O test run would strip ours too
+            src = Path(repro.__file__).resolve().parents[1]
+            done = subprocess.run(
+                [sys.executable, "-O", "-c", _SCAN_SCRIPT, str(wal)],
+                env={"PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            return
+        if where == "mid":
+            with pytest.raises(JournalCorruptError):
+                scan_journal(wal)
+            return
+        scan = scan_journal(wal)
+        assert scan.torn is not None and len(scan.records) == 2
+        recovered, report = recover_service(JournalConfig(directory=wal), compact=False)
+        recovered.seal_journal()
+        assert report.torn_tail_repaired
+        assert report.events_replayed == 1

@@ -9,7 +9,6 @@ import pytest
 
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
-from repro.serving.batching import BatchPolicy
 from repro.serving.durability import JournalConfig, recover_service
 from repro.serving.registry import ModelRegistry
 from repro.serving.server import (
@@ -35,12 +34,10 @@ def make_predictor(seed=0):
     return ViralityPredictor(threshold=10, seed=seed).fit(ds)
 
 
-def make_service(max_batch=4, max_delay=0.002):
+def make_service():
     reg = ModelRegistry()
     reg.publish(make_model(0))
-    return ScoringService(
-        reg, policy=BatchPolicy(max_batch=max_batch, max_delay=max_delay)
-    )
+    return ScoringService(reg)
 
 
 def make_scorer(n_shards):
@@ -136,19 +133,18 @@ class TestTCPServer:
         assert by_id[2]["stats"]["tracked_cascades"] == 0
 
     def test_pipelined_scores_coalesce_into_one_batch(self):
-        service = make_service(max_batch=4, max_delay=0.5)
+        service = make_service()
         requests = [{"op": "event", "cascade": "c", "node": 3, "t": 0.0}]
         requests += [{"op": "score", "cascade": "c", "id": i} for i in range(4)]
         responses = asyncio.run(run_session(service, requests))
         scores = [r for r in responses if "status" in r]
         assert len(scores) == 4
-        # a full batch flushes on the wake signal, not the 500ms timer,
-        # and all four land in the same evaluation
+        # all four join one group: one evaluation
         assert all(r["latency_ms"]["batch_size"] == 4 for r in scores)
         assert sorted(r["id"] for r in scores) == [0, 1, 2, 3]
 
     def test_partial_batch_flushes_on_delay(self):
-        service = make_service(max_batch=64, max_delay=0.005)
+        service = make_service()
         responses = asyncio.run(
             run_session(
                 service,
@@ -337,6 +333,79 @@ class TestScoreManyOp:
         assert [r["score"] for r in response["results"]] == cols.scores.tolist()
 
 
+class TestGroupCommit:
+    """Concurrent ``score`` ops share scoring calls, and each reply is
+    exactly the ``score_many`` row for its id."""
+
+    @pytest.mark.parametrize("n_shards", [None, 2], ids=["inproc", "2-shards"])
+    def test_concurrent_scores_equal_their_score_many_rows(self, n_shards):
+        service = make_scorer(n_shards)
+        service.ingest_many(EVENTS)
+        ids = ["c0", "c1", "ghost", "c2", "c3", "c4"] * 3
+
+        async def connection(port, k):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            requests = []
+            for i, cid in enumerate(ids):
+                request = {"op": "score", "cascade": cid, "id": i}
+                if (i + k) % 3 == 0:
+                    request["features"] = True
+                requests.append(request)
+            writer.write(b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+            await writer.drain()
+            replies = [
+                json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                for _ in requests
+            ]
+            writer.close()
+            await writer.wait_closed()
+            return requests, replies
+
+        async def score_many_rows(port):
+            distinct = sorted(set(ids))
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            rows = {}
+            for features in (False, True):
+                request = {"op": "score_many", "cascades": distinct, "features": features}
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                reply = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                for row in reply["results"]:
+                    rows[row["cascade"], features] = row
+            writer.close()
+            await writer.wait_closed()
+            return rows
+
+        async def scenario():
+            server = ScoringServer(service)
+            await server.start()
+            try:
+                exchanges = await asyncio.gather(
+                    *(connection(server.port, k) for k in range(8))
+                )
+                reference = await score_many_rows(server.port)
+                return exchanges, reference
+            finally:
+                await server.stop()
+
+        exchanges, reference = asyncio.run(scenario())
+
+        def strip(reply):
+            return {k: v for k, v in reply.items() if k not in ("latency_ms", "id")}
+
+        group_sizes = []
+        for requests, replies in exchanges:
+            by_id = {r["id"]: r for r in replies}
+            assert sorted(by_id) == list(range(len(requests)))
+            for request in requests:
+                reply = by_id[request["id"]]
+                row = reference[request["cascade"], request.get("features", False)]
+                assert strip(reply) == strip(row)
+                group_sizes.append(reply["latency_ms"]["batch_size"])
+        assert reference["ghost", False]["status"] == "unknown_cascade"
+        assert max(group_sizes) > 1  # pipelined ops shared scoring calls
+
+
 class TestLineAssembler:
     def test_reassembles_split_lines(self):
         asm = _LineAssembler(64)
@@ -419,7 +488,7 @@ class TestRobustness:
 
     def test_watchdog_restarts_crashed_flusher(self):
         async def scenario():
-            service = make_service(max_delay=0.002)
+            service = make_service()
             deaths = {"left": 2}
             orig = service.journal_tick
 
@@ -464,7 +533,7 @@ class TestRobustness:
 
     def test_watchdog_budget_exhausted_degrades(self):
         async def scenario():
-            service = make_service(max_delay=0.002)
+            service = make_service()
 
             def always_dead():
                 raise RuntimeError("dead disk")
@@ -500,14 +569,12 @@ class TestRobustness:
         assert health_resp["ready"] is True and health_resp["healthy"] is False
 
     def test_model_less_scores_are_answered_failed(self):
-        """A flush that cannot score answers its requests instead of
-        stranding them, so the flusher survives past its restart budget
-        and every ``score`` op gets a reply."""
+        """A group that cannot be scored answers each of its ``score``
+        ops with the scoring call's error, as ``score_many`` does; no
+        op is stranded and health stays undegraded."""
 
         async def scenario():
-            service = ScoringService(
-                ModelRegistry(), policy=BatchPolicy(max_batch=4, max_delay=0.002)
-            )
+            service = ScoringService(ModelRegistry())
             server = ScoringServer(service, max_task_restarts=2, restart_backoff=0.001)
             await server.start()
             try:
@@ -527,9 +594,12 @@ class TestRobustness:
 
         replies, stats, health = asyncio.run(scenario())
         for i, reply in enumerate(replies):
-            assert reply["ok"] is False and reply["status"] == "failed"
-            assert reply["cascade"] == "c" and reply["id"] == i
-        assert stats["failed"] == 5
+            assert reply == {
+                "ok": False,
+                "error": "no model published to the registry yet",
+                "id": i,
+            }
+        assert stats["scored"] == 0
         assert health["degraded_reasons"] == {}
 
     def test_health_op(self):
@@ -545,47 +615,44 @@ class TestRobustness:
         from repro.serving.durability import EventJournal
 
         async def scenario():
-            # flusher timer far out: only drain can complete the score
-            service = make_service(max_batch=64, max_delay=5.0)
+            service = make_service()
             service.attach_journal(
                 EventJournal(JournalConfig(directory=tmp_path / "wal"))
             )
             server = ScoringServer(service)
             await server.start()
             service.ingest("c", 3, 0.0)
-            done = []
-            service.submit("c", on_done=done.append)
             await server.drain()
-            return service, done
+            return service
 
-        service, done = asyncio.run(scenario())
+        service = asyncio.run(scenario())
         assert service.health.phase == "stopped"
         assert service.journal.closed
-        assert done and done[0].status == "ok"
 
     def test_drain_ends_when_the_flusher_swallows_its_cancel(self, monkeypatch):
-        """Python 3.11's ``asyncio.wait_for`` can return instead of raising
-        when a cancel races its inner wait.  The flusher must still end
-        once the server is stopping, or ``drain()`` waits on it forever."""
-        real_wait_for = asyncio.wait_for
+        """An awaitable can return instead of raising when a cancel races
+        it (Python 3.11's ``asyncio.wait_for`` does).  The heartbeat must
+        still end once the server is stopping, or ``drain()`` waits on
+        it forever."""
+        real_sleep = asyncio.sleep
         swallowed = []
 
-        async def swallow_one_cancel(aw, timeout):
+        async def swallow_one_cancel(delay, *args):
             try:
-                return await real_wait_for(aw, timeout)
+                return await real_sleep(delay, *args)
             except asyncio.CancelledError:
                 if swallowed:
                     raise
                 swallowed.append(True)
                 return None
 
-        monkeypatch.setattr(asyncio, "wait_for", swallow_one_cancel)
+        monkeypatch.setattr(asyncio, "sleep", swallow_one_cancel)
 
         async def scenario():
-            service = make_service(max_delay=0.002)
+            service = make_service()
             server = ScoringServer(service)
             await server.start()
-            await asyncio.sleep(0.02)  # the flusher is parked in its wait
+            await asyncio.sleep(0.02)  # the heartbeat is parked in its sleep
             drain = asyncio.create_task(server.drain())
             finished, _ = await asyncio.wait({drain}, timeout=1.0)
             if not finished:
@@ -598,27 +665,6 @@ class TestRobustness:
         assert swallowed  # the cancel really was swallowed...
         assert finished, "drain() still waiting on the flusher after 1 s"
         assert service.health.phase == "stopped"
-
-    def test_stop_aborts_pending_requests(self):
-        async def scenario():
-            service = make_service(max_batch=64, max_delay=5.0)
-            server = ScoringServer(service)
-            await server.start()
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            writer.write(json.dumps({"op": "score", "cascade": "c", "id": 1}).encode() + b"\n")
-            await writer.drain()
-            while not service.pending():
-                await asyncio.sleep(0.001)
-            await server.stop()
-            line = await asyncio.wait_for(reader.readline(), 5.0)
-            writer.close()
-            await writer.wait_closed()
-            return json.loads(line), service.stats()
-
-        response, stats = asyncio.run(scenario())
-        assert response["status"] == "aborted" and response["ok"] is False
-        assert stats["aborted"] == 1
-
 
 class TestStdioServer:
     def test_stdio_roundtrip(self):
@@ -654,10 +700,8 @@ class TestBuildService:
         model = make_model(0)
         mp = tmp_path / "model.npz"
         model.save(mp)
-        service = build_service(
-            str(mp), max_batch=16, max_delay=0.01, capacity=100, ttl=60.0
-        )
-        assert service.policy.max_batch == 16
+        service = build_service(str(mp), capacity=100, ttl=60.0)
+        assert service.store.config.capacity == 100
         assert service.store.config.ttl == pytest.approx(60.0)
         assert service.registry.current().predictor is None
 

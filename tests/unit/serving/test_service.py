@@ -15,7 +15,6 @@ from repro.cascades.types import Cascade
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.features import PAPER_FEATURES, extract_features
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
-from repro.serving.batching import BatchPolicy, QueueFullError
 from repro.serving.client import ScoringClient
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
@@ -39,7 +38,7 @@ def make_predictor(seed=0, d=3):
 def service():
     reg = ModelRegistry()
     reg.publish(make_model(0), predictor=make_predictor())
-    return ScoringService(reg, policy=BatchPolicy(max_batch=8, max_delay=0.001))
+    return ScoringService(reg)
 
 
 class TestIngestScore:
@@ -86,29 +85,6 @@ class TestIngestScore:
         assert lat.queued_s >= 0 and lat.compute_s >= 0
         assert lat.batch_size == 1
         assert lat.total_s == pytest.approx(lat.queued_s + lat.compute_s)
-
-    def test_flush_batches_requests(self, service):
-        for cid in ("a", "b", "c"):
-            service.ingest(cid, hash(cid) % 30, 0.0)
-        requests = [service.submit(cid) for cid in ("a", "b", "c")]
-        results = service.flush()
-        assert len(results) == 3
-        assert all(r.latency.batch_size == 3 for r in results)
-        assert [r.request_id for r in results] == [r.request_id for r in requests]
-
-    def test_flush_empty_queue(self, service):
-        assert service.flush() == []
-
-    def test_backpressure_reject_propagates(self):
-        reg = ModelRegistry()
-        reg.publish(make_model(0))
-        svc = ScoringService(
-            reg, policy=BatchPolicy(max_batch=1, max_pending=1, overflow="reject")
-        )
-        svc.ingest("c", 1, 0.0)
-        svc.submit("c")
-        with pytest.raises(QueueFullError):
-            svc.submit("c")
 
     def test_stats_shape(self, service):
         service.ingest("c", 3, 0.0)
@@ -179,20 +155,17 @@ class TestIngestMany:
 
 class TestScoreFlushBitIdentity:
     def test_single_score_bit_identical_to_batched_flush(self, service):
-        """The one-shot path and the micro-batched path share the same
-        workspace/gather/predict code — same score, bit for bit."""
-        for i, cid in enumerate(("a", "b", "c", "d")):
+        """The one-shot path and a group's ``score_columns`` call share
+        the same workspace/gather/predict code — same score, bit for bit."""
+        cids = ["a", "b", "c", "d"]
+        for i, cid in enumerate(cids):
             service.ingest_many([(cid, (3 * i + j) % 30, 0.1 * j) for j in range(4)])
-        singles = {cid: service.score(cid).score for cid in ("a", "b", "c", "d")}
-        service.submit_many(["a", "b", "c", "d"])
-        batched = service.flush()
-        assert [r.latency.batch_size for r in batched] == [4] * 4
-        for r in batched:
-            assert r.score == singles[r.cascade_id]
+        singles = [service.score(cid).score for cid in cids]
+        assert service.score_columns(cids).scores.tolist() == singles
 
     def test_include_features_copy_is_stable(self, service):
-        """Features handed out of a flush must be detached from the
-        workspace: a later flush cannot mutate them."""
+        """Features handed out of a score must be detached from the
+        workspace: a later score cannot mutate them."""
         service.ingest("a", 3, 0.0)
         service.ingest("b", 7, 0.5)
         r1 = service.score("a", include_features=True)
@@ -203,70 +176,13 @@ class TestScoreFlushBitIdentity:
             r1.features[0] = 99.0
 
 
-class TestFlushConversion:
-    def test_mixed_flush_rows_equal_score_columns(self):
-        """One flush answers each request from its row of one
-        ``score_columns`` call: features only where asked, submit order,
-        and each request's own queued time."""
-        clock = [0.0]
-        reg = ModelRegistry()
-        reg.publish(make_model(0), predictor=make_predictor())
-        svc = ScoringService(
-            reg,
-            policy=BatchPolicy(max_batch=8, max_delay=60.0),
-            clock=lambda: clock[0],
-        )
-        for i, cid in enumerate(("a", "b", "c")):
-            svc.ingest_many([(cid, (5 * i + j) % 30, 0.1 * j) for j in range(3)])
-        asks = [("a", True), ("ghost", True), ("b", False), ("c", True), ("a", False)]
-        requests = []
-        for t, (cid, asked) in enumerate(asks):
-            clock[0] = float(t)
-            requests.append(svc.submit(cid, include_features=asked))
-        clock[0] = 10.0
-        results = svc.flush()
-        ids = [cid for cid, _ in asks]
-        want = svc.score_columns(ids, include_features=True)
-        assert [r.request_id for r in results] == [r.request_id for r in requests]
-        assert [r.cascade_id for r in results] == ids
-        assert [r.result for r in requests] == results
-        for i, (result, (_, asked)) in enumerate(zip(results, asks)):
-            assert result.latency.queued_s == 10.0 - i
-            assert result.latency.batch_size == len(asks)
-            assert result.ok == want.ok[i]
-            assert result.n_early == want.n_early[i]
-            if result.ok:
-                assert result.score == want.scores[i]
-                assert result.label == want.labels[i]
-            if result.ok and asked:
-                assert (result.features == want.features[i]).all()
-            else:
-                assert result.features is None
-
-
-class TestFlushFailure:
-    def test_model_less_flush_finishes_its_request_as_failed(self):
-        svc = ScoringService(ModelRegistry())
-        request = svc.submit("c")
-        (result,) = svc.flush()
-        assert result.status == "failed" and not result.ok
-        assert request.result is result
-        assert svc.pending() == 0
-        assert svc.stats()["failed"] == 1
-        faults = svc.health_snapshot()["recent_faults"]
-        assert [f["kind"] for f in faults] == ["flush_failed"]
-        assert "LookupError" in faults[0]["detail"]
-
-
 class TestWorkspaceReuse:
     def test_flush_reuses_pooled_buffers(self, service):
         for i, cid in enumerate(("a", "b", "c")):
             service.ingest(cid, i, 0.0)
-        service.submit_many(["a", "b", "c"])
-        service.flush()
+        service.score_columns(["a", "b", "c"])
         before = {k: id(v) for k, v in service._ws._mats.items()}
-        service.submit_many(["a", "b", "c"])
-        service.flush()
+        service.score_columns(["a", "b", "c"])
         after = {k: id(v) for k, v in service._ws._mats.items()}
         assert after == before  # same pooled arrays, no reallocation
 
@@ -291,7 +207,7 @@ class TestSwapDuringScoring:
 
         reg = ModelRegistry()
         reg.publish(versions[0][0], predictor=versions[0][1])
-        svc = ScoringService(reg, policy=BatchPolicy(max_batch=4, max_delay=0.0))
+        svc = ScoringService(reg)
         for node, t in events:
             svc.ingest("c", node, t)
 

@@ -6,7 +6,7 @@ stream of events is **bit-identical** to one in-process
 counts, features, duplicate filtering — including after a shard is
 SIGKILLed mid-session and the watchdog restarts it from its journal.
 Model hot-swap must land the same version on every shard (one shared
-segment, N attaches), and backpressure must be per hash range.
+segment, N attaches).
 
 The SIGKILL crash tests double as the sharding leg of ``make chaos``.
 """
@@ -19,7 +19,6 @@ import pytest
 
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
-from repro.serving.batching import BatchPolicy, QueueFullError
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.sharding import (
@@ -65,7 +64,7 @@ def make_sharded(n_shards=3, seed=0, journal_dir=None, **kw):
 def make_reference(seed=0):
     reg = ModelRegistry()
     reg.publish(make_model(seed), predictor=make_predictor(seed))
-    return ScoringService(reg, policy=BatchPolicy(max_batch=64, max_delay=0.0))
+    return ScoringService(reg)
 
 
 def assert_columns_equal(got, want):
@@ -123,29 +122,6 @@ class TestBitIdentity:
         finally:
             sharded.close()
 
-    def test_flush_path_matches_single_process(self):
-        cids, events = make_stream(seed=2)
-        sharded = make_sharded(n_shards=3, seed=2)
-        try:
-            reference = make_reference(seed=2)
-            sharded.ingest_many(events)
-            reference.ingest_many(events)
-            sharded.submit_many(cids)
-            reference.submit_many(cids)
-            got = {r.cascade_id: r for r in sharded.flush()}
-            want = {r.cascade_id: r for r in reference.flush()}
-            assert set(got) == set(want) == set(cids)
-            for cid in cids:
-                g, w = got[cid], want[cid]
-                assert (g.status, g.score, g.label, g.n_early) == (
-                    w.status,
-                    w.score,
-                    w.label,
-                    w.n_early,
-                )
-        finally:
-            sharded.close()
-
     @pytest.mark.parametrize("include_features", [False, True])
     def test_empty_group_matches_single_process(self, include_features):
         sharded = make_sharded(n_shards=2)
@@ -153,51 +129,6 @@ class TestBitIdentity:
             want = make_reference().score_columns([], include_features=include_features)
             got = sharded.score_columns([], include_features=include_features)
             assert_columns_equal(got, want)
-        finally:
-            sharded.close()
-
-    def test_flush_spanning_shards_is_one_batch(self):
-        """The router flush drains every shard into one fan-out: one
-        batch in submit order, features only where asked, each request's
-        own queued time, rows equal to ``score_columns``."""
-        clock = [0.0]
-        policy = BatchPolicy(max_batch=8, max_delay=60.0)
-        sharded = make_sharded(n_shards=2, seed=7, policy=policy, clock=lambda: clock[0])
-        try:
-            cids, events = make_stream(seed=7)
-            sharded.ingest_many(events)
-            on0 = [c for c in cids if shard_of(c, 2) == 0]
-            on1 = [c for c in cids if shard_of(c, 2) == 1]
-            asks = [
-                (on1[0], True),
-                (on0[0], False),
-                ("ghost", True),
-                (on1[1], False),
-                (on0[1], True),
-            ]
-            requests = []
-            for t, (cid, asked) in enumerate(asks):
-                clock[0] = float(t)
-                requests.append(sharded.submit(cid, include_features=asked))
-            clock[0] = 10.0
-            results = sharded.flush()
-            ids = [cid for cid, _ in asks]
-            want = sharded.score_columns(ids, include_features=True)
-            assert [r.request_id for r in results] == [r.request_id for r in requests]
-            assert [r.cascade_id for r in results] == ids
-            assert [r.result for r in requests] == results
-            for i, (result, (_, asked)) in enumerate(zip(results, asks)):
-                assert result.latency.queued_s == 10.0 - i
-                assert result.latency.batch_size == len(asks)
-                assert result.ok == want.ok[i]
-                assert result.n_early == want.n_early[i]
-                if result.ok:
-                    assert result.score == want.scores[i]
-                    assert result.label == want.labels[i]
-                if result.ok and asked:
-                    assert (result.features == want.features[i]).all()
-                else:
-                    assert result.features is None
         finally:
             sharded.close()
 
@@ -243,20 +174,13 @@ class TestBitIdentity:
             sharded.close()
 
 
-class TestFlushFailure:
-    def test_unpublished_router_flush_finishes_its_request_as_failed(self):
+class TestUnpublished:
+    def test_unpublished_router_refuses_to_score(self):
         sharded = ShardedScoringService(n_shards=2)
         try:
-            request = sharded.submit("c")
-            (result,) = sharded.flush()
-            assert result.status == "failed" and not result.ok
-            assert request.result is result
-            assert sharded.pending() == 0
-            assert sharded.stats()["failed"] == 1
-            faults = sharded.health_snapshot()["router"]["recent_faults"]
-            assert [f["kind"] for f in faults] == ["flush_failed"]
-            with pytest.raises(LookupError):  # as one process raises
-                sharded.score_columns([])
+            for group in ([], ["c"]):
+                with pytest.raises(LookupError):  # as one process raises
+                    sharded.score_columns(group)
         finally:
             sharded.close()
 
@@ -305,33 +229,6 @@ class TestPublish:
             sharded.close()
 
 
-class TestBackpressure:
-    def test_rejection_is_per_shard(self):
-        policy = BatchPolicy(max_batch=4, max_delay=60.0, max_pending=1024)
-        sharded = make_sharded(n_shards=2, policy=policy, shard_backlog=4)
-        try:
-            on_zero = [f"z{i}" for i in range(200) if shard_of(f"z{i}", 2) == 0]
-            on_one = [f"o{i}" for i in range(200) if shard_of(f"o{i}", 2) == 1]
-            for cid in on_zero[:4]:
-                sharded.submit(cid)
-            with pytest.raises(QueueFullError):
-                sharded.submit(on_zero[4])
-            # the sibling's hash range is unaffected
-            sharded.submit(on_one[0])
-            assert sharded.stats()["rejected"] == 1
-            assert sharded.pending() == 5
-        finally:
-            sharded.close()
-
-    def test_backlog_below_batch_rejected_by_policy(self):
-        with pytest.raises(ValueError):
-            ShardedScoringService(
-                n_shards=2,
-                policy=BatchPolicy(max_batch=8, max_pending=1024),
-                shard_backlog=4,
-            )
-
-
 class TestLifecycle:
     def test_health_aggregates_all_shards(self):
         sharded = make_sharded(n_shards=3)
@@ -366,8 +263,7 @@ class TestLifecycle:
         sharded = make_sharded(n_shards=2)
         try:
             sharded.ingest_many([("a", 3, 0.0), ("b", 5, 0.1)])
-            sharded.submit_many(["a", "b"])
-            assert sharded.drain() == 2
+            sharded.drain()
             assert sharded.health_snapshot()["state"] == "stopped"
         finally:
             sharded.close()

@@ -5,18 +5,27 @@ The client's contract: same operation surface as the in-process
 (invisible inside the reconnect budget), a clean
 :class:`ServerUnreachableError` past it, and remote "queue full"
 rejects mapped onto :class:`QueueFullError` so replay backpressure
-handling is transport-agnostic.
+handling is transport-agnostic.  ``TestInFlightBound`` drives the
+server's in-flight bound — the real source of those rejects — through
+the client and the replay engine.
 """
 
 import asyncio
+import json
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import repro.serving.server as server_module
 from repro.embedding.model import EmbeddingModel
+from repro.ingest.recorder import StreamWriter
+from repro.ingest.replay import ReplayConfig, replay_recording
+from repro.ingest.sources import chunk_columns
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
-from repro.serving.batching import BatchPolicy, QueueFullError
+from repro.serving.batching import QueueFullError
 from repro.serving.client import (
     RemoteError,
     ServerUnreachableError,
@@ -42,12 +51,10 @@ def make_predictor(seed=0):
     return ViralityPredictor(threshold=10, seed=seed).fit(ds)
 
 
-def make_service(seed=0, max_delay=0.002):
+def make_service(seed=0):
     reg = ModelRegistry()
     reg.publish(make_model(seed), predictor=make_predictor(seed))
-    service = ScoringService(
-        reg, policy=BatchPolicy(max_batch=8, max_delay=max_delay)
-    )
+    service = ScoringService(reg)
     service.begin_serving()
     return service
 
@@ -126,7 +133,6 @@ class TestRoundTrips:
             assert stats["tracked_cascades"] == 3
             health = client.health()
             assert health["ready"] is True
-            assert client.flush() >= 0
 
     def test_score_many_matches_in_process_results(self, harness):
         events = [("a", 1, 0.0), ("b", 2, 0.1), ("a", 3, 0.2), ("b", 4, 0.3)]
@@ -213,3 +219,147 @@ class TestFailureModes:
         finally:
             client.close()
             first.stop()
+
+
+class HeldIngestService(ScoringService):
+    """A service whose calls the server offloads to its executor, as it
+    does the shard router's.  An ingest burst for the cascade ``"hold"``
+    parks its executor thread until :attr:`release` is set and applies
+    nothing, so held requests stay in flight without changing state."""
+
+    wants_executor_offload = True
+
+    def __init__(self, registry):
+        super().__init__(registry)
+        self.release = threading.Event()
+        self.parked = threading.Semaphore(0)
+
+    def ingest_columns(self, cascade_ids, nodes, times):
+        if len(cascade_ids) and cascade_ids[0] == "hold":
+            self.parked.release()
+            self.release.wait(10.0)
+            return 0
+        return super().ingest_columns(cascade_ids, nodes, times)
+
+
+def held_service():
+    reg = ModelRegistry()
+    reg.publish(make_model(0), predictor=make_predictor(0))
+    service = HeldIngestService(reg)
+    service.begin_serving()
+    return service
+
+
+def hold_lines(ids):
+    return b"".join(
+        json.dumps({"op": "events", "events": [["hold", 1, 0.0]], "id": i}).encode()
+        + b"\n"
+        for i in ids
+    )
+
+
+class TestInFlightBound:
+    """The server refuses data requests beyond its in-flight bound with
+    an immediate ``queue full`` reply; control ops still answer."""
+
+    BOUND = 4
+
+    @pytest.fixture(autouse=True)
+    def small_bound(self, monkeypatch):
+        monkeypatch.setattr(server_module, "_MAX_IN_FLIGHT", self.BOUND)
+
+    def test_data_ops_beyond_the_bound_get_queue_full(self):
+        service = held_service()
+        harness = ServerHarness(service).start()
+        try:
+            with socket.create_connection(("127.0.0.1", harness.port), 10.0) as sock:
+                control = [
+                    {"op": "ping", "id": 10},
+                    {"op": "health", "id": 11},
+                    {"op": "stats", "id": 12},
+                ]
+                sock.sendall(
+                    hold_lines(range(10))
+                    + b"".join(json.dumps(o).encode() + b"\n" for o in control)
+                )
+                rfile = sock.makefile("rb")
+                # ids 0-3 hold the bound; everything else answers at once
+                early = [json.loads(rfile.readline()) for _ in range(9)]
+                with TCPScoringClient("127.0.0.1", harness.port) as client:
+                    with pytest.raises(QueueFullError, match="queue full"):
+                        client.ingest("c", 3, 0.0)
+                    with pytest.raises(QueueFullError, match="queue full"):
+                        client.score("c")
+                    assert client.ping()
+                    service.release.set()
+                    late = [json.loads(rfile.readline()) for _ in range(4)]
+                    stats = client.stats()
+        finally:
+            service.release.set()
+            harness.stop()
+        by_id = {r["id"]: r for r in early}
+        assert sorted(by_id) == list(range(4, 13))
+        for i in range(4, 10):
+            assert by_id[i] == {
+                "ok": False,
+                "error": f"queue full: {self.BOUND} data requests in flight",
+                "id": i,
+            }
+        assert by_id[10] == {"ok": True, "pong": True, "id": 10}
+        assert by_id[11]["ok"] is True and by_id[11]["state"] == "serving"
+        assert by_id[12]["stats"]["rejected"] == 6
+        assert sorted(r["id"] for r in late) == [0, 1, 2, 3]
+        assert all(r["ok"] and r["applied"] == 0 for r in late)
+        assert stats["rejected"] == 8 and stats["shed"] == 0
+
+    def test_replay_retries_while_the_bound_is_held(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 96
+        batches = list(
+            chunk_columns(
+                [f"c{int(rng.integers(7))}" for _ in range(n)],
+                rng.integers(0, N, n),
+                np.sort(rng.uniform(0, 1.0, n)),
+                12,
+            )
+        )
+        path = tmp_path / "stream.evs"
+        with StreamWriter(path) as writer:
+            for batch in batches:
+                writer.write_batch(batch)
+        service = held_service()
+        harness = ServerHarness(service).start()
+        holder = socket.create_connection(("127.0.0.1", harness.port), 10.0)
+        outcome = {}
+
+        def replay():
+            try:
+                with TCPScoringClient("127.0.0.1", harness.port) as client:
+                    outcome["report"] = replay_recording(
+                        path, client, ReplayConfig(speed=None)
+                    )
+            except Exception as exc:  # surfaced by the assertion below
+                outcome["error"] = exc
+
+        try:
+            holder.sendall(hold_lines(range(self.BOUND)))
+            for _ in range(self.BOUND):
+                assert service.parked.acquire(timeout=10.0)
+            worker = threading.Thread(target=replay)
+            worker.start()
+            with TCPScoringClient("127.0.0.1", harness.port) as probe:
+                deadline = time.monotonic() + 10.0
+                while probe.stats()["rejected"] == 0 and time.monotonic() < deadline:
+                    time.sleep(0.002)
+            service.release.set()
+            worker.join(30.0)
+        finally:
+            service.release.set()
+            holder.close()
+            harness.stop()
+        assert "error" not in outcome, outcome.get("error")
+        assert outcome["report"].retries >= 1
+        reference = make_service()
+        for batch in batches:
+            reference.ingest_columns(list(batch.cascade_ids), batch.nodes, batch.times)
+        assert service.state_fingerprint() == reference.state_fingerprint()

@@ -134,9 +134,6 @@ class TestServeParser:
 
         args = build_parser().parse_args(["serve", "--model", "m.npz"])
         assert args.command == "serve"
-        assert args.max_batch == 64
-        assert args.max_delay == pytest.approx(0.005)
-        assert args.overflow == "reject"
         assert args.ttl is None
         assert not args.stdio
 
@@ -146,14 +143,12 @@ class TestServeParser:
         args = build_parser().parse_args(
             [
                 "serve", "--model", "m.npz", "--predictor", "p.npz",
-                "--features", "extended", "--stdio", "--max-batch", "16",
-                "--max-delay", "0.02", "--max-pending", "256",
-                "--overflow", "shed_oldest", "--capacity", "500", "--ttl", "30",
+                "--features", "extended", "--stdio",
+                "--capacity", "500", "--ttl", "30",
             ]
         )
         assert args.features == "extended"
-        assert args.stdio and args.max_batch == 16
-        assert args.overflow == "shed_oldest"
+        assert args.stdio and args.capacity == 500
         assert args.ttl == pytest.approx(30.0)
 
     def test_serve_stdio_end_to_end(self, tmp_path, capsys, monkeypatch):
@@ -172,11 +167,86 @@ class TestServeParser:
         monkeypatch.setattr(
             "sys.stdin", io.StringIO("".join(json.dumps(o) + "\n" for o in lines))
         )
-        rc = main(["serve", "--model", str(mp), "--stdio", "--max-delay", "0.001"])
+        rc = main(["serve", "--model", str(mp), "--stdio"])
         assert rc == 0
         out = capsys.readouterr().out
         responses = [json.loads(x) for x in out.splitlines()]
         assert any(r.get("id") == 1 and r["status"] == "ok" for r in responses)
+
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--max-batch", "--max-delay", "--max-pending", "--overflow", "--shard-backlog"],
+    )
+    def test_queue_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--model", "m.npz", flag, "8"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _one_error_line(stderr):
+    """The stderr of a typed failure: exactly one ``error:`` line."""
+    assert "Traceback" not in stderr
+    errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, stderr
+    return errors[0]
+
+
+class TestTypedFailures:
+    """A typed failure ends a command with one ``error:`` line and exit
+    status 1, never a traceback."""
+
+    def test_serve_recover_from_an_empty_journal(self, tmp_path, capsys):
+        wal = tmp_path / "wal"
+        wal.mkdir()
+        rc = main(["serve", "--recover", "--journal-dir", str(wal), "--stdio"])
+        assert rc == 1
+        line = _one_error_line(capsys.readouterr().err)
+        assert "journal holds no model" in line
+
+    @pytest.mark.parametrize("via", ["model", "connect"])
+    def test_replay_of_nodes_outside_the_model(self, via, tmp_path, capsys):
+        import asyncio
+        import threading
+
+        from repro.ingest.recorder import StreamWriter
+        from repro.ingest.sources import EventBatch
+        from repro.serving.server import ScoringServer, build_service
+
+        mp = tmp_path / "m.npz"
+        EmbeddingModel.random(30, 2, seed=1).save(mp)
+        recording = tmp_path / "wide.evs"
+        with StreamWriter(recording) as writer:
+            writer.write_batch(
+                EventBatch(["a", "a"], np.array([3, 799]), np.array([0.0, 0.5]))
+            )
+        argv = ["replay", str(recording), "--speed", "0"]
+        if via == "model":
+            rc = main(argv + ["--model", str(mp)])
+        else:
+            ready, stop = threading.Event(), threading.Event()
+            port = []
+
+            async def serve():
+                server = ScoringServer(build_service(str(mp)))
+                await server.start()
+                port.append(server.port)
+                ready.set()
+                while not stop.is_set():
+                    await asyncio.sleep(0.01)
+                await server.stop()
+
+            thread = threading.Thread(target=asyncio.run, args=(serve(),))
+            thread.start()
+            try:
+                assert ready.wait(10.0)
+                rc = main(argv + ["--connect", f"127.0.0.1:{port[0]}"])
+            finally:
+                stop.set()
+                thread.join(10.0)
+        assert rc == 1
+        line = _one_error_line(capsys.readouterr().err)
+        assert "node 799 outside the model universe of 30 nodes" in line
 
 
 class TestModelPersistence:
