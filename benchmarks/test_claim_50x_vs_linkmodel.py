@@ -8,12 +8,17 @@ n nodes, O(n²) candidate rates must be fit, whereas the node model carries
 O(nK) parameters and a linear-time gradient.  The end-to-end advantage has
 two measured factors:
 
-* **model**: wall-clock to fit each model to convergence on the same
-  corpus, measured for real on this machine.  The link model's candidate
-  set grows ~quadratically with cascade size, and its optimization needs
-  many more iterations (one parameter per pair, no sharing), so this
-  factor is a *lower bound* — the link fit below is stopped at an
-  iteration cap while still improving;
+* **model**: wall-clock of each model's fit on the same corpus, measured
+  for real on this machine.  The link model's candidate set grows
+  ~quadratically with cascade size, and its optimization needs many more
+  iterations (one parameter per pair, no sharing); the link fit below is
+  stopped at an iteration cap while still improving.  The node fit is
+  *not* a fit to convergence: from its random start it accepts one step
+  (log-likelihood −11,289 → −6,570) that projects ~15 % of the A and B
+  entries to hard zeros, then rejects 29 halvings and stops on step-size
+  underflow — the merged-level pathology of Eq. 8 (hard-zero rates make
+  the next gradient explode), reached here from a random start.  The table prints its accepted steps and stop reason, so this
+  factor compares a capped link fit with a one-step node fit;
 * **parallelism**: the community-parallel engine's speedup at the paper's
   best core count (32), from the schedule calibrated in Fig. 13.
 
@@ -49,7 +54,7 @@ def test_claim_50x_vs_linkmodel(benchmark, speedup_schedules, scale):
     )
     corpus = exp.train
 
-    # --- node model: fit to convergence -------------------------------- #
+    # --- node model: one accepted step, then step-size underflow ------- #
     def fit_node():
         model = EmbeddingModel.random(800, scale.n_topics, scale=0.3, seed=602)
         opt = ProjectedGradientAscent(
@@ -81,13 +86,15 @@ def test_claim_50x_vs_linkmodel(benchmark, speedup_schedules, scale):
         ("cascades / mean size", f"{len(corpus)} / {corpus.sizes().mean():.0f}"),
         ("link model parameters", link.n_parameters),
         ("node model parameters", n_node_params),
-        ("link fit seconds (capped)", link_seconds),
-        ("node fit seconds (converged)", node_seconds),
-        ("node iterations to converge", node_fit.n_iters),
+        ("link fit seconds (capped while improving)", link_seconds),
+        ("node fit seconds", node_seconds),
+        ("node iterations", node_fit.n_iters),
+        ("node accepted steps", len(node_fit.history) - 1),
+        ("node stop reason", node_fit.reason),
         ("link iterations used", len(link_history)),
-        ("model speedup (link/node), lower bound", model_speedup),
+        ("model speedup (link/node)", model_speedup),
         ("parallel speedup @32 cores", parallel_speedup),
-        ("combined speedup, lower bound", combined),
+        ("combined speedup", combined),
     ]
     lines = [
         "Abstract claim: ~50x speedup of parallel node inference over "
@@ -96,9 +103,11 @@ def test_claim_50x_vs_linkmodel(benchmark, speedup_schedules, scale):
         format_table(["quantity", "value"], rows),
         "",
         "paper: 'a 50-fold speedup ... while the accuracy of the cascade "
-        "size prediction is preserved'; the factor here is a lower bound "
-        "that widens with corpus size (link candidates grow ~quadratically "
-        "in cascade size, node parameters stay linear in n)",
+        "size prediction is preserved'; here the link fit is capped while "
+        "still improving, and the node fit takes one step before its step "
+        "size underflows, so the model factor times a one-step node fit, "
+        "not a converged one (link candidates grow ~quadratically in "
+        "cascade size, node parameters stay linear in n)",
     ]
     save_result("claim_50x_vs_linkmodel", "\n".join(lines))
 

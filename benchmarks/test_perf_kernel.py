@@ -18,10 +18,13 @@ converges to the actual cost of the work, and back-to-back reps match
 production cache behavior (see :func:`_best_of_pair`).
 
 Also measured: per-call temporary allocation (tracemalloc tracks numpy
-buffers via ``PyTraceMalloc_Track``) for both kernels, and an isolated
-scatter microbenchmark (``np.add.at`` vs gather→segment-reduce→apply on
-the same contribution matrix).  Results go to ``BENCH_kernel.json`` at
-the repo root plus the usual ``benchmarks/results`` text dump.
+buffers via ``PyTraceMalloc_Track``) for both kernels and for the
+shipped kernel's :func:`~repro.embedding.compiled.forward_sweep` alone
+(all the optimizer runs for a rejected step), the forward sweep's time
+next to the full pass, and an isolated scatter microbenchmark
+(``np.add.at`` vs gather→segment-reduce→apply on the same contribution
+matrix).  Results go to ``BENCH_kernel.json`` at the repo root plus the
+usual ``benchmarks/results`` text dump.
 """
 
 import json
@@ -39,6 +42,7 @@ from repro.embedding.compiled import (
     CompiledCorpus,
     GradientWorkspace,
     corpus_gradients,
+    forward_sweep,
 )
 from repro.embedding.likelihood import EPS
 from repro.embedding.model import EmbeddingModel
@@ -229,19 +233,25 @@ def _measure_scale(corpus, model, target_ratio=None):
             model.A, model.B, corpus, gradA_new, gradB_new, workspace=ws
         )
 
+    def run_forward():
+        return forward_sweep(model.A, model.B, corpus, ws)
+
     # Bit-identity gate before any timing is believed.
     ll_old = run_old()
     ll_new = run_new()
     assert ll_old == ll_new
     assert np.array_equal(gradA_old, gradA_new)
     assert np.array_equal(gradB_old, gradB_new)
+    assert run_forward() == ll_new
 
     # Workspace is already warm from the gate call.
     old_s, new_s, n_blocks = _best_of_pair(
         run_old, run_new, target_ratio=target_ratio
     )
+    full_s, forward_s, _ = _best_of_pair(run_new, run_forward)
     old_net, old_peak = _traced_bytes(run_old)
     new_net, new_peak = _traced_bytes(run_new)
+    fwd_net, fwd_peak = _traced_bytes(run_forward)
     return {
         "n_infections": corpus.n_infections,
         "n_cascades": int(np.unique(corpus.cascade_begin).size),
@@ -253,6 +263,13 @@ def _measure_scale(corpus, model, target_ratio=None):
         "old_alloc_peak_bytes": old_peak,
         "new_alloc_net_bytes": new_net,
         "new_alloc_peak_bytes": new_peak,
+        # the forward sweep against a full pass, timed in their own
+        # alternating blocks (full_pass_seconds re-times new_kernel)
+        "full_pass_seconds": full_s,
+        "forward_sweep_seconds": forward_s,
+        "forward_ratio": forward_s / full_s,
+        "forward_alloc_net_bytes": fwd_net,
+        "forward_alloc_peak_bytes": fwd_peak,
     }
 
 
@@ -325,6 +342,9 @@ def test_kernel_speedup_and_allocations(scale):
             "old_kernel_seconds": headline["old_kernel_seconds"],
             "new_kernel_seconds": headline["new_kernel_seconds"],
             "new_alloc_net_bytes": headline["new_alloc_net_bytes"],
+            "forward_sweep_seconds": headline["forward_sweep_seconds"],
+            "forward_ratio": headline["forward_ratio"],
+            "forward_alloc_net_bytes": headline["forward_alloc_net_bytes"],
         },
     }
     (ROOT / "BENCH_kernel.json").write_text(json.dumps(report, indent=2))
@@ -340,7 +360,10 @@ def test_kernel_speedup_and_allocations(scale):
             f"old={row['old_kernel_seconds'] * 1e3:8.2f}ms  "
             f"new={row['new_kernel_seconds'] * 1e3:8.2f}ms  "
             f"speedup={row['speedup_ratio']:.2f}x  "
-            f"new_alloc={row['new_alloc_net_bytes']}B"
+            f"new_alloc={row['new_alloc_net_bytes']}B  "
+            f"forward={row['forward_sweep_seconds'] * 1e3:.2f}ms "
+            f"({row['forward_ratio']:.2f} of a pass, "
+            f"alloc={row['forward_alloc_net_bytes']}B)"
         )
     lines.append(
         f"  scatter only: add.at={micro['add_at_seconds'] * 1e3:.2f}ms  "
@@ -354,5 +377,9 @@ def test_kernel_speedup_and_allocations(scale):
     assert headline["speedup_ratio"] >= 3.0, report["headline"]
     assert headline["new_alloc_net_bytes"] < STEADY_STATE_BYTES
     assert headline["new_alloc_peak_bytes"] < STEADY_STATE_BYTES
+    # The forward sweep alone (a rejected step's whole cost) is
+    # allocation-free under the same budget.
+    assert headline["forward_alloc_net_bytes"] < STEADY_STATE_BYTES
+    assert headline["forward_alloc_peak_bytes"] < STEADY_STATE_BYTES
     # The old kernel's per-call temporaries are what the workspace removed.
     assert headline["old_alloc_peak_bytes"] > 1_000_000

@@ -22,11 +22,17 @@ arrays:
   several times faster (``np.add.reduceat`` is not an option: it
   reassociates sums pairwise within segments and changes the bits).
 
+The pass is split where the log-likelihood is known:
+:func:`forward_sweep` returns it and leaves its intermediates in the
+workspace, and :func:`backward_sweep` turns them into gradients.
+:func:`corpus_gradients` is the two in sequence; the optimizer runs the
+backward sweep only for steps it accepts.
+
 All per-iteration buffers live in a :class:`GradientWorkspace` that is
-reused across optimizer iterations, making :func:`corpus_gradients`
-allocation-free in steady state.  The result is bit-for-bit the same
-math as the per-cascade path (the test suite cross-checks them) at a
-fraction of the interpreter and allocator overhead.
+reused across optimizer iterations, making both sweeps allocation-free
+in steady state.  The result is bit-for-bit the same math as the
+per-cascade path (the test suite cross-checks them) at a fraction of the
+interpreter and allocator overhead.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ __all__ = [
     "ScatterPlan",
     "GradientWorkspace",
     "corpus_gradients",
+    "forward_sweep",
+    "backward_sweep",
 ]
 
 #: Per-node segments longer than this leave the rank-round path and are
@@ -363,9 +371,12 @@ class GradientWorkspace:
 
     Buffers grow monotonically and are recycled across iterations — in
     steady state (same corpus, same K) a gradient evaluation performs no
-    heap allocation.  The workspace may be reused across corpora of
+    heap allocation.  The workspace also carries the intermediates of a
+    :func:`forward_sweep` to the :func:`backward_sweep` that follows it;
+    ``_swept`` names the corpus and K they belong to until the backward
+    sweep consumes them.  The workspace may be reused across corpora of
     different shapes; every buffer is fully written before it is read
-    within a call, so no stale data can leak between corpora (the
+    within a sweep pair, so no stale data can leak between corpora (the
     property suite checks workspace-reuse against fresh allocation
     bitwise).  Not thread-safe: one workspace per thread/process.
     """
@@ -377,6 +388,7 @@ class GradientWorkspace:
     def __init__(self) -> None:
         self._mats: Dict[str, np.ndarray] = {}
         self._vecs: Dict[str, np.ndarray] = {}
+        self._swept: Optional[Tuple[int, int]] = None
 
     # -- sizing ------------------------------------------------------- #
 
@@ -432,8 +444,9 @@ def corpus_gradients(
 ) -> float:
     """Add the full-corpus ∇L to *gradA*/*gradB* in place; return Σ_c L_c.
 
-    Exactly Eq. 12–16, evaluated in one pass (see module docstring).
-    Passing a :class:`GradientWorkspace` makes the evaluation
+    Exactly Eq. 12–16, evaluated in one pass (see module docstring):
+    :func:`forward_sweep` then :func:`backward_sweep` through one
+    workspace.  Passing a :class:`GradientWorkspace` makes the evaluation
     allocation-free in steady state; results are bit-identical either
     way.
 
@@ -447,21 +460,44 @@ def corpus_gradients(
     small μ bounds the gradient by 1/μ and keeps the landscape
     optimizable without noticeably moving well-explained infections.
     """
-    M = corpus.n_infections
-    if M == 0:
-        return 0.0
     if workspace is None:
         workspace = GradientWorkspace()
+    ll = forward_sweep(
+        A, B, corpus, workspace, eps=eps, background_rate=background_rate
+    )
+    backward_sweep(corpus, gradA, gradB, workspace)
+    return ll
+
+
+def forward_sweep(
+    A: np.ndarray,
+    B: np.ndarray,
+    corpus: CompiledCorpus,
+    workspace: GradientWorkspace,
+    eps: float = EPS,
+    background_rate: float = 0.0,
+) -> float:
+    """Return Σ_c L_c at (*A*, *B*) and keep the sweep's intermediates.
+
+    The prefix sums H/G, the per-position B rows and the denominators
+    stay in *workspace* for :func:`backward_sweep`, which turns them into
+    gradients without reading *A* or *B* again.  A caller that only needs
+    the objective (the optimizer's rejected candidates) stops here, at
+    about 0.4 of a full :func:`corpus_gradients` pass (``BENCH_kernel.json``).
+    """
     ws = workspace
-    nodes = corpus.nodes
+    M = corpus.n_infections
     K = A.shape[1]
-    plan = corpus.scatter_plan
+    ws._swept = (id(corpus), K)
+    if M == 0:
+        return 0.0
+    nodes = corpus.nodes
     ties_free = corpus.ties_free
-    invalid_rows = corpus.invalid_rows
-    # Column broadcasts by times / inv_denom all go through einsum
-    # "ik,i->ik": multiplying by a (M,1) operand makes numpy's ufunc
-    # machinery allocate a 64 KB iterator buffer per call and run ~1.5x
-    # slower; the einsum products are bit-identical.
+    # Column broadcasts (by times here, by inv_denom in the backward
+    # sweep) all go through einsum "ik,i->ik": multiplying by a (M,1)
+    # operand makes numpy's ufunc machinery allocate a 64 KB iterator
+    # buffer per call and run ~1.5x slower; the einsum products are
+    # bit-identical.
     times = corpus.times
 
     # All gathers use mode="clip": indices are in bounds by construction
@@ -469,23 +505,19 @@ def corpus_gradients(
     cumA = ws._mat("cumA", M + 1, K)
     cumtA = ws._mat("cumtA", M + 1, K)
     dual = ws._mat("dual", 2 * (M + 1), K)  # plane 0: dA, plane 1: dB
-    dA_plane = dual[: M + 1]
-    dB_plane = dual[M + 1 :]
     H = ws._mat("H", M, K)
-    Q = ws._mat("Q", M, K)
     T1 = ws._mat("T1", M, K)
-    sufB = ws._mat("sufB", M + 1, K)
-    suftB = ws._mat("suftB", M + 1, K)
-    sufBd = ws._mat("sufBd", M + 1, K)
+    # Per-position B rows live in sufB, where the backward sweep turns
+    # them into its suffix sums in place.
+    B_pos = ws._mat("sufB", M + 1, K)[:M]
 
-    # ---- forward sweep ------------------------------------------------ #
     np.take(A, nodes, axis=0, out=cumA[1:], mode="clip")
     np.einsum("ik,i->ik", cumA[1:], times, out=cumtA[1:])
     cumA[0] = 0.0
     cumtA[0] = 0.0
     np.cumsum(cumA[1:], axis=0, out=cumA[1:])
     np.cumsum(cumtA[1:], axis=0, out=cumtA[1:])
-    G = dB_plane[:M]
+    G = dual[M + 1 : 2 * M + 1]
     np.take(cumA, corpus.cascade_begin, axis=0, out=T1, mode="clip")
     if ties_free:
         np.subtract(cumA[:M], T1, out=H)
@@ -499,25 +531,18 @@ def corpus_gradients(
         np.take(cumtA, corpus.starts, axis=0, out=G, mode="clip")
         G -= T1
 
-    B_pos = sufB[:M]
     np.take(B, nodes, axis=0, out=B_pos, mode="clip")
     denom = ws._vec("denom", M)
-    inv_denom = ws._vec("inv_denom", M)
     np.einsum("ik,ik->i", H, B_pos, out=denom)
     if background_rate > 0.0:
         denom += background_rate
     np.maximum(denom, eps, out=denom)
-    np.divide(1.0, denom, out=inv_denom)
 
-    # lin = G - t*H, then dB = lin + H/denom — both built in the dB plane.
+    # lin = G - t*H, built in the dB plane (the backward sweep adds H/denom).
     np.einsum("ik,i->ik", H, times, out=T1)
     np.subtract(G, T1, out=G)
     ll_lin = ws._vec("ll_lin", M)
-    np.einsum("ik,ik->i", G, B_pos, out=ll_lin)  # before the dB overwrite
-    np.einsum("ik,i->ik", H, inv_denom, out=T1)
-    np.add(G, T1, out=G)
-    G[invalid_rows] = 0.0
-    dB_plane[M] = 0.0  # scatter sentinel row
+    np.einsum("ik,ik->i", G, B_pos, out=ll_lin)
 
     # ---- log-likelihood ----------------------------------------------- #
     n_valid = corpus.n_valid
@@ -532,10 +557,58 @@ def corpus_gradients(
     np.take(denom, valid_rows, out=c2, mode="clip")
     np.log(c2, out=c2)
     c1 += c2
-    ll = float(np.sum(c1))
+    return float(np.sum(c1))
 
-    # ---- backward sweep ------------------------------------------------ #
-    B_pos[invalid_rows] = 0.0  # B_pos becomes vB in place (einsums done)
+
+def backward_sweep(
+    corpus: CompiledCorpus,
+    gradA: np.ndarray,
+    gradB: np.ndarray,
+    workspace: GradientWorkspace,
+) -> None:
+    """Add ∇L to *gradA*/*gradB* from the last :func:`forward_sweep`.
+
+    Consumes the intermediates that sweep left in *workspace* (they are
+    overwritten in place), so it runs at most once per forward sweep,
+    with the same corpus and K; anything else raises ``ValueError``.
+    """
+    ws = workspace
+    M = corpus.n_infections
+    K = gradA.shape[1]
+    swept, ws._swept = ws._swept, None
+    if swept != (id(corpus), K):
+        raise ValueError(
+            "backward_sweep needs the forward_sweep of this corpus and K "
+            "just before it"
+        )
+    if M == 0:
+        return
+    plan = corpus.scatter_plan
+    ties_free = corpus.ties_free
+    invalid_rows = corpus.invalid_rows
+    times = corpus.times
+    dual = ws._mat("dual", 2 * (M + 1), K)
+    dA_plane = dual[: M + 1]
+    dB_plane = dual[M + 1 :]
+    H = ws._mat("H", M, K)
+    Q = ws._mat("Q", M, K)
+    T1 = ws._mat("T1", M, K)
+    sufB = ws._mat("sufB", M + 1, K)
+    suftB = ws._mat("suftB", M + 1, K)
+    sufBd = ws._mat("sufBd", M + 1, K)
+    B_pos = sufB[:M]
+    denom = ws._vec("denom", M)
+    inv_denom = ws._vec("inv_denom", M)
+    np.divide(1.0, denom, out=inv_denom)
+
+    # dB = lin + H/denom, finished in the dB plane.
+    G = dB_plane[:M]
+    np.einsum("ik,i->ik", H, inv_denom, out=T1)
+    np.add(G, T1, out=G)
+    G[invalid_rows] = 0.0
+    dB_plane[M] = 0.0  # scatter sentinel row
+
+    B_pos[invalid_rows] = 0.0  # B_pos becomes vB in place
     np.einsum("ik,i->ik", B_pos, times, out=suftB[:M])
     np.einsum("ik,i->ik", B_pos, inv_denom, out=sufBd[:M])
     for buf in (sufB, suftB, sufBd):
@@ -578,4 +651,3 @@ def corpus_gradients(
         plan.reduce_into(both[plan.n_gather :], accB)
         plan.apply_into(gradA, accA, gbuf)
         plan.apply_into(gradB, accB, gbuf)
-    return ll

@@ -10,6 +10,9 @@ when the corresponding log-likelihood no longer increases or the max number
 of iterations is exceeded."  As a practical safeguard the step size is
 halved whenever an update *decreases* the log-likelihood (and the step is
 retracted), which keeps full-batch ascent stable without a line search.
+A candidate step costs only the kernel's forward sweep (the objective);
+the backward sweep (its gradients) runs only when the step is accepted,
+and a rejection keeps the retained point's gradients as they are.
 
 The optional ``update_rows`` mask makes this a *block-coordinate* solver:
 gradient information outside the block is discarded, which is exactly how
@@ -28,7 +31,8 @@ from repro.cascades.types import CascadeSet
 from repro.embedding.compiled import (
     CompiledCorpus,
     GradientWorkspace,
-    corpus_gradients,
+    backward_sweep,
+    forward_sweep,
 )
 from repro.embedding.likelihood import EPS
 from repro.embedding.model import EmbeddingModel
@@ -84,9 +88,11 @@ class OptimizerConfig:
         those unconstrained rows without noticeably moving well-observed
         ones.  0 (default) reproduces the paper's unregularized objective.
     max_nonfinite_retries:
-        Consecutive non-finite evaluations (nan/inf log-likelihood or
-        gradients) tolerated while step-halving before the fit aborts
-        with :class:`NumericalDivergenceError`.
+        Consecutive non-finite step evaluations (a nan/inf
+        log-likelihood, or nan/inf gradients of a step that would be
+        accepted) tolerated while step-halving before the fit aborts
+        with :class:`NumericalDivergenceError`.  A rejected step's
+        gradients are never computed, so they cannot count.
     background_rate:
         Exogenous hazard μ added inside every ``log Σ A_u·B_v`` term.
         When a merge-tree level reintroduces predecessor pairs whose rates
@@ -226,16 +232,20 @@ class ProjectedGradientAscent:
             corpus = CompiledCorpus.from_cascades(cascades)
         if workspace is None:
             workspace = GradientWorkspace()
+        # Two gradient pairs: (gradA, gradB) holds the gradients at the
+        # model; an accepted candidate's backward sweep fills
+        # (nextA, nextB), and the pairs swap with the model arrays.
         gradA = np.zeros_like(model.A)
         gradB = np.zeros_like(model.B)
+        nextA = np.zeros_like(model.A)
+        nextB = np.zeros_like(model.B)
         frozen_rows = (
             None if row_mask is None else np.flatnonzero(~row_mask)
         )
         result = FitResult()
         lr = cfg.learning_rate
-        best_ll = self._loglik_and_grads(
-            model.A, model.B, corpus, gradA, gradB, cfg.eps, workspace
-        )
+        best_ll = self._objective(model.A, model.B, corpus, workspace)
+        self._gradients(model.A, model.B, corpus, gradA, gradB, workspace)
         if not self._all_finite(best_ll, gradA, gradB):
             raise NumericalDivergenceError(
                 "objective or gradients non-finite at the starting point; "
@@ -268,12 +278,27 @@ class ProjectedGradientAscent:
                 np.maximum(candA, 0.0, out=candA)
                 np.maximum(candB, 0.0, out=candB)
 
-                ll = self._loglik_and_grads(
-                    candA, candB, corpus, gradA, gradB, cfg.eps, workspace
-                )
+                ll = self._objective(candA, candB, corpus, workspace)
                 result.n_iters = it + 1
+                finite = bool(np.isfinite(ll))
 
-                if not self._all_finite(ll, gradA, gradB):
+                if finite and ll < best_ll - abs(best_ll) * 1e-12:
+                    # Reject: keep the model where it was, shrink step.
+                    # (gradA, gradB) still hold the model's gradients.
+                    nonfinite_streak = 0
+                    lr *= cfg.step_decay
+                    if lr < cfg.min_step:
+                        result.converged = True
+                        result.reason = "step size underflow"
+                        break
+                    continue
+
+                if finite:
+                    self._gradients(
+                        candA, candB, corpus, nextA, nextB, workspace
+                    )
+                    finite = self._all_finite(ll, nextA, nextB)
+                if not finite:
                     # The step left the finite region (overflowed rates,
                     # nan gradients).  Treat like a rejected step — the
                     # model never moved, so just halve — but track the
@@ -294,32 +319,16 @@ class ProjectedGradientAscent:
                             f"retreating from a non-finite region at "
                             f"iteration {it + 1}"
                         )
-                    self._loglik_and_grads(
-                        model.A, model.B, corpus, gradA, gradB, cfg.eps,
-                        workspace,
-                    )
                     continue
                 nonfinite_streak = 0
 
-                if ll < best_ll - abs(best_ll) * 1e-12:
-                    # Reject: keep the model where it was, shrink step.
-                    lr *= cfg.step_decay
-                    if lr < cfg.min_step:
-                        result.converged = True
-                        result.reason = "step size underflow"
-                        break
-                    # gradA/gradB currently hold gradients at the rejected
-                    # candidate; recompute them at the retained point.
-                    self._loglik_and_grads(
-                        model.A, model.B, corpus, gradA, gradB, cfg.eps,
-                        workspace,
-                    )
-                    continue
-
-                # Accept: the candidate becomes the model; the displaced
-                # arrays become the next candidate buffers.
+                # Accept: the candidate becomes the model and its
+                # gradients the current pair; the displaced arrays become
+                # the next candidate and gradient buffers.
                 model.A, candA = candA, model.A
                 model.B, candB = candB, model.B
+                gradA, nextA = nextA, gradA
+                gradB, nextB = nextB, gradB
                 result.history.append(ll)
                 if callback is not None:
                     callback(it, ll)
@@ -359,35 +368,49 @@ class ProjectedGradientAscent:
             and bool(np.all(np.isfinite(gradB)))
         )
 
-    def _loglik_and_grads(
+    def _objective(
+        self,
+        A: np.ndarray,
+        B: np.ndarray,
+        corpus: CompiledCorpus,
+        workspace: GradientWorkspace,
+    ) -> float:
+        """The (optionally ridge-penalized) objective at (*A*, *B*): the
+        kernel's forward sweep, whose intermediates stay in *workspace*
+        for :meth:`_gradients`.
+
+        Takes the evaluation point as raw arrays (not a model) because the
+        step loop evaluates candidate points that are not yet the model.
+        Returns what the update actually ascends, so the step
+        accept/reject logic tracks it.
+        """
+        cfg = self.config
+        ll = forward_sweep(
+            A, B, corpus, workspace,
+            eps=cfg.eps, background_rate=cfg.background_rate,
+        )
+        if cfg.l2 > 0.0:
+            ll -= 0.5 * cfg.l2 * (
+                float(np.sum(A**2)) + float(np.sum(B**2))
+            )
+        return ll
+
+    def _gradients(
         self,
         A: np.ndarray,
         B: np.ndarray,
         corpus: CompiledCorpus,
         gradA: np.ndarray,
         gradB: np.ndarray,
-        eps: float,
         workspace: GradientWorkspace,
-    ) -> float:
-        """Zero the accumulators, then one full pass (Alg. 1 lines 14–21).
-
-        Takes the evaluation point as raw arrays (not a model) because the
-        step loop evaluates candidate points that are not yet the model.
-        Returns the (optionally ridge-penalized) objective so the step
-        accept/reject logic tracks what the update actually ascends.
-        """
+    ) -> None:
+        """Gradients at the point :meth:`_objective` just evaluated (Alg. 1
+        lines 14–21): zero the accumulators, run the backward sweep, and
+        add the ridge term."""
         gradA.fill(0.0)
         gradB.fill(0.0)
-        ll = corpus_gradients(
-            A, B, corpus, gradA, gradB,
-            eps=eps, background_rate=self.config.background_rate,
-            workspace=workspace,
-        )
+        backward_sweep(corpus, gradA, gradB, workspace)
         l2 = self.config.l2
         if l2 > 0.0:
             gradA -= l2 * A
             gradB -= l2 * B
-            ll -= 0.5 * l2 * (
-                float(np.sum(A**2)) + float(np.sum(B**2))
-            )
-        return ll

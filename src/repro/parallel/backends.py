@@ -148,6 +148,10 @@ class BlockResult:
     wall_seconds: float
     #: iterations × infections — the unit-cost workload the cost model uses
     work_units: int = 0
+    #: steps the fit accepted (``len(FitResult.history) - 1``) and why it
+    #: stopped (``FitResult.reason``)
+    accepted_steps: int = 0
+    stop_reason: str = ""
     #: compute-time split: sub-corpus compile/fetch, optimizer iterations,
     #: and shared-memory row gather/scatter (each a slice of wall_seconds)
     compile_seconds: float = 0.0
@@ -234,6 +238,8 @@ def run_block_task(
         final_loglik=fit.final_loglik,
         wall_seconds=sw.elapsed,
         work_units=max(1, fit.n_iters) * n_inf,
+        accepted_steps=len(fit.history) - 1,
+        stop_reason=fit.reason,
         compile_seconds=t1 - t0,
         kernel_seconds=t3 - t2,
         gather_seconds=t2 - t1,
@@ -380,9 +386,9 @@ def _mp_worker(args: Tuple) -> Tuple:
     Dispatches on the payload tag: ``"arena"`` payloads carry only index
     ranges into shared buffers; ``"legacy"`` payloads carry pickled
     sub-cascade arrays.  Both return
-    ``(task_idx, community_id, n_iters, final_loglik, wall_seconds,
-    work_units, (compile_s, kernel_s, gather_s))`` — rows travel back
-    through shared memory.
+    ``(task_idx, community_id, n_iters, accepted_steps, stop_reason,
+    final_loglik, wall_seconds, work_units, (compile_s, kernel_s,
+    gather_s))`` — rows travel back through shared memory.
 
     The trailing payload element is a test-only fault spec (normally
     ``None``); it fires *before* any shared state is touched, so injected
@@ -441,6 +447,8 @@ def _worker_arena(args: Tuple) -> Tuple:
         task_idx,
         community_id,
         fit.n_iters,
+        len(fit.history) - 1,
+        fit.reason,
         fit.final_loglik,
         sw.elapsed,
         max(1, fit.n_iters) * n_inf,
@@ -486,6 +494,8 @@ def _worker_legacy(args: Tuple) -> Tuple:
         task_idx,
         community_id,
         result.n_iters,
+        result.accepted_steps,
+        result.stop_reason,
         result.final_loglik,
         result.wall_seconds,
         result.work_units,
@@ -781,7 +791,9 @@ class MultiprocessBackend(Backend):
 
         results = []
         for idx, t in enumerate(tasks):
-            _idx, cid, n_iters, ll, secs, work, split = outcome.records[idx]
+            (
+                _idx, cid, n_iters, accepted, reason, ll, secs, work, split
+            ) = outcome.records[idx]
             compile_s, kernel_s, gather_s = split
             results.append(
                 BlockResult(
@@ -793,6 +805,8 @@ class MultiprocessBackend(Backend):
                     final_loglik=ll,
                     wall_seconds=secs,
                     work_units=work,
+                    accepted_steps=accepted,
+                    stop_reason=reason,
                     compile_seconds=compile_s,
                     kernel_seconds=kernel_s,
                     gather_seconds=gather_s,
@@ -988,6 +1002,8 @@ class MultiprocessBackend(Backend):
             idx,
             t.community_id,
             res.n_iters,
+            res.accepted_steps,
+            res.stop_reason,
             res.final_loglik,
             res.wall_seconds,
             res.work_units,
@@ -1061,6 +1077,8 @@ class MultiprocessBackend(Backend):
             final_loglik=0.0,
             wall_seconds=0.0,
             work_units=0,
+            accepted_steps=0,
+            stop_reason="",
         )
 
     # ------------------------------------------------------------------ #

@@ -96,6 +96,13 @@ class DispatchCostEstimator:
     task's infection count; observed ``work_units``/``wall_seconds`` from
     each finished level recalibrate the average for the next one.
 
+    A work unit prices every iteration alike, but an accepted iteration
+    costs one full kernel pass and a rejected one only the forward sweep
+    (≈ 0.4 of a pass; a rejection used to cost two passes).  Seconds per
+    work unit therefore differ by ≈ 2.5× between levels that accept
+    their steps and merged levels that only reject; the supervision
+    deadline, ``max(10 s, 10 × predicted)``, covers that spread.
+
     Parameters
     ----------
     prior_iters:

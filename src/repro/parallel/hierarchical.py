@@ -65,6 +65,11 @@ class LevelStats:
     #: per-community final block log-likelihood
     logliks: List[float] = field(default_factory=list)
     iterations: List[int] = field(default_factory=list)
+    #: per-community accepted steps and stop reason of the block fit
+    #: (``FitResult.history``/``.reason``); a task that stops on "step size
+    #: underflow" with 0 accepted steps left its rows untouched
+    accepted_steps: List[int] = field(default_factory=list)
+    stop_reasons: List[str] = field(default_factory=list)
     #: faults the backend survived while running this level (empty for
     #: serial backends and fault-free parallel levels)
     fault_log: List[FaultLogEntry] = field(default_factory=list)
@@ -270,6 +275,8 @@ class HierarchicalInference:
             stats.rows_touched.append(int(res.nodes.size))
             stats.logliks.append(res.final_loglik)
             stats.iterations.append(res.n_iters)
+            stats.accepted_steps.append(res.accepted_steps)
+            stats.stop_reasons.append(res.stop_reason)
         return stats
 
     def _materialized_tasks(
