@@ -6,7 +6,7 @@ export PYTHONPATH := src
 # wedging the suite.
 export REPRO_TEST_TIMEOUT ?= 600
 
-.PHONY: check fast test bench bench-dispatch bench-kernel bench-serving bench-ingest chaos lint analyze typecheck
+.PHONY: check fast test bench bench-dispatch bench-kernel bench-slpa bench-serving bench-ingest chaos lint analyze typecheck
 
 ## tier-1 gate: lint, analyze, typecheck, then the full test suite (what CI runs)
 ## and the end-to-end benchmark's own arithmetic (perfbench/tests, outside testpaths)
@@ -79,6 +79,13 @@ bench-dispatch:
 ## writes BENCH_kernel.json
 bench-kernel:
 	$(PYTHON) -m pytest -x -q benchmarks/test_perf_kernel.py
+
+## SLPA benchmark (whole-window voting vs the per-listener loop on the
+## train-sbm co-occurrence graph, the Fig. 2 backbone and two unweighted
+## tie-dense graphs; identity gate, >= 3x on the co-occurrence graph);
+## writes BENCH_slpa.json
+bench-slpa:
+	$(PYTHON) -m pytest -x -q benchmarks/test_perf_slpa.py
 
 ## scoring-service benchmark (score_columns groups vs one-at-a-time
 ## scoring, burst vs scalar ingest, score_columns allocation audit,

@@ -39,6 +39,16 @@ def _parse_int_list(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_float_list(text: str) -> List[float]:
     try:
         return [float(x) for x in text.split(",") if x.strip()]
@@ -139,14 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="infer influence/selectivity embeddings")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--train", type=int, default=None,
+    p.add_argument("--train", type=_positive_int, default=None,
                    help="use only the first N cascades (default: all)")
-    p.add_argument("--topics", type=int, default=10)
-    p.add_argument("--stop-at", type=int, default=1)
+    p.add_argument("--topics", type=_positive_int, default=10)
+    p.add_argument("--stop-at", type=_positive_int, default=1)
     p.add_argument("--strategy", choices=("tree", "graph"), default="tree")
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--max-iters", type=_positive_int, default=200)
     p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help=">1 runs the multiprocess backend")
     p.add_argument("--max-retries", type=int, default=3,
                    help="per-task retry budget under worker supervision")
@@ -182,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("speedup", help="measured schedule + simulated scaling")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--topics", type=int, default=10)
-    p.add_argument("--stop-at", type=int, default=4)
+    p.add_argument("--topics", type=_positive_int, default=10)
+    p.add_argument("--stop-at", type=_positive_int, default=4)
     p.add_argument("--cores", type=_parse_int_list, default=[1, 2, 4, 8, 16, 32, 64])
     p.add_argument("--seed", type=int, default=0)
 

@@ -27,6 +27,7 @@ class Graph:
         merged by *summing* their weights; self-loops are rejected.
     weight:
         Optional parallel float array of edge weights (default all 1.0).
+        Merged weights must be finite: NaN and ±inf raise ``ValueError``.
 
     Notes
     -----
@@ -90,6 +91,10 @@ class Graph:
             src = key_uniq // n_nodes
             dst = key_uniq % n_nodes
             w = w_merged
+        # Checked after merging: duplicates summing past the float range
+        # are rejected too.  A NaN vote has no maximum (SLPA, Louvain).
+        if not np.all(np.isfinite(w)):
+            raise ValueError("edge weights must be finite")
         self.n_nodes = int(n_nodes)
         self.n_edges = int(src.size)
 

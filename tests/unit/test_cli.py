@@ -46,6 +46,56 @@ class TestParser:
             )
 
 
+class TestPositiveIntFlags:
+    """Counts that must be >= 1 end in argparse's usage line and one
+    ``error:`` line with exit 2, before any work starts."""
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--workers", "0"),
+            ("--workers", "-2"),
+            ("--topics", "0"),
+            ("--train", "0"),
+            ("--train", "-5"),
+            ("--stop-at", "0"),
+            ("--max-iters", "0"),
+            ("--workers", "two"),
+        ],
+    )
+    def test_infer_rejects(self, flag, value, small_corpus_file, tmp_path, capsys):
+        out = tmp_path / "model.npz"
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", "--corpus", str(small_corpus_file), "--out", str(out),
+                  flag, value])
+        assert exc.value.code == 2
+        _assert_usage_error(capsys.readouterr().err, flag)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--topics", "--stop-at"])
+    def test_speedup_rejects_zero(self, flag, small_corpus_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["speedup", "--corpus", str(small_corpus_file), flag, "0"])
+        assert exc.value.code == 2
+        _assert_usage_error(capsys.readouterr().err, flag)
+
+    def test_one_is_accepted(self):
+        flags = ["--workers", "--train", "--topics", "--stop-at", "--max-iters"]
+        argv = ["infer", "--corpus", "x", "--out", "y"]
+        for flag in flags:
+            argv += [flag, "1"]
+        args = build_parser().parse_args(argv)
+        assert [getattr(args, f[2:].replace("-", "_")) for f in flags] == [1] * 5
+
+
+def _assert_usage_error(stderr, flag):
+    assert "Traceback" not in stderr
+    lines = stderr.strip().splitlines()
+    assert lines[0].startswith("usage: ")
+    errors = [line for line in lines if "error:" in line]
+    assert len(errors) == 1 and f"argument {flag}" in errors[0], stderr
+
+
 class TestSimulate:
     def test_writes_corpus(self, small_corpus_file, capsys):
         from repro.cascades.io import load_cascades_jsonl

@@ -41,6 +41,32 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(3, [0, 1], [1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="edge weights must be finite"):
+            Graph(3, [0, 1], [1, 2], [1.0, bad])
+
+    def test_merged_weight_overflow_rejected(self):
+        # each weight is finite; the duplicate pair sums to inf
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="edge weights must be finite"
+        ):
+            Graph(2, [0, 0], [1, 1], [1e308, 1e308])
+
+    @pytest.mark.parametrize(
+        "src,dst",
+        [([0, 1], [1, 2]), ([0, 0, 0], [1, 2, 3])],
+        ids=["path", "star"],
+    )
+    def test_nan_weight_never_reaches_slpa(self, src, dst):
+        # The vote's `v == best` matched nothing for a NaN best, so SLPA
+        # died with a bare IndexError; the graph now refuses the weight.
+        from repro.community.slpa import slpa
+
+        weight = [1.0] * (len(src) - 1) + [np.nan]
+        with pytest.raises(ValueError, match="edge weights must be finite"):
+            slpa(Graph(max(dst) + 1, src, dst, weight), seed=0)
+
     def test_default_weights_are_one(self):
         g = Graph(2, [0], [1])
         assert g.edge_weight(0, 1) == 1.0
