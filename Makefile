@@ -57,8 +57,11 @@ bench:
 ## bit-identical state), plus the replay legs (slow consumer, scoring
 ## server restart mid-replay, SIGKILL a shard mid-replay), the server's
 ## in-flight bound (queue-full refusals and the replay retry ladder, in
-## test_tcp_client.py) and SIGTERM to a real `repro serve` process — run
-## with the runtime sanitizer armed so dispatch-side invariants are
+## test_tcp_client.py), SIGTERM to a real `repro serve` process, and the
+## training-side fault suites (worker raise / exit / hang → pool retry,
+## respawn, reseed, and the last attempt in the parent) — run with the
+## runtime sanitizer armed, so the serving locks' acquisition order and
+## every training level's selection block (`verify_selection`) are
 ## checked too
 chaos:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q \
@@ -69,9 +72,13 @@ chaos:
 		tests/unit/ingest/test_replay_chaos.py \
 		tests/unit/devtools/test_lock_sanitizer.py \
 		tests/property/test_prop_durability.py \
-		tests/integration/test_serve_process.py
+		tests/integration/test_serve_process.py \
+		tests/unit/test_supervision.py \
+		tests/unit/test_backends.py \
+		tests/integration/test_fault_tolerance.py
 
-## arena-vs-legacy dispatch benchmark; writes BENCH_parallel.json
+## arena dispatch benchmark (bit-identity against SerialBackend, payload
+## bytes and dispatch-overhead gates); writes BENCH_parallel.json
 bench-dispatch:
 	$(PYTHON) -m pytest -x -q benchmarks/test_perf_dispatch.py
 

@@ -1,32 +1,34 @@
-"""Dispatch-overhead benchmark: zero-copy arena vs legacy pickling.
+"""Dispatch-overhead benchmark for the zero-copy arena.
 
 Measures what the parallel engine pays *around* the numerics at each
 merge-tree level — payload serialization volume and time, parent-side
-build work, and wall-clock — for the two multiprocess dispatch paths:
+build work, and wall-clock — for :class:`MultiprocessBackend`, whose
+corpus lives in a shared-memory :class:`~repro.parallel.arena.CorpusArena`
+and each level's split in a :class:`~repro.parallel.arena.LevelSelection`,
+so a task ships as a tuple of index ranges.
 
-* **legacy**: every task pickles its sub-cascade array lists to the
-  workers (the pre-arena engine);
-* **arena**: the corpus lives in a shared-memory
-  :class:`~repro.parallel.arena.CorpusArena`, each level's split in a
-  :class:`~repro.parallel.arena.LevelSelection`, and a task ships as a
-  tuple of index ranges.
-
-Both runs use 4 workers on the synthetic SBM corpus (the paper's §VI-A
+The run uses 4 workers on the synthetic SBM corpus (the paper's §VI-A
 instance) and must land bit-identical to :class:`SerialBackend` — the
-speedup would be meaningless if the arena changed the numerics.  The
-level-by-level numbers go to ``BENCH_parallel.json`` at the repo root
+overhead numbers would be meaningless if dispatch changed the numerics.
+The level-by-level numbers go to ``BENCH_parallel.json`` at the repo root
 (plus the usual ``benchmarks/results`` text dump).
 
 Dispatch overhead is accounted as *payload pickle time + parent-side
 build time*: the serialization cost is measured explicitly by one extra
-dumps() pass over the exact payload tuples (``profile_dispatch=True``),
-which is the component the arena is designed to eliminate.  Worker
-compute is reported for context, not compared — on this single-core
-machine, 4 timesharing workers make wall-minus-compute meaningless.
-Compute is further split into compile (local corpus build +
-:class:`CompiledCorpus` construction), kernel (the fit loop), and gather
-(model row gather/scatter around the fit), which localizes any
-arena-vs-legacy compute delta to the phase that actually differs.
+dumps() pass over the exact payload tuples (``profile_dispatch=True``).
+On a box with fewer cores than workers, timesharing workers make
+wall-minus-compute meaningless, so it is not used.  Compute is split
+into compile (:class:`CompiledCorpus` construction from the arena),
+kernel (the fit loop), and gather (model row gather/scatter around the
+fit).
+
+Gates:
+
+* on every level, payload bytes ≤ ⅓ × 16 B × the infections the level
+  dispatched.  16 B (an int64 node id and a float64 time) per infection
+  is the least any payload that ships the sub-cascade lists carries, so
+  the gate keeps dispatch at least 3× below shipping the corpus;
+* in total, dispatch overhead ≤ 5 % of worker compute.
 """
 
 import json
@@ -43,10 +45,15 @@ from repro.embedding.optimizer import OptimizerConfig
 from repro.parallel.backends import MultiprocessBackend, SerialBackend
 from repro.parallel.hierarchical import HierarchicalInference
 
-pytestmark = pytest.mark.slow  # spawns 4-worker pools; keep out of tier-1
+pytestmark = pytest.mark.slow  # spawns a 4-worker pool; keep out of tier-1
 
 ROOT = Path(__file__).parent.parent
 N_WORKERS = 4
+#: an int64 node id plus a float64 time: what shipping the lists costs
+#: per infection, at the least
+LIST_BYTES_PER_INFECTION = 16
+MAX_PAYLOAD_SHARE_OF_LISTS = 1 / 3
+MAX_OVERHEAD_SHARE_OF_COMPUTE = 0.05
 
 
 def _world(scale):
@@ -66,8 +73,8 @@ def _world(scale):
 
 def _fit(exp, tree, cfg, backend):
     model = EmbeddingModel.random(exp.train.n_nodes, 10, seed=77)
-    HierarchicalInference(tree, cfg, backend).fit(model, exp.train)
-    return model
+    result = HierarchicalInference(tree, cfg, backend).fit(model, exp.train)
+    return model, result
 
 
 def _overhead(profile):
@@ -75,88 +82,68 @@ def _overhead(profile):
     return (profile.payload_pickle_seconds or 0.0) + profile.build_seconds
 
 
-def _compute_split(profile):
-    """Worker-side compute broken into its three phases (None on levels
-    that dispatched no tasks)."""
-    return {
-        "compile_seconds": profile.compile_seconds or 0.0,
-        "kernel_seconds": profile.kernel_seconds or 0.0,
-        "gather_seconds": profile.gather_seconds or 0.0,
-    }
+def _infections(level):
+    """Infections the level dispatched (work units are iterations × infections)."""
+    return sum(
+        units // max(1, iters)
+        for units, iters in zip(level.work_units, level.iterations)
+    )
 
 
-def test_dispatch_overhead_arena_vs_legacy(scale):
+def test_arena_dispatch_overhead(scale):
     exp, tree, cfg = _world(scale)
 
-    m_serial = _fit(exp, tree, cfg, SerialBackend())
-
-    runs = {}
-    for mode, use_arena in (("legacy", False), ("arena", True)):
-        with MultiprocessBackend(
-            n_workers=N_WORKERS, use_arena=use_arena, profile_dispatch=True
-        ) as backend:
-            model = _fit(exp, tree, cfg, backend)
-            runs[mode] = (model, list(backend.level_profiles))
+    m_serial, _ = _fit(exp, tree, cfg, SerialBackend())
+    with MultiprocessBackend(
+        n_workers=N_WORKERS, profile_dispatch=True
+    ) as backend:
+        model, result = _fit(exp, tree, cfg, backend)
+        profiles = list(backend.level_profiles)
 
     # Parallelism must change nothing: bit-identical final embeddings.
-    for mode, (model, _) in runs.items():
-        assert np.array_equal(m_serial.A, model.A), f"{mode} diverged from serial"
-        assert np.array_equal(m_serial.B, model.B), f"{mode} diverged from serial"
+    assert np.array_equal(m_serial.A, model.A), "arena diverged from serial"
+    assert np.array_equal(m_serial.B, model.B), "arena diverged from serial"
 
     levels = []
-    for lvl, (p_leg, p_arn) in enumerate(
-        zip(runs["legacy"][1], runs["arena"][1])
-    ):
-        assert p_leg.mode == "legacy" and p_arn.mode == "arena"
+    for lvl, (p, stats) in enumerate(zip(profiles, result.levels)):
+        assert p.mode == "arena"
         levels.append(
             {
                 "level": lvl,
-                "n_tasks": p_leg.n_tasks,
-                "legacy": {
-                    "payload_bytes": p_leg.payload_bytes,
-                    "payload_pickle_seconds": p_leg.payload_pickle_seconds,
-                    "build_seconds": p_leg.build_seconds,
-                    "dispatch_overhead_seconds": _overhead(p_leg),
-                    "wall_seconds": p_leg.wall_seconds,
-                    "compute_seconds": p_leg.compute_seconds,
-                    **_compute_split(p_leg),
-                },
-                "arena": {
-                    "payload_bytes": p_arn.payload_bytes,
-                    "payload_pickle_seconds": p_arn.payload_pickle_seconds,
-                    "build_seconds": p_arn.build_seconds,
-                    "dispatch_overhead_seconds": _overhead(p_arn),
-                    "wall_seconds": p_arn.wall_seconds,
-                    "compute_seconds": p_arn.compute_seconds,
-                    **_compute_split(p_arn),
-                },
+                "n_tasks": p.n_tasks,
+                "infections": _infections(stats),
+                "payload_bytes": p.payload_bytes,
+                "payload_pickle_seconds": p.payload_pickle_seconds,
+                "build_seconds": p.build_seconds,
+                "dispatch_overhead_seconds": _overhead(p),
+                "wall_seconds": p.wall_seconds,
+                "compute_seconds": p.compute_seconds,
+                "compile_seconds": p.compile_seconds or 0.0,
+                "kernel_seconds": p.kernel_seconds or 0.0,
+                "gather_seconds": p.gather_seconds or 0.0,
             }
+        )
+    for l in levels:
+        l["payload_bytes_bound"] = (
+            MAX_PAYLOAD_SHARE_OF_LISTS * LIST_BYTES_PER_INFECTION * l["infections"]
         )
 
     tot = {
-        m: {
-            "payload_bytes": sum(l[m]["payload_bytes"] for l in levels),
-            "payload_pickle_seconds": sum(
-                l[m]["payload_pickle_seconds"] for l in levels
-            ),
-            "dispatch_overhead_seconds": sum(
-                l[m]["dispatch_overhead_seconds"] for l in levels
-            ),
-            "wall_seconds": sum(l[m]["wall_seconds"] for l in levels),
-            "compute_seconds": sum(l[m]["compute_seconds"] for l in levels),
-            "compile_seconds": sum(l[m]["compile_seconds"] for l in levels),
-            "kernel_seconds": sum(l[m]["kernel_seconds"] for l in levels),
-            "gather_seconds": sum(l[m]["gather_seconds"] for l in levels),
-        }
-        for m in ("legacy", "arena")
+        key: sum(l[key] for l in levels)
+        for key in (
+            "n_tasks",
+            "infections",
+            "payload_bytes",
+            "payload_pickle_seconds",
+            "dispatch_overhead_seconds",
+            "wall_seconds",
+            "compute_seconds",
+            "compile_seconds",
+            "kernel_seconds",
+            "gather_seconds",
+        )
     }
-    bytes_ratio = tot["legacy"]["payload_bytes"] / max(1, tot["arena"]["payload_bytes"])
-    pickle_ratio = tot["legacy"]["payload_pickle_seconds"] / max(
-        1e-12, tot["arena"]["payload_pickle_seconds"]
-    )
-    overhead_ratio = tot["legacy"]["dispatch_overhead_seconds"] / max(
-        1e-12, tot["arena"]["dispatch_overhead_seconds"]
-    )
+    overhead_share = tot["dispatch_overhead_seconds"] / tot["compute_seconds"]
 
     report = {
         "scale": scale.name,
@@ -166,10 +153,12 @@ def test_dispatch_overhead_arena_vs_legacy(scale):
         "bit_identical_to_serial": True,
         "levels": levels,
         "totals": tot,
-        "reduction": {
-            "payload_bytes_ratio": bytes_ratio,
-            "payload_pickle_seconds_ratio": pickle_ratio,
-            "dispatch_overhead_ratio": overhead_ratio,
+        "gates": {
+            "payload_bytes_share_of_lists_max": MAX_PAYLOAD_SHARE_OF_LISTS,
+            "list_bytes_per_infection": LIST_BYTES_PER_INFECTION,
+            "payload_bytes_per_task": tot["payload_bytes"] / tot["n_tasks"],
+            "dispatch_overhead_share_of_compute": overhead_share,
+            "dispatch_overhead_share_of_compute_max": MAX_OVERHEAD_SHARE_OF_COMPUTE,
         },
     }
     (ROOT / "BENCH_parallel.json").write_text(
@@ -179,31 +168,35 @@ def test_dispatch_overhead_arena_vs_legacy(scale):
     lines = [
         f"dispatch benchmark ({scale.name} scale, {N_WORKERS} workers, "
         f"{scale.speedup_nodes} nodes, {max(scale.speedup_cascade_counts)} cascades)",
-        f"{'lvl':>3} {'tasks':>5} {'legacy B':>10} {'arena B':>9} "
-        f"{'legacy ovh s':>12} {'arena ovh s':>11}",
+        f"{'lvl':>3} {'tasks':>5} {'infections':>10} {'payload B':>9} "
+        f"{'bound B':>9} {'ovh s':>7} {'compute s':>9}",
     ]
     for l in levels:
         lines.append(
-            f"{l['level']:>3} {l['n_tasks']:>5} "
-            f"{l['legacy']['payload_bytes']:>10} {l['arena']['payload_bytes']:>9} "
-            f"{l['legacy']['dispatch_overhead_seconds']:>12.4f} "
-            f"{l['arena']['dispatch_overhead_seconds']:>11.4f}"
+            f"{l['level']:>3} {l['n_tasks']:>5} {l['infections']:>10} "
+            f"{l['payload_bytes']:>9} {l['payload_bytes_bound']:>9.0f} "
+            f"{l['dispatch_overhead_seconds']:>7.4f} {l['compute_seconds']:>9.2f}"
         )
     lines.append(
-        f"totals: payload bytes {bytes_ratio:.1f}x smaller, "
-        f"pickle time {pickle_ratio:.1f}x faster, "
-        f"dispatch overhead {overhead_ratio:.1f}x lower"
+        f"totals: {tot['payload_bytes']} payload B over {tot['n_tasks']} tasks "
+        f"({tot['payload_bytes'] / tot['n_tasks']:.0f} B per task); dispatch "
+        f"overhead {tot['dispatch_overhead_seconds']:.4f}s = "
+        f"{100 * overhead_share:.2f}% of compute"
     )
-    for m in ("legacy", "arena"):
-        t = tot[m]
-        lines.append(
-            f"{m} compute {t['compute_seconds']:.2f}s = "
-            f"compile {t['compile_seconds']:.2f}s + "
-            f"kernel {t['kernel_seconds']:.2f}s + "
-            f"gather {t['gather_seconds']:.2f}s"
-        )
+    lines.append(
+        f"compute {tot['compute_seconds']:.2f}s = "
+        f"compile {tot['compile_seconds']:.2f}s + "
+        f"kernel {tot['kernel_seconds']:.2f}s + "
+        f"gather {tot['gather_seconds']:.2f}s"
+    )
     save_result("bench_parallel_dispatch", "\n".join(lines))
 
-    # Acceptance: per-level pickle+IPC dispatch overhead reduced >= 3x.
-    assert bytes_ratio >= 3.0, f"payload bytes only {bytes_ratio:.2f}x smaller"
-    assert overhead_ratio >= 3.0, f"dispatch overhead only {overhead_ratio:.2f}x lower"
+    for l in levels:
+        assert l["payload_bytes"] <= l["payload_bytes_bound"], (
+            f"level {l['level']}: {l['payload_bytes']} payload B exceed "
+            f"{l['payload_bytes_bound']:.0f} B (1/3 of the lists' 16 B per "
+            f"infection)"
+        )
+    assert overhead_share <= MAX_OVERHEAD_SHARE_OF_COMPUTE, (
+        f"dispatch overhead is {100 * overhead_share:.2f}% of worker compute"
+    )

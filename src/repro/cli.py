@@ -23,6 +23,7 @@ stages compose through the filesystem:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -39,13 +40,35 @@ def _parse_int_list(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _positive_int_list(text: str) -> List[int]:
+    return [_positive_int(x) for x in text.split(",") if x.strip()]
+
+
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -158,9 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", type=float, default=0.0)
     p.add_argument("--workers", type=_positive_int, default=1,
                    help=">1 runs the multiprocess backend")
-    p.add_argument("--max-retries", type=int, default=3,
-                   help="per-task retry budget under worker supervision")
-    p.add_argument("--task-timeout", type=float, default=None,
+    p.add_argument("--max-retries", type=_non_negative_int, default=3,
+                   help="extra attempts per block task under worker "
+                   "supervision; the last permitted attempt runs in the "
+                   "parent, earlier ones in the pool (default 3: up to three "
+                   "pool attempts, then the parent; 0: every task in the parent)")
+    p.add_argument("--task-timeout", type=_positive_seconds, default=None,
                    help="fixed per-task deadline in seconds (default: "
                    "adaptive from the dispatch cost model)")
     p.add_argument("--checkpoint-dir", default=None,
@@ -194,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--topics", type=_positive_int, default=10)
     p.add_argument("--stop-at", type=_positive_int, default=4)
-    p.add_argument("--cores", type=_parse_int_list, default=[1, 2, 4, 8, 16, 32, 64])
+    p.add_argument("--cores", type=_positive_int_list, default=[1, 2, 4, 8, 16, 32, 64])
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(

@@ -1,10 +1,9 @@
 """Zero-copy cascade arena: the corpus as flat buffers in shared memory.
 
-The legacy dispatch path pickled every community's ``cascade_nodes`` /
-``cascade_times`` array lists to the workers at **every merge-tree level**
-— per-level IPC proportional to the total infection count, paid again at
-each level.  The arena turns that stream of small pickled arrays into two
-fixed shared-memory blocks:
+Pickling every community's ``cascade_nodes`` / ``cascade_times`` array
+lists to the workers would cost, at **every merge-tree level**, per-level
+IPC proportional to the total infection count.  The arena replaces that
+stream of small pickled arrays with two fixed shared-memory blocks:
 
 * :class:`CorpusArena` — built **once at engine start**: the whole corpus
   concatenated CSR-style (global node ids, infection times, per-cascade
@@ -17,12 +16,13 @@ fixed shared-memory blocks:
 
 With both blocks in place a :class:`~repro.parallel.backends.BlockTask`
 ships to a worker as a handful of integers (index ranges into the blocks),
-so per-level pickle+IPC volume drops from O(total infections) to
-O(communities).  The worker gathers its slices, builds a
+so per-level pickle+IPC volume is O(communities), not O(total
+infections).  The worker gathers its slices, builds a
 :class:`~repro.embedding.compiled.CompiledCorpus` directly via
 ``CompiledCorpus.from_arena`` (no intermediate ``Cascade`` objects), and
-caches the compiled structure keyed by the selection digest so optimizer
-restarts within a level skip recompilation entirely.
+caches the compiled structure keyed by the arena segment and the selection
+digest, so optimizer restarts within a level skip recompilation entirely.
+This is the multiprocess backend's only dispatch path.
 
 Layout of each block (single POSIX shm segment, 64-byte aligned fields):
 
@@ -104,9 +104,10 @@ class ArenaMeta:
 class SelectionMeta:
     """Everything a worker needs to map a :class:`LevelSelection` segment.
 
-    ``digest`` identifies the selection *content* — it doubles as the
-    worker-side compile-cache key, so two levels with identical structure
-    (e.g. an optimizer restart) hit the same cached ``CompiledCorpus``.
+    ``digest`` identifies the selection *content* — with the arena's
+    segment name it keys the worker-side compile cache, so two levels with
+    identical structure over one corpus (e.g. an optimizer restart) hit
+    the same cached ``CompiledCorpus``.
     """
 
     name: str
@@ -261,7 +262,7 @@ class LevelSelection:
     def digest_of(
         positions: np.ndarray, sub_offsets: np.ndarray, members: np.ndarray
     ) -> str:
-        """Content digest of a selection (the compile-cache key)."""
+        """Content digest of a selection (half of the compile-cache key)."""
         h = hashlib.blake2b(digest_size=16)
         h.update(np.int64(positions.size).tobytes())
         h.update(np.int64(sub_offsets.size).tobytes())

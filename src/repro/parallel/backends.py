@@ -14,18 +14,16 @@ in *where* tasks run:
   disjoint, so writes touch disjoint row blocks — the write-write
   conflict freedom of §IV-B — and no locks are needed.
 
-The multiprocess backend has two dispatch paths:
+The multiprocess backend has one dispatch path: :meth:`Backend.prepare`
+publishes the corpus to a :class:`~repro.parallel.arena.CorpusArena`, each
+level's split goes to a :class:`~repro.parallel.arena.LevelSelection`,
+both in shared memory, and a task ships as a tuple of index ranges;
+workers compile (and cache) their sub-corpus directly from the shared
+buffers.  :meth:`MultiprocessBackend.run_level` therefore takes only
+arena-backed tasks, the ones :class:`~repro.parallel.hierarchical
+.HierarchicalInference` builds after calling ``prepare``.
 
-* **arena** (default when the driver called :meth:`Backend.prepare`): the
-  corpus lives in a :class:`~repro.parallel.arena.CorpusArena` and each
-  level's split in a :class:`~repro.parallel.arena.LevelSelection`, both
-  in shared memory; a task ships as a tuple of index ranges, and workers
-  compile (and cache) their sub-corpus directly from the shared buffers.
-* **legacy**: each task pickles its sub-cascade array lists to the worker
-  — kept for direct ``run_level`` callers and as the baseline the
-  dispatch benchmark measures against.
-
-Either way, tasks are dispatched longest-predicted-first (LPT order from
+Tasks are dispatched longest-predicted-first (LPT order from
 :class:`~repro.parallel.costmodel.DispatchCostEstimator`), so the level's
 straggler starts as early as possible instead of wherever ``Pool.map``'s
 chunking happened to place it.
@@ -33,14 +31,15 @@ chunking happened to place it.
 Dispatch is *supervised* (see :mod:`repro.parallel.supervision`): each
 attempt carries a deadline derived from the cost estimator, pool-process
 liveness is polled, and a crashed/hung/raising attempt is retried with
-exponential backoff down a degradation ladder — arena payload → legacy
-pickled payload → in-process serial execution — after respawning the
-worker pool (parent-owned shared segments survive; fresh workers simply
+exponential backoff — in a respawned pool while retries remain, and the
+last permitted attempt in the parent, against the same shared blocks
+(parent-owned shared segments survive a respawn; fresh workers simply
 re-attach and re-warm their compile caches).  Every retry re-seeds the
 task's embedding rows first, so faults never leak partial state.
 
-All paths produce bit-identical results for the same task inputs because
-the block optimizer is deterministic given its initial rows.
+Serial, pooled and in-parent runs produce bit-identical results for the
+same task inputs because the block optimizer is deterministic given its
+initial rows and every run of a task compiles the same corpus.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,8 +93,9 @@ class BlockTask:
         Global node ids of the community (sorted ascending).
     cascade_nodes, cascade_times:
         The community's sub-cascades in **local** ids — the materialized
-        (legacy / serial) representation.  ``None`` for arena-backed tasks,
-        whose corpus is addressed by index ranges instead.
+        representation :class:`SerialBackend` runs.  ``None`` for
+        arena-backed tasks, whose corpus is addressed by index ranges
+        instead.
     A_rows, B_rows:
         Initial (len(nodes), K) embedding rows (level *i* output seeds
         level *i+1*, Alg. 2).
@@ -177,7 +177,7 @@ class DispatchStats:
     :class:`~repro.parallel.supervision.FaultLogEntry`.
     """
 
-    mode: str  # "arena" | "legacy" | "empty"
+    mode: str  # "arena" | "empty"
     n_tasks: int
     wall_seconds: float
     compute_seconds: float
@@ -203,11 +203,10 @@ class DispatchStats:
 def run_block_task(
     task: BlockTask, workspace: Optional[GradientWorkspace] = None
 ) -> BlockResult:
-    """Execute one block task (module-level so it pickles for the pool).
+    """Execute one materialized block task in the calling process.
 
-    *workspace* lets long-lived callers (SerialBackend, the serial
-    degradation rung) reuse kernel buffers across tasks; results are
-    bit-identical either way.
+    *workspace* lets long-lived callers (SerialBackend) reuse kernel
+    buffers across tasks; results are bit-identical either way.
     """
     if task.cascade_nodes is None or task.cascade_times is None:
         raise ValueError(
@@ -292,10 +291,15 @@ class SerialBackend(Backend):
 _ATTACHMENTS: "OrderedDict[str, shared_memory.SharedMemory]" = OrderedDict()
 _ATTACHMENTS_MAX = 16
 
-#: selection digest -> {community_id: (CompiledCorpus, raw_infections)}.
-#: Keyed by *content*, so optimizer restarts over an unchanged level reuse
-#: the compiled structure even across run_level calls.
-_COMPILE_CACHE: "OrderedDict[str, Dict[int, Tuple[CompiledCorpus, int]]]" = OrderedDict()
+#: (arena name, selection digest) -> {community_id: (CompiledCorpus,
+#: raw_infections)}.  An arena segment is written once and a new corpus
+#: gets a new segment, so the arena name pins the corpus and the digest
+#: pins the level's split: optimizer restarts over an unchanged level
+#: reuse the compiled structure even across run_level calls, and a
+#: second corpus published by ``prepare`` never hits the first one's.
+_COMPILE_CACHE: "OrderedDict[Tuple[str, str], Dict[int, Tuple[CompiledCorpus, int]]]" = (
+    OrderedDict()
+)
 _COMPILE_CACHE_MAX_LEVELS = 4
 
 #: per-process gradient workspace, reused across every task/level this
@@ -336,110 +340,95 @@ def _prune_worker_caches(in_use: Tuple[str, ...]) -> None:
         _COMPILE_CACHE.popitem(last=False)
 
 
+def _compile_subcorpus(
+    times_v: np.ndarray,
+    nodes_v: np.ndarray,
+    pos_v: np.ndarray,
+    sub_v: np.ndarray,
+    members: np.ndarray,
+    sub_lo: int,
+    sub_hi: int,
+) -> Tuple[CompiledCorpus, int]:
+    """Gather sub-cascades ``[sub_lo, sub_hi)`` out of the arena and compile.
+
+    *times_v*/*nodes_v* are the arena's flat buffers, *pos_v*/*sub_v* the
+    positions and sub-cascade offsets that address them, and *members*
+    the community's sorted member list (the local-id remap).  Workers and
+    the parent's serial rung both compile here, so a task runs on the
+    same corpus wherever it runs.  Returns the corpus and its infection
+    count.
+    """
+    pos_lo, pos_hi = int(sub_v[sub_lo]), int(sub_v[sub_hi])
+    sel = pos_v[pos_lo:pos_hi]
+    # Fancy indexing copies, so the corpus never aliases shared memory
+    # (safe to cache past the segment's lifetime).
+    local_nodes = np.searchsorted(members, nodes_v[sel]).astype(np.int64)
+    rel_offsets = sub_v[sub_lo : sub_hi + 1] - pos_lo
+    # The driver's sub-cascade splitter drops size-<2 groups before they
+    # reach the arena, so the compaction scan is a guaranteed no-op.
+    corpus = CompiledCorpus.from_arena(
+        local_nodes, times_v[sel], rel_offsets, assume_compact=True
+    )
+    return corpus, pos_hi - pos_lo
+
+
 def _compiled_for_task(
     arena_meta: ArenaMeta,
     sel_meta: SelectionMeta,
     community_id: int,
     sub_lo: int,
     sub_hi: int,
-    mem_lo: int,
-    mem_hi: int,
+    members: np.ndarray,
 ) -> Tuple[CompiledCorpus, int]:
-    """Fetch (or build and cache) a task's compiled sub-corpus.
-
-    The cache key is (selection digest, community id): the digest pins the
-    level's exact split content, so a hit is guaranteed structurally
-    identical and survives optimizer restarts within the level.
-    """
-    per_level = _COMPILE_CACHE.get(sel_meta.digest)
+    """Fetch (or build and cache) a task's compiled sub-corpus."""
+    key = (arena_meta.name, sel_meta.digest)
+    per_level = _COMPILE_CACHE.get(key)
     if per_level is not None:
-        _COMPILE_CACHE.move_to_end(sel_meta.digest)
+        _COMPILE_CACHE.move_to_end(key)
         hit = per_level.get(community_id)
         if hit is not None:
             return hit
     else:
-        per_level = _COMPILE_CACHE[sel_meta.digest] = {}
+        per_level = _COMPILE_CACHE[key] = {}
     arena_shm = _attach_cached(arena_meta.name)
     sel_shm = _attach_cached(sel_meta.name)
     times_v, nodes_v, _ = CorpusArena.view(arena_shm.buf, arena_meta)
-    pos_v, sub_v, mem_v = LevelSelection.view(sel_shm.buf, sel_meta)
-    pos_lo, pos_hi = int(sub_v[sub_lo]), int(sub_v[sub_hi])
-    sel = pos_v[pos_lo:pos_hi]
-    g_nodes = nodes_v[sel]  # fancy index -> fresh array (safe to cache)
-    times = times_v[sel]
-    members = mem_v[mem_lo:mem_hi]
-    local_nodes = np.searchsorted(members, g_nodes).astype(np.int64)
-    rel_offsets = sub_v[sub_lo : sub_hi + 1] - pos_lo
-    # The driver's sub-cascade splitter drops size-<2 groups before they
-    # reach the arena, so the compaction scan is a guaranteed no-op.
-    corpus = CompiledCorpus.from_arena(
-        local_nodes, times, rel_offsets, assume_compact=True
+    pos_v, sub_v, _ = LevelSelection.view(sel_shm.buf, sel_meta)
+    entry = _compile_subcorpus(
+        times_v, nodes_v, pos_v, sub_v, members, sub_lo, sub_hi
     )
-    entry = (corpus, int(pos_hi - pos_lo))
     per_level[community_id] = entry
     return entry
 
 
-def _mp_worker(args: Tuple) -> Tuple:
-    """Worker entry: run one block task, scatter its rows, return stats.
+def _run_block(
+    task_idx: int,
+    community_id: int,
+    A: np.ndarray,
+    B: np.ndarray,
+    members: np.ndarray,
+    compile_corpus: Callable[[], Tuple[CompiledCorpus, int]],
+    config: OptimizerConfig,
+    workspace: GradientWorkspace,
+) -> Tuple:
+    """Fit one community's rows of the shared ``A``/``B`` blocks in place.
 
-    Dispatches on the payload tag: ``"arena"`` payloads carry only index
-    ranges into shared buffers; ``"legacy"`` payloads carry pickled
-    sub-cascade arrays.  Both return
+    Gathers the rows of *members*, runs the block optimizer on the corpus
+    *compile_corpus* returns, and scatters the rows back — disjoint rows
+    per community, so conflict-free by design.  Returns the result record
     ``(task_idx, community_id, n_iters, accepted_steps, stop_reason,
     final_loglik, wall_seconds, work_units, (compile_s, kernel_s,
-    gather_s))`` — rows travel back through shared memory.
-
-    The trailing payload element is a test-only fault spec (normally
-    ``None``); it fires *before* any shared state is touched, so injected
-    faults exercise the supervision loop deterministically.
+    gather_s))``; rows travel back through shared memory.
     """
-    if args[0] == "arena":
-        return _worker_arena(args)
-    return _worker_legacy(args)
-
-
-def _worker_arena(args: Tuple) -> Tuple:
-    (
-        _tag,
-        task_idx,
-        shm_a_name,
-        shm_b_name,
-        shape,
-        arena_meta,
-        sel_meta,
-        community_id,
-        sub_lo,
-        sub_hi,
-        mem_lo,
-        mem_hi,
-        config,
-        fault,
-    ) = args
-    inject_fault(fault)
     sw = Stopwatch()
     with sw:
-        shm_a = _attach_cached(shm_a_name)
-        shm_b = _attach_cached(shm_b_name)
-        _prune_worker_caches(
-            (shm_a_name, shm_b_name, arena_meta.name, sel_meta.name)
-        )
-        A = np.ndarray(shape, dtype=np.float64, buffer=shm_a.buf)
-        B = np.ndarray(shape, dtype=np.float64, buffer=shm_b.buf)
         t0 = time.perf_counter()
-        corpus, n_inf = _compiled_for_task(
-            arena_meta, sel_meta, community_id, sub_lo, sub_hi, mem_lo, mem_hi
-        )
+        corpus, n_inf = compile_corpus()
         t1 = time.perf_counter()
-        sel_shm = _attach_cached(sel_meta.name)
-        _, _, mem_v = LevelSelection.view(sel_shm.buf, sel_meta)
-        members = mem_v[mem_lo:mem_hi]
         model = EmbeddingModel(A[members], B[members])  # fancy gather = copy
         t2 = time.perf_counter()
-        opt = ProjectedGradientAscent(config)
-        fit = opt.fit(model, corpus, workspace=_worker_workspace())
+        fit = ProjectedGradientAscent(config).fit(model, corpus, workspace=workspace)
         t3 = time.perf_counter()
-        # Scatter: disjoint rows per community — conflict-free by design.
         A[members] = model.A
         B[members] = model.B
         t4 = time.perf_counter()
@@ -456,50 +445,51 @@ def _worker_arena(args: Tuple) -> Tuple:
     )
 
 
-def _worker_legacy(args: Tuple) -> Tuple:
+def _mp_worker(args: Tuple) -> Tuple:
+    """Worker entry: run one arena-backed block task (see :func:`_run_block`).
+
+    The payload carries only index ranges into the shared arena and
+    selection blocks.  Its trailing element is a test-only fault spec
+    (normally ``None``); it fires *before* any shared state is touched, so
+    injected faults exercise the supervision loop deterministically.
+    """
     (
-        _tag,
         task_idx,
         shm_a_name,
         shm_b_name,
         shape,
+        arena_meta,
+        sel_meta,
         community_id,
-        nodes,
-        cascade_nodes,
-        cascade_times,
+        sub_lo,
+        sub_hi,
+        mem_lo,
+        mem_hi,
         config,
         fault,
     ) = args
     inject_fault(fault)
-    # The parent owns (and unlinks) these segments; attach without letting
-    # this worker's resource tracker claim them too.
+    # The parent owns (and unlinks) these segments; workers attach without
+    # letting their resource tracker claim them too.
     shm_a = _attach_cached(shm_a_name)
     shm_b = _attach_cached(shm_b_name)
-    _prune_worker_caches((shm_a_name, shm_b_name))
+    sel_shm = _attach_cached(sel_meta.name)
+    _prune_worker_caches((shm_a_name, shm_b_name, arena_meta.name, sel_meta.name))
     A = np.ndarray(shape, dtype=np.float64, buffer=shm_a.buf)
     B = np.ndarray(shape, dtype=np.float64, buffer=shm_b.buf)
-    task = BlockTask(
-        community_id=community_id,
-        nodes=nodes,
-        cascade_nodes=cascade_nodes,
-        cascade_times=cascade_times,
-        A_rows=A[nodes],  # gather (copy happens inside run_block_task)
-        B_rows=B[nodes],
-        config=config,
-    )
-    result = run_block_task(task, workspace=_worker_workspace())
-    A[nodes] = result.A_rows
-    B[nodes] = result.B_rows
-    return (
+    _, _, mem_v = LevelSelection.view(sel_shm.buf, sel_meta)
+    members = mem_v[mem_lo:mem_hi]
+    return _run_block(
         task_idx,
         community_id,
-        result.n_iters,
-        result.accepted_steps,
-        result.stop_reason,
-        result.final_loglik,
-        result.wall_seconds,
-        result.work_units,
-        (result.compile_seconds, result.kernel_seconds, result.gather_seconds),
+        A,
+        B,
+        members,
+        lambda: _compiled_for_task(
+            arena_meta, sel_meta, community_id, sub_lo, sub_hi, members
+        ),
+        config,
+        _worker_workspace(),
     )
 
 
@@ -589,9 +579,8 @@ def _finalize_resources(resources: _Resources) -> None:
 class _LevelContext:
     """Per-``run_level`` state the supervised dispatch loop works against.
 
-    Holds everything needed to (re)build any task's payload at any rung —
-    so retries can degrade representation (arena → legacy → serial) and
-    reseed embedding rows without re-deriving level state.
+    Holds everything needed to (re)build any task's payload and to reseed
+    its embedding rows, so retries need not re-derive level state.
     """
 
     tasks: List[BlockTask]
@@ -600,15 +589,20 @@ class _LevelContext:
     name_b: str
     A: np.ndarray  # parent view of the shared A block
     B: np.ndarray
-    arena_mode: bool
-    arena_meta: Optional[ArenaMeta] = None
-    sel_meta: Optional[SelectionMeta] = None
-    #: per-task (sub_lo, sub_hi, mem_lo, mem_hi) index ranges (arena mode)
-    ranges: Optional[List[Tuple[int, int, int, int]]] = None
+    arena_meta: ArenaMeta
+    sel_meta: SelectionMeta
+    #: per-task (sub_lo, sub_hi, mem_lo, mem_hi) index ranges
+    ranges: List[Tuple[int, int, int, int]]
 
 
 class MultiprocessBackend(Backend):
     """Run tasks on a pool of OS processes with shared-memory embeddings.
+
+    :meth:`prepare` must publish the corpus before :meth:`run_level` sees
+    a task with nodes, and those tasks must be arena-backed (built from
+    the returned :class:`~repro.parallel.arena.CorpusArena`);
+    :meth:`HierarchicalInference.fit
+    <repro.parallel.hierarchical.HierarchicalInference.fit>` does both.
 
     Parameters
     ----------
@@ -617,20 +611,18 @@ class MultiprocessBackend(Backend):
     context:
         ``multiprocessing`` start method; ``fork`` is the fast default on
         Linux.
-    use_arena:
-        Serve :meth:`prepare` with a shared-memory corpus arena so levels
-        dispatch zero-copy (default).  ``False`` forces the legacy
-        pickle-the-cascades path even through the hierarchical driver —
-        kept for A/B benchmarking of the dispatch overhead.
     profile_dispatch:
         Record per-level payload size and pickle time in
         :attr:`level_profiles` (costs one extra serialization per payload;
         meant for the dispatch benchmark, not production runs).
     max_retries:
-        Extra attempts per block task beyond the first; the last
-        permitted attempt always runs serially in the parent, so one
-        pathological community degrades instead of failing the run.
-        Shorthand for the corresponding :class:`SupervisionConfig` field.
+        Extra attempts per block task beyond the first.  Attempts before
+        the last run in the pool; the last permitted attempt (attempt
+        ``max_retries``) runs serially in the parent, so one pathological
+        community degrades instead of failing the run.  The default 3
+        allows up to three pool attempts before the parent; ``0`` runs
+        every task in the parent.  Shorthand for the corresponding
+        :class:`SupervisionConfig` field.
     task_timeout:
         Explicit per-task deadline in seconds; ``None`` derives one from
         the dispatch cost estimator once it has observed a level (see
@@ -648,7 +640,6 @@ class MultiprocessBackend(Backend):
         self,
         n_workers: Optional[int] = None,
         context: str = "fork",
-        use_arena: bool = True,
         profile_dispatch: bool = False,
         max_retries: int = 3,
         task_timeout: Optional[float] = None,
@@ -668,7 +659,6 @@ class MultiprocessBackend(Backend):
             self._pool = pool
             self._worker_pids = frozenset(p.pid for p in pool._pool)
             self._closed = False
-            self.use_arena = bool(use_arena)
             self.profile_dispatch = bool(profile_dispatch)
             self.supervision = supervision or SupervisionConfig(
                 max_retries=max_retries, task_timeout=task_timeout
@@ -682,7 +672,7 @@ class MultiprocessBackend(Backend):
             #: pool generations spawned after faults (0 = never respawned)
             self.respawn_count = 0
             self._level_ctx: Optional[_LevelContext] = None
-            #: kernel buffers for the serial degradation rung (parent-side)
+            #: kernel buffers for the in-parent serial rung
             self._serial_workspace = GradientWorkspace()
             self._segments = _EmbeddingSegments()
             self._resources.segments.append(self._segments)
@@ -702,12 +692,11 @@ class MultiprocessBackend(Backend):
 
     # ------------------------------------------------------------------ #
 
-    def prepare(self, cascades: CascadeSet) -> Optional[CorpusArena]:
-        """Publish *cascades* to a shared-memory arena (arena mode only)."""
+    def prepare(self, cascades: CascadeSet) -> CorpusArena:
+        """Publish *cascades* to a shared-memory arena (replacing any
+        previously published corpus)."""
         if self._closed:
             raise RuntimeError("backend already closed")
-        if not self.use_arena:
-            return None
         if self._arena is not None:
             self._arena.close()
             self._resources.segments.remove(self._arena)
@@ -727,50 +716,51 @@ class MultiprocessBackend(Backend):
         if not tasks:
             return []
         t_start = time.perf_counter()
-        nonempty = [t for t in tasks if t.nodes.size]
-        if not nonempty:
-            # Nothing references any embedding row: there is no shared
-            # state to build and nothing for a worker to optimize.
+        # A task without nodes references no embedding row: there is
+        # nothing for a worker to optimize.
+        work = [t for t in tasks if t.nodes.size]
+        if not work:
             stats = DispatchStats("empty", len(tasks), 0.0, 0.0, 0.0)
             self.level_profiles.append(stats)
             return [self._empty_result(t) for t in tasks]
+        if self._arena is None or not all(t.is_arena_backed for t in work):
+            raise ValueError(
+                "MultiprocessBackend runs arena-backed tasks only: publish "
+                "the corpus with prepare() and build the tasks from the "
+                "returned arena (HierarchicalInference.fit does both)"
+            )
 
         # All tasks at a level share the embedding shape; size the shared
         # blocks by the largest referenced row.
-        K = tasks[0].A_rows.shape[1]
-        n_total = 1 + max(int(t.nodes.max()) for t in nonempty)
+        K = work[0].A_rows.shape[1]
+        n_total = 1 + max(int(t.nodes.max()) for t in work)
         shape = (n_total, K)
         A, B, name_a, name_b = self._segments.ensure(shape)
-        for t in nonempty:
+        for t in work:
             A[t.nodes] = t.A_rows
             B[t.nodes] = t.B_rows
-
-        arena_mode = (
-            self._arena is not None
-            and all(t.is_arena_backed for t in tasks)
-        )
+        sel_meta, ranges = self._publish_selection(work)
         ctx = _LevelContext(
-            tasks=tasks,
+            tasks=work,
             shape=shape,
             name_a=name_a,
             name_b=name_b,
             A=A,
             B=B,
-            arena_mode=arena_mode,
+            arena_meta=self._arena.meta,
+            sel_meta=sel_meta,
+            ranges=ranges,
         )
-        if arena_mode:
-            self._publish_selection(ctx)
         if sanitize.enabled():
             self._sanitize_level(ctx)
         build_seconds = time.perf_counter() - t_start
 
         payload_bytes = pickle_seconds = None
         if self.profile_dispatch:
-            native = "arena" if arena_mode else "legacy"
             t0 = time.perf_counter()
             payload_bytes = 0
-            for idx in range(len(tasks)):
-                payload = self._payload_for(ctx, idx, native, None)
+            for idx in range(len(work)):
+                payload = self._payload_for(ctx, idx, None)
                 payload_bytes += len(
                     pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
                 )
@@ -779,8 +769,8 @@ class MultiprocessBackend(Backend):
         # LPT dispatch: predicted-longest first, so the level's straggler
         # is in flight before the cheap tasks queue up behind it.  The
         # supervised loop keeps ≤ n_workers outstanding, applies
-        # deadlines, and retries faults down the degradation ladder.
-        order = self.estimator.order([t.n_infections for t in tasks])
+        # deadlines, and retries faults (pool, then parent).
+        order = self.estimator.order([t.n_infections for t in work])
         self._level_ctx = ctx
         try:
             outcome = SupervisedDispatcher(
@@ -790,9 +780,9 @@ class MultiprocessBackend(Backend):
             self._level_ctx = None
 
         results = []
-        for idx, t in enumerate(tasks):
+        for idx, t in enumerate(work):
             (
-                _idx, cid, n_iters, accepted, reason, ll, secs, work, split
+                _idx, cid, n_iters, accepted, reason, ll, secs, units, split
             ) = outcome.records[idx]
             compile_s, kernel_s, gather_s = split
             results.append(
@@ -804,7 +794,7 @@ class MultiprocessBackend(Backend):
                     n_iters=n_iters,
                     final_loglik=ll,
                     wall_seconds=secs,
-                    work_units=work,
+                    work_units=units,
                     accepted_steps=accepted,
                     stop_reason=reason,
                     compile_seconds=compile_s,
@@ -814,12 +804,12 @@ class MultiprocessBackend(Backend):
             )
         self.estimator.observe_level(
             [r.work_units for r in results],
-            [t.n_infections for t in tasks],
+            [t.n_infections for t in work],
             [r.wall_seconds for r in results],
         )
         self.level_profiles.append(
             DispatchStats(
-                mode="arena" if arena_mode else "legacy",
+                mode="arena",
                 n_tasks=len(tasks),
                 wall_seconds=time.perf_counter() - t_start,
                 compute_seconds=float(sum(r.wall_seconds for r in results)),
@@ -834,61 +824,51 @@ class MultiprocessBackend(Backend):
                 gather_seconds=float(sum(r.gather_seconds for r in results)),
             )
         )
-        return results
+        done = iter(results)
+        return [
+            next(done) if t.nodes.size else self._empty_result(t) for t in tasks
+        ]
 
     # ------------------------------------------------------------------ #
 
     def _sanitize_level(self, ctx: _LevelContext) -> None:
         """``REPRO_SANITIZE`` pre-dispatch check of the level's writes.
 
-        Workers scatter ``A[members_slice] = ...`` (arena mode) or
-        ``A[task.nodes] = ...`` (legacy mode); both must be pairwise
-        disjoint and match each task's assignment.  Arena mode validates
-        the members block *read back from the published shared segment*
+        Workers scatter ``A[members_slice] = ...``; the slices must be
+        pairwise disjoint and match each task's assignment.  The members
+        block is validated *read back from the published shared segment*
         — the exact array workers will address — so a stale digest-reuse
         or a corrupt selection write is caught before any worker runs.
         """
-        level = ctx.tasks[0].level if ctx.tasks else 0
-        cids = [t.community_id for t in ctx.tasks]
-        assigned = [np.asarray(t.nodes, dtype=np.int64) for t in ctx.tasks]
-        if ctx.arena_mode:
-            _, _, mem_v = self._selection.resident_views()
-            try:
-                sanitize.verify_selection(
-                    level,
-                    cids,
-                    assigned,
-                    mem_v,
-                    [(mem_lo, mem_hi) for (_, _, mem_lo, mem_hi) in ctx.ranges],
-                )
-            finally:
-                del mem_v
-        else:
-            ledger = sanitize.WriteLedger(level)
-            for cid, rows in zip(cids, assigned):
-                ledger.assign(cid, rows)
-                ledger.record_write(cid, rows)
-            ledger.verify()
+        _, _, mem_v = self._selection.resident_views()
+        try:
+            sanitize.verify_selection(
+                ctx.tasks[0].level,
+                [t.community_id for t in ctx.tasks],
+                [np.asarray(t.nodes, dtype=np.int64) for t in ctx.tasks],
+                mem_v,
+                [(mem_lo, mem_hi) for (_, _, mem_lo, mem_hi) in ctx.ranges],
+            )
+        finally:
+            del mem_v
 
     # ------------------------------------------------------------------ #
-    # Payload construction (per task, per degradation rung)
+    # Payload construction
     # ------------------------------------------------------------------ #
 
-    def _publish_selection(self, ctx: _LevelContext) -> None:
-        """Publish the level's selection block; record per-task ranges."""
-        tasks = ctx.tasks
-        positions = np.concatenate(
-            [t.arena_positions for t in tasks]
-            or [np.empty(0, dtype=np.int64)]
-        )
+    def _publish_selection(
+        self, tasks: List[BlockTask]
+    ) -> Tuple[SelectionMeta, List[Tuple[int, int, int, int]]]:
+        """Publish the level's selection block; return its meta and the
+        per-task ``(sub_lo, sub_hi, mem_lo, mem_hi)`` ranges."""
+        positions = np.concatenate([t.arena_positions for t in tasks])
         members = np.concatenate(
             [np.asarray(t.nodes, dtype=np.int64) for t in tasks]
-            or [np.empty(0, dtype=np.int64)]
         )
         # Stitch per-task relative sub-offsets into one global array.
         n_groups = sum(t.arena_sub_offsets.size - 1 for t in tasks)
         sub_offsets = np.zeros(n_groups + 1, dtype=np.int64)
-        ranges = []  # (sub_lo, sub_hi, mem_lo, mem_hi) per task
+        ranges = []
         g = 0
         pos_base = 0
         mem_base = 0
@@ -899,115 +879,64 @@ class MultiprocessBackend(Backend):
             g += s
             pos_base += int(t.arena_positions.size)
             mem_base += int(t.nodes.size)
-        ctx.sel_meta = self._selection.update(positions, sub_offsets, members)
-        ctx.arena_meta = self._arena.meta
-        ctx.ranges = ranges
+        return self._selection.update(positions, sub_offsets, members), ranges
 
     def _payload_for(
-        self, ctx: _LevelContext, idx: int, rung: str, fault: Optional[Tuple]
+        self, ctx: _LevelContext, idx: int, fault: Optional[Tuple]
     ) -> Tuple:
-        """Build task *idx*'s payload at the given degradation rung."""
+        """Task *idx*'s worker payload: index ranges into shared blocks."""
         t = ctx.tasks[idx]
-        if rung == "arena":
-            sub_lo, sub_hi, mem_lo, mem_hi = ctx.ranges[idx]
-            return (
-                "arena",
-                idx,
-                ctx.name_a,
-                ctx.name_b,
-                ctx.shape,
-                ctx.arena_meta,
-                ctx.sel_meta,
-                t.community_id,
-                sub_lo,
-                sub_hi,
-                mem_lo,
-                mem_hi,
-                t.config,
-                fault,
-            )
-        cascade_nodes, cascade_times = self._materialized_lists(t)
+        sub_lo, sub_hi, mem_lo, mem_hi = ctx.ranges[idx]
         return (
-            "legacy",
             idx,
             ctx.name_a,
             ctx.name_b,
             ctx.shape,
+            ctx.arena_meta,
+            ctx.sel_meta,
             t.community_id,
-            t.nodes,
-            cascade_nodes,
-            cascade_times,
+            sub_lo,
+            sub_hi,
+            mem_lo,
+            mem_hi,
             t.config,
             fault,
         )
-
-    def _materialized_lists(
-        self, t: BlockTask
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """The task's sub-cascades as local-id array lists.
-
-        Arena-backed tasks are materialized from the parent's own arena
-        views — the same gather + ``searchsorted`` remap workers perform,
-        so a degraded (legacy or serial) retry sees a bit-identical
-        corpus.
-        """
-        if t.cascade_nodes is not None:
-            return t.cascade_nodes, t.cascade_times
-        pos = t.arena_positions
-        offs = t.arena_sub_offsets
-        g_nodes = self._arena.nodes[pos]
-        times = self._arena.times[pos]
-        local = np.searchsorted(
-            np.asarray(t.nodes, dtype=np.int64), g_nodes
-        ).astype(np.int64)
-        cascade_nodes = [
-            local[offs[j] : offs[j + 1]] for j in range(offs.size - 1)
-        ]
-        cascade_times = [
-            times[offs[j] : offs[j + 1]] for j in range(offs.size - 1)
-        ]
-        return cascade_nodes, cascade_times
 
     # ------------------------------------------------------------------ #
     # SupervisedDispatcher host protocol
     # ------------------------------------------------------------------ #
 
-    def submit_attempt(self, idx: int, attempt: int, rung: str) -> "mp.pool.AsyncResult":
+    def submit_attempt(self, idx: int, attempt: int) -> "mp.pool.AsyncResult":
         """Dispatch one attempt of task *idx* to the current pool."""
         fault = self._fault_spec(idx, attempt)
-        payload = self._payload_for(self._level_ctx, idx, rung, fault)
+        payload = self._payload_for(self._level_ctx, idx, fault)
         return self._pool.apply_async(_mp_worker, (payload,))
 
     def run_serial_fallback(self, idx: int) -> Tuple:
-        """Final degradation rung: run the task in-process, scatter rows."""
+        """Last rung: run task *idx* in the parent, against the same shared
+        ``A``/``B`` blocks and arena, with the worker's own compile step
+        (minus its cache)."""
         ctx = self._level_ctx
         t = ctx.tasks[idx]
-        cascade_nodes, cascade_times = self._materialized_lists(t)
-        res = run_block_task(
-            BlockTask(
-                community_id=t.community_id,
-                nodes=t.nodes,
-                cascade_nodes=cascade_nodes,
-                cascade_times=cascade_times,
-                A_rows=t.A_rows,
-                B_rows=t.B_rows,
-                config=t.config,
-                level=t.level,
-            ),
-            workspace=self._serial_workspace,
-        )
-        ctx.A[t.nodes] = res.A_rows
-        ctx.B[t.nodes] = res.B_rows
-        return (
+        offsets = t.arena_sub_offsets
+        return _run_block(
             idx,
             t.community_id,
-            res.n_iters,
-            res.accepted_steps,
-            res.stop_reason,
-            res.final_loglik,
-            res.wall_seconds,
-            res.work_units,
-            (res.compile_seconds, res.kernel_seconds, res.gather_seconds),
+            ctx.A,
+            ctx.B,
+            t.nodes,
+            lambda: _compile_subcorpus(
+                self._arena.times,
+                self._arena.nodes,
+                t.arena_positions,
+                offsets,
+                t.nodes,
+                0,
+                offsets.size - 1,
+            ),
+            t.config,
+            self._serial_workspace,
         )
 
     def reseed_tasks(self, indices: Sequence[int]) -> None:
@@ -1050,11 +979,6 @@ class MultiprocessBackend(Backend):
         return self.estimator.deadline(
             t.n_infections, factor=cfg.timeout_factor, floor=cfg.timeout_floor
         )
-
-    def task_rungs(self, idx: int) -> Tuple[str, ...]:
-        if self._level_ctx.arena_mode:
-            return ("arena", "legacy", "serial")
-        return ("legacy", "serial")
 
     def task_community(self, idx: int) -> int:
         return self._level_ctx.tasks[idx].community_id

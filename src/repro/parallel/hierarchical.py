@@ -322,7 +322,7 @@ class HierarchicalInference:
 
         Produces the same communities, sub-cascades, and seed rows as
         :meth:`_materialized_tasks` — only the corpus representation
-        differs (flat arena positions instead of pickled array lists), so
+        differs (flat arena positions instead of array lists), so
         serial and arena runs stay bit-identical.
         """
         ps = split_positions(

@@ -23,17 +23,19 @@ module supplies the pieces the :class:`~repro.parallel.backends
   deterministically (a chosen task at a chosen attempt raises, calls
   ``os._exit``, or sleeps past its deadline) instead of by flaky timing.
 
-**Degradation ladder.**  A failed attempt is retried with exponential
-backoff, escalating representations: ``arena`` (zero-copy shared-memory
-payload) → ``legacy`` (pickled sub-cascade arrays, sidestepping any
-shared-segment corruption) → ``serial`` (the task runs in-process in the
-parent, which cannot be killed by a worker fault).  The final permitted
-attempt is always ``serial``, so one pathological community degrades to
-serial execution instead of failing the whole run.  Every retry first
-re-seeds the task's embedding rows from its original seed, so a partial
-scatter by a dying worker can never leak into the retried computation —
-results stay bit-identical to :class:`~repro.parallel.backends
-.SerialBackend` no matter how many faults occurred.
+**Retry ladder.**  A failed attempt is retried with exponential
+backoff under one rule: attempts before ``max_retries`` run in the pool
+(``arena``: the zero-copy shared-memory payload), and the last permitted
+attempt, attempt ``max_retries``, runs ``serial`` in the parent, which a
+worker fault cannot kill.  A fault is therefore only ever recorded for a
+pool attempt, whose next attempt is still within the budget, so one
+pathological community degrades to serial execution instead of failing
+the whole run; an exception the task raises in the parent is the task's
+own and propagates.  Every retry first re-seeds the task's embedding
+rows from its original seed, so a partial scatter by a dying worker can
+never leak into the retried computation — results stay bit-identical to
+:class:`~repro.parallel.backends.SerialBackend` no matter how many faults
+occurred.
 
 **Zombie writes.**  A hung worker that later wakes must not scatter stale
 rows over a retry's result.  The dispatcher therefore never retries a
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import os
 import time
 from collections import deque
@@ -58,7 +61,6 @@ __all__ = [
     "FaultLogEntry",
     "SupervisionConfig",
     "InjectedFault",
-    "TaskFailedError",
     "DispatchOutcome",
     "SupervisedDispatcher",
     "inject_fault",
@@ -67,24 +69,6 @@ __all__ = [
 
 class InjectedFault(RuntimeError):
     """Raised inside a worker by a test fault plan (``action="raise"``)."""
-
-
-class TaskFailedError(RuntimeError):
-    """A block task exhausted its retry budget without completing.
-
-    Carries the task's fault history so the operator sees *why* (every
-    attempt's cause) rather than a bare failure.
-    """
-
-    def __init__(self, task_idx: int, community_id: int, entries: Sequence["FaultLogEntry"]) -> None:
-        self.task_idx = task_idx
-        self.community_id = community_id
-        self.entries = list(entries)
-        causes = ", ".join(f"attempt {e.attempt}: {e.cause}" for e in self.entries)
-        super().__init__(
-            f"block task {task_idx} (community {community_id}) failed after "
-            f"{len(self.entries)} attempt(s) [{causes or 'no recorded faults'}]"
-        )
 
 
 @dataclass(frozen=True)
@@ -105,9 +89,8 @@ class FaultLogEntry:
         generation, so co-scheduled tasks may each carry an entry), or
         ``"exception"`` (the worker raised).
     fallback:
-        Execution rung chosen for the *next* attempt (``"arena"``,
-        ``"legacy"``, or ``"serial"``); ``None`` when the retry budget
-        was exhausted.
+        Execution rung of the *next* attempt: ``"arena"`` (the pool) or
+        ``"serial"`` (the parent, for the last permitted attempt).
     detail:
         Human-readable specifics (exception repr, deadline, exit codes).
     elapsed_seconds:
@@ -118,7 +101,7 @@ class FaultLogEntry:
     community_id: int
     attempt: int
     cause: str
-    fallback: Optional[str]
+    fallback: str
     detail: str = ""
     elapsed_seconds: float = 0.0
 
@@ -131,9 +114,11 @@ class SupervisionConfig:
     ----------
     max_retries:
         Extra attempts allowed per task beyond the first (so a task runs
-        at most ``max_retries + 1`` times).  The last permitted attempt
-        always executes serially in the parent; ``0`` disables retries
-        entirely (a fault then raises :class:`TaskFailedError`).
+        at most ``max_retries + 1`` times).  Attempts ``0 .. max_retries
+        - 1`` run in the pool and the last permitted attempt, attempt
+        ``max_retries``, runs serially in the parent.  The default 3 thus
+        allows up to three pool attempts before the parent; ``0`` runs
+        attempt 0, hence every task, in the parent.
     task_timeout:
         Explicit per-task deadline in seconds.  ``None`` derives one from
         the backend's :class:`~repro.parallel.costmodel
@@ -161,6 +146,18 @@ class SupervisionConfig:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        # NaN passes every ordered comparison, and a NaN deadline would
+        # never expire: require finite values before the range checks.
+        for name in (
+            "task_timeout",
+            "timeout_factor",
+            "timeout_floor",
+            "backoff_seconds",
+            "poll_interval",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive (or None)")
         if self.timeout_factor <= 0 or self.timeout_floor <= 0:
@@ -240,7 +237,6 @@ class _InFlight:
 
     result: object  # multiprocessing.pool.AsyncResult
     attempt: int
-    rung: str
     submitted_at: float
     deadline: Optional[float]
 
@@ -259,17 +255,16 @@ class SupervisedDispatcher:
     """Drive one level's payloads through a host backend, surviving faults.
 
     The *host* (duck-typed; implemented by ``MultiprocessBackend``) owns
-    the pool, the payload formats, and the shared segments; the
+    the pool, the payload format, and the shared segments; the
     dispatcher owns scheduling, deadlines, liveness, and the retry
     ladder.  Host protocol::
 
-        submit_attempt(task_idx, attempt, rung) -> AsyncResult
-        run_serial_fallback(task_idx) -> record tuple
+        submit_attempt(task_idx, attempt) -> AsyncResult   # pool attempt
+        run_serial_fallback(task_idx) -> record tuple      # in the parent
         reseed_tasks(task_indices)        # rewrite A/B seed rows
         respawn_pool()                    # terminate generation, fresh pool
         pool_damaged() -> bool            # any worker of this generation died
         task_deadline(task_idx) -> Optional[float]
-        task_rungs(task_idx) -> tuple     # e.g. ("arena","legacy","serial")
         task_community(task_idx) -> int
     """
 
@@ -280,15 +275,13 @@ class SupervisedDispatcher:
 
     # ------------------------------------------------------------------ #
 
-    def _rung_for(self, task_idx: int, attempt: int) -> str:
-        """Execution rung for an attempt: walk the ladder, end serial."""
-        rungs = self.host.task_rungs(task_idx)
-        if attempt >= self.config.max_retries:  # final permitted attempt
-            return rungs[-1]
-        return rungs[min(attempt, len(rungs) - 1)]
+    def _rung_for(self, attempt: int) -> str:
+        """Execution rung of an attempt: the pool while retries remain,
+        the parent for the last permitted attempt."""
+        return "arena" if attempt < self.config.max_retries else "serial"
 
     def run(self, order: Sequence[int]) -> DispatchOutcome:
-        """Execute every task in *order* (LPT) to completion, or raise.
+        """Execute every task in *order* (LPT) to completion.
 
         Returns one record per task, each counted exactly once no matter
         how many attempts it took.
@@ -299,47 +292,40 @@ class SupervisedDispatcher:
         retry_heap: List[Tuple[float, int, int, int]] = []  # (ready_at, seq, idx, attempt)
         seq = itertools.count()
         inflight: Dict[int, _InFlight] = {}
-        history: Dict[int, List[FaultLogEntry]] = {}
 
         def launch(idx: int, attempt: int) -> None:
-            rung = self._rung_for(idx, attempt)
-            if rung == "serial":
+            if self._rung_for(attempt) == "serial":
                 # In-process: cannot be killed or lost; genuine exceptions
                 # propagate (they indicate the task itself, not the
                 # harness, is broken).
                 out.records[idx] = self.host.run_serial_fallback(idx)
                 return
-            res = self.host.submit_attempt(idx, attempt, rung)
             inflight[idx] = _InFlight(
-                result=res,
+                result=self.host.submit_attempt(idx, attempt),
                 attempt=attempt,
-                rung=rung,
                 submitted_at=time.monotonic(),
                 deadline=self.host.task_deadline(idx),
             )
 
         def record_fault(idx: int, attempt: int, cause: str, detail: str, elapsed: float) -> None:
-            next_attempt = attempt + 1
-            exhausted = next_attempt > cfg.max_retries
-            fallback = None if exhausted else self._rung_for(idx, next_attempt)
-            entry = FaultLogEntry(
-                task_idx=idx,
-                community_id=self.host.task_community(idx),
-                attempt=attempt,
-                cause=cause,
-                fallback=fallback,
-                detail=detail,
-                elapsed_seconds=elapsed,
+            # Only pool attempts fault, and a pool attempt is never the
+            # last permitted one, so the next attempt is within budget.
+            out.fault_log.append(
+                FaultLogEntry(
+                    task_idx=idx,
+                    community_id=self.host.task_community(idx),
+                    attempt=attempt,
+                    cause=cause,
+                    fallback=self._rung_for(attempt + 1),
+                    detail=detail,
+                    elapsed_seconds=elapsed,
+                )
             )
-            out.fault_log.append(entry)
-            history.setdefault(idx, []).append(entry)
-            if exhausted:
-                raise TaskFailedError(idx, entry.community_id, history[idx])
             # A dying attempt may have partially scattered rows: restore
             # the task's seed before the retry so results stay exact.
             self.host.reseed_tasks([idx])
             ready_at = time.monotonic() + cfg.backoff_seconds * (2 ** attempt)
-            heapq.heappush(retry_heap, (ready_at, next(seq), idx, next_attempt))
+            heapq.heappush(retry_heap, (ready_at, next(seq), idx, attempt + 1))
             out.n_retries += 1
 
         def handle_crash() -> None:

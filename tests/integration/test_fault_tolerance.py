@@ -1,8 +1,8 @@
 """Integration: injected worker faults must not change results.
 
 The supervision loop's contract is that crashes, hangs, and exceptions
-are invisible in the output: every fault path (retry, degradation rung,
-pool respawn, reseed) reproduces the :class:`SerialBackend` embeddings
+are invisible in the output: every fault path (pool retry, the serial
+rung in the parent, pool respawn, reseed) reproduces the :class:`SerialBackend` embeddings
 bit-for-bit, and no shared-memory segment outlives the backend.
 
 Faults are driven by the test-only ``_FaultPlan`` shipped inside worker
@@ -87,15 +87,23 @@ class TestInjectedException:
 
     def test_degradation_ladder_arena_then_serial(self, world, reference):
         ref_model, _ = reference
-        # failing attempts 0 and 1 walks arena -> legacy -> serial
-        plan = _FaultPlan(task_idx=0, action="raise", attempts=(0, 1))
+        # failing every pool attempt (0, 1, 2 under the default
+        # max_retries=3) leaves the last permitted attempt to the parent
+        plan = _FaultPlan(task_idx=0, action="raise", attempts=(0, 1, 2))
         model, result, _ = _fit_with_faults(world, plan)
         _assert_identical(model, ref_model)
-        per_level = {}
-        for e in result.fault_log:
-            per_level.setdefault(e.attempt, e.fallback)
-        assert per_level[0] == "legacy"
-        assert per_level[1] == "serial"
+        for level in result.levels:
+            assert [(e.attempt, e.fallback) for e in level.fault_log] == [
+                (0, "arena"),
+                (1, "arena"),
+                (2, "serial"),
+            ]
+
+    def test_zero_retries_runs_every_task_in_the_parent(self, world, reference):
+        ref_model, _ = reference
+        model, result, respawns = _fit_with_faults(world, None, max_retries=0)
+        _assert_identical(model, ref_model)
+        assert result.fault_log == [] and respawns == 0
 
 
 class TestWorkerCrash:
@@ -111,13 +119,6 @@ class TestWorkerCrash:
         # (arena, selection, A/B) must be gone despite the respawns
         leaked = _shm_entries() - before
         assert leaked == set(), f"leaked shared memory: {leaked}"
-
-    def test_crash_in_legacy_mode(self, world, reference):
-        ref_model, _ = reference
-        plan = _FaultPlan(task_idx=0, action="exit", attempts=(0,))
-        model, result, respawns = _fit_with_faults(world, plan, use_arena=False)
-        _assert_identical(model, ref_model)
-        assert respawns >= 1
 
 
 class TestHungWorker:

@@ -5,9 +5,8 @@ execution changes *nothing* about the result.  This suite drives the full
 hierarchical engine over randomized corpora — including simultaneous
 infections (tie groups) and single-node communities — through
 
-* :class:`SerialBackend` (the reference),
-* :class:`MultiprocessBackend` with zero-copy arena dispatch (default),
-* :class:`MultiprocessBackend` forced onto the legacy pickling path,
+* :class:`SerialBackend` (the reference) and
+* :class:`MultiprocessBackend` (zero-copy arena dispatch),
 
 and requires exact ``A``/``B`` equality, not mere closeness: the arena's
 ``from_arena`` compilation and the worker-side compile cache must be
@@ -19,7 +18,7 @@ import pytest
 
 from repro.cascades.types import Cascade, CascadeSet
 
-pytestmark = pytest.mark.slow  # spawns three pools per seed
+pytestmark = pytest.mark.slow  # spawns a pool per seed
 from repro.community.mergetree import MergeTree
 from repro.community.partition import Partition
 from repro.embedding.model import EmbeddingModel
@@ -66,17 +65,12 @@ def test_backends_bit_identical(seed):
     m_arena, r_arena = fit_with(
         lambda: MultiprocessBackend(n_workers=2), cs, part, seed
     )
-    m_legacy, r_legacy = fit_with(
-        lambda: MultiprocessBackend(n_workers=2, use_arena=False), cs, part, seed
-    )
     assert np.array_equal(m_serial.A, m_arena.A)
     assert np.array_equal(m_serial.B, m_arena.B)
-    assert np.array_equal(m_serial.A, m_legacy.A)
-    assert np.array_equal(m_serial.B, m_legacy.B)
-    for rs, ra, rl in zip(r_serial.levels, r_arena.levels, r_legacy.levels):
-        assert rs.work_units == ra.work_units == rl.work_units
-        assert rs.iterations == ra.iterations == rl.iterations
-        assert rs.logliks == ra.logliks == rl.logliks
+    for rs, ra in zip(r_serial.levels, r_arena.levels):
+        assert rs.work_units == ra.work_units
+        assert rs.iterations == ra.iterations
+        assert rs.logliks == ra.logliks
 
 
 def test_single_node_communities_everywhere():

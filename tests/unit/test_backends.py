@@ -1,5 +1,6 @@
 """Unit tests for execution backends (serial and multiprocess)."""
 
+import dataclasses
 import multiprocessing as mp
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.parallel.backends import (
     SerialBackend,
     run_block_task,
 )
+from repro.parallel.splitting import split_positions
 
 
 def make_tasks(seed=0, n_comm=2):
@@ -37,6 +39,35 @@ def make_tasks(seed=0, n_comm=2):
             )
         )
     return tasks
+
+
+def arena_tasks(backend, seed=0, n_comm=2):
+    """:func:`make_tasks`' communities as arena-backed tasks.
+
+    Publishes their corpora through ``backend.prepare`` and splits the
+    arena with ``split_positions``, as the hierarchical driver does, so
+    each task compiles to the same local corpus as its materialized twin.
+    """
+    tasks = make_tasks(seed, n_comm)
+    corpus = CascadeSet(3 * n_comm)
+    for t in tasks:
+        for nodes, times in zip(t.cascade_nodes, t.cascade_times):
+            corpus.append(Cascade(t.nodes[nodes], times))
+    arena = backend.prepare(corpus)
+    ps = split_positions(arena.nodes, arena.offsets, np.arange(3 * n_comm) // 3)
+    out = []
+    for t in tasks:
+        lo, hi = ps.community_range(t.community_id)
+        out.append(
+            dataclasses.replace(
+                t,
+                cascade_nodes=None,
+                cascade_times=None,
+                arena_positions=ps.positions[ps.sub_offsets[lo] : ps.sub_offsets[hi]],
+                arena_sub_offsets=ps.sub_offsets[lo : hi + 1] - ps.sub_offsets[lo],
+            )
+        )
+    return out
 
 
 class TestRunBlockTask:
@@ -86,12 +117,12 @@ class TestMultiprocessBackend:
     def test_matches_serial_exactly(self):
         serial = SerialBackend().run_level(make_tasks())
         with MultiprocessBackend(n_workers=2) as backend:
-            parallel = backend.run_level(make_tasks())
+            parallel = backend.run_level(arena_tasks(backend))
         for s, p in zip(serial, parallel):
-            assert np.allclose(s.A_rows, p.A_rows)
-            assert np.allclose(s.B_rows, p.B_rows)
+            assert np.array_equal(s.A_rows, p.A_rows)
+            assert np.array_equal(s.B_rows, p.B_rows)
             assert s.n_iters == p.n_iters
-            assert s.final_loglik == pytest.approx(p.final_loglik)
+            assert s.final_loglik == p.final_loglik
 
     def test_empty_level(self):
         with MultiprocessBackend(n_workers=1) as backend:
@@ -99,9 +130,18 @@ class TestMultiprocessBackend:
 
     def test_reuse_across_levels(self):
         with MultiprocessBackend(n_workers=2) as backend:
-            r1 = backend.run_level(make_tasks(seed=1))
-            r2 = backend.run_level(make_tasks(seed=2))
+            r1 = backend.run_level(arena_tasks(backend, seed=1))
+            r2 = backend.run_level(arena_tasks(backend, seed=2))
         assert len(r1) == len(r2) == 2
+
+    def test_rejects_materialized_tasks(self):
+        with MultiprocessBackend(n_workers=1) as backend:
+            with pytest.raises(ValueError, match="arena-backed"):
+                backend.run_level(make_tasks())  # before prepare()
+            backend.prepare(CascadeSet(6))
+            with pytest.raises(ValueError, match="arena-backed"):
+                backend.run_level(make_tasks())
+            assert backend.level_profiles == []
 
     def test_closed_backend_rejects(self):
         backend = MultiprocessBackend(n_workers=1)
@@ -154,12 +194,16 @@ class TestEmptyNodeLevels:
             assert r.work_units == 0
 
     def test_mixed_empty_and_real(self):
-        tasks = make_tasks()
-        tasks.append(self._empty_task(9))
+        serial = SerialBackend().run_level(make_tasks())
         with MultiprocessBackend(n_workers=2) as backend:
+            tasks = arena_tasks(backend)
+            tasks.append(self._empty_task(9))
             results = backend.run_level(tasks)
         assert [r.community_id for r in results] == [0, 1, 9]
         assert results[2].A_rows.shape == (0, 2)
+        assert results[2].n_iters == 0
+        for s, p in zip(serial, results):
+            assert np.array_equal(s.A_rows, p.A_rows)
 
 
 class TestLeakSafety:
@@ -201,7 +245,7 @@ class TestLeakSafety:
 
     def test_close_releases_resources(self):
         backend = MultiprocessBackend(n_workers=1)
-        backend.run_level(make_tasks())
+        backend.run_level(arena_tasks(backend))
         backend.close()
         assert backend._resources.released
 
@@ -210,7 +254,7 @@ class TestDispatchOrderingAndProfiles:
     def test_lpt_order_does_not_change_results(self):
         serial = SerialBackend().run_level(make_tasks())
         with MultiprocessBackend(n_workers=2) as backend:
-            parallel = backend.run_level(make_tasks())
+            parallel = backend.run_level(arena_tasks(backend))
         for s, p in zip(serial, parallel):
             assert np.array_equal(s.A_rows, p.A_rows)
             assert np.array_equal(s.B_rows, p.B_rows)
@@ -219,17 +263,17 @@ class TestDispatchOrderingAndProfiles:
     def test_estimator_calibrates_across_levels(self):
         with MultiprocessBackend(n_workers=2) as backend:
             assert backend.estimator.n_observed_levels == 0
-            backend.run_level(make_tasks(seed=1))
+            backend.run_level(arena_tasks(backend, seed=1))
             assert backend.estimator.n_observed_levels == 1
             assert backend.estimator.seconds_per_work_unit is not None
-            backend.run_level(make_tasks(seed=2))
+            backend.run_level(arena_tasks(backend, seed=2))
             assert backend.estimator.n_observed_levels == 2
 
     def test_level_profiles_recorded(self):
         with MultiprocessBackend(n_workers=2, profile_dispatch=True) as backend:
-            backend.run_level(make_tasks())
+            backend.run_level(arena_tasks(backend))
         (stats,) = backend.level_profiles
-        assert stats.mode == "legacy"  # no prepare() -> materialized path
+        assert stats.mode == "arena"
         assert stats.n_tasks == 2
         assert stats.payload_bytes > 0
         assert stats.payload_pickle_seconds > 0
@@ -251,32 +295,27 @@ class TestArenaDispatch:
         cs.append(Cascade([2, 1], [0.0, 0.4]))
         return cs
 
-    def _fit_pair(self, use_arena):
+    def _fit(self, backend):
         from repro.community.mergetree import MergeTree
         from repro.community.partition import Partition
         from repro.embedding.model import EmbeddingModel
         from repro.parallel.hierarchical import HierarchicalInference
 
-        cs = self._world()
         tree = MergeTree(Partition([0, 0, 0, 1, 1, 0]), stop_at=1)
-        cfg = OptimizerConfig(max_iters=10)
         model = EmbeddingModel.random(6, 2, seed=3)
-        with MultiprocessBackend(n_workers=2, use_arena=use_arena) as backend:
-            HierarchicalInference(tree, cfg, backend).fit(model, cs)
+        HierarchicalInference(tree, OptimizerConfig(max_iters=10), backend).fit(
+            model, self._world()
+        )
+        return model
+
+    def test_arena_mode_used_and_matches_serial(self):
+        m_serial = self._fit(SerialBackend())
+        with MultiprocessBackend(n_workers=2) as backend:
+            m_arena = self._fit(backend)
             modes = [p.mode for p in backend.level_profiles]
-        return model, modes
-
-    def test_arena_mode_used_and_matches_legacy(self):
-        m_arena, modes_arena = self._fit_pair(use_arena=True)
-        m_legacy, modes_legacy = self._fit_pair(use_arena=False)
-        assert set(modes_arena) == {"arena"}
-        assert set(modes_legacy) == {"legacy"}
-        assert np.array_equal(m_arena.A, m_legacy.A)
-        assert np.array_equal(m_arena.B, m_legacy.B)
-
-    def test_prepare_returns_none_when_disabled(self):
-        with MultiprocessBackend(n_workers=1, use_arena=False) as backend:
-            assert backend.prepare(self._world()) is None
+        assert set(modes) == {"arena"}
+        assert np.array_equal(m_arena.A, m_serial.A)
+        assert np.array_equal(m_arena.B, m_serial.B)
 
     def test_prepare_after_close_raises(self):
         backend = MultiprocessBackend(n_workers=1)

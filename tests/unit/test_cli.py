@@ -61,6 +61,11 @@ class TestPositiveIntFlags:
             ("--stop-at", "0"),
             ("--max-iters", "0"),
             ("--workers", "two"),
+            ("--max-retries", "-1"),
+            ("--task-timeout", "0"),
+            ("--task-timeout", "-2"),
+            ("--task-timeout", "nan"),
+            ("--task-timeout", "inf"),
         ],
     )
     def test_infer_rejects(self, flag, value, small_corpus_file, tmp_path, capsys):
@@ -72,12 +77,30 @@ class TestPositiveIntFlags:
         _assert_usage_error(capsys.readouterr().err, flag)
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--topics", "--stop-at"])
+    @pytest.mark.parametrize("flag", ["--topics", "--stop-at", "--cores"])
     def test_speedup_rejects_zero(self, flag, small_corpus_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["speedup", "--corpus", str(small_corpus_file), flag, "0"])
         assert exc.value.code == 2
         _assert_usage_error(capsys.readouterr().err, flag)
+
+    @pytest.mark.parametrize("value", ["-2", "1,4,0"])
+    def test_speedup_rejects_core_counts_below_one(
+        self, value, small_corpus_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["speedup", "--corpus", str(small_corpus_file), "--cores", value])
+        assert exc.value.code == 2
+        _assert_usage_error(capsys.readouterr().err, "--cores")
+
+    def test_supervision_boundaries_are_accepted(self):
+        args = build_parser().parse_args(
+            ["infer", "--corpus", "x", "--out", "y",
+             "--max-retries", "0", "--task-timeout", "0.5"]
+        )
+        assert args.max_retries == 0 and args.task_timeout == 0.5
+        args = build_parser().parse_args(["speedup", "--corpus", "x", "--cores", "1"])
+        assert args.cores == [1]
 
     def test_one_is_accepted(self):
         flags = ["--workers", "--train", "--topics", "--stop-at", "--max-iters"]

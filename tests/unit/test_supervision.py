@@ -1,7 +1,7 @@
 """Unit tests for the supervised dispatch loop (fake host, no processes).
 
 A fake host lets every supervision path — retry ladder, fault accounting,
-timeouts, crashes, exhaustion — run deterministically in-process.  The
+timeouts, crashes — run deterministically in-process.  The
 real-pool behaviour (actual kills, hangs, respawns) is exercised by
 ``tests/integration/test_fault_tolerance.py``.
 """
@@ -14,7 +14,6 @@ from repro.parallel.supervision import (
     InjectedFault,
     SupervisedDispatcher,
     SupervisionConfig,
-    TaskFailedError,
     _FaultPlan,
     inject_fault,
 )
@@ -45,6 +44,23 @@ class TestSupervisionConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SupervisionConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "task_timeout",
+            "timeout_factor",
+            "timeout_floor",
+            "backoff_seconds",
+            "poll_interval",
+        ],
+    )
+    def test_rejects_non_finite(self, field, value):
+        # NaN passes every ordered comparison; a NaN deadline would
+        # never expire and a hung worker would go undetected.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SupervisionConfig(**{field: value})
 
 
 class TestFaultPlan:
@@ -96,20 +112,18 @@ def _record(idx):
 class FakeHost:
     """Host protocol stub: configurable failures, no real processes."""
 
-    def __init__(self, fail=None, rungs=("arena", "legacy", "serial"),
-                 deadlines=None, never_ready=()):
+    def __init__(self, fail=None, deadlines=None, never_ready=()):
         self.fail = fail or {}  # idx -> attempts that raise in the "worker"
-        self.rungs = tuple(rungs)
         self.deadlines = deadlines or {}
         self.never_ready = set(never_ready)  # (idx, attempt) that hang
         self.damaged = False
         self.reseeds = []
         self.respawns = 0
         self.serial_runs = []
-        self.submissions = []  # (idx, attempt, rung)
+        self.submissions = []  # (idx, attempt)
 
-    def submit_attempt(self, idx, attempt, rung):
-        self.submissions.append((idx, attempt, rung))
+    def submit_attempt(self, idx, attempt):
+        self.submissions.append((idx, attempt))
 
         def fn():
             if attempt in self.fail.get(idx, ()):
@@ -135,9 +149,6 @@ class FakeHost:
     def task_deadline(self, idx):
         return self.deadlines.get(idx)
 
-    def task_rungs(self, idx):
-        return self.rungs
-
     def task_community(self, idx):
         return 100 + idx
 
@@ -160,8 +171,8 @@ class TestCleanDispatch:
         out = _dispatch(host, 5)
         assert sorted(out.records) == [0, 1, 2, 3, 4]
         assert out.fault_log == [] and out.n_retries == 0 and out.n_respawns == 0
-        # one submission per task, all at attempt 0 on the first rung
-        assert sorted(host.submissions) == [(i, 0, "arena") for i in range(5)]
+        # one pool submission per task, all at attempt 0
+        assert sorted(host.submissions) == [(i, 0) for i in range(5)]
 
     def test_empty_order(self):
         out = _dispatch(FakeHost(), 0)
@@ -169,39 +180,58 @@ class TestCleanDispatch:
 
 
 class TestRetryLadder:
+    @pytest.mark.parametrize("max_retries", [0, 1, 2, 3])
+    def test_pool_until_the_last_permitted_attempt(self, max_retries):
+        d = SupervisedDispatcher(
+            FakeHost(), SupervisionConfig(max_retries=max_retries), 2
+        )
+        rungs = [d._rung_for(a) for a in range(max_retries + 1)]
+        assert rungs == ["arena"] * max_retries + ["serial"]
+
     def test_rung_escalation(self):
         d = SupervisedDispatcher(FakeHost(), SupervisionConfig(max_retries=3), 2)
-        assert d._rung_for(0, 0) == "arena"
-        assert d._rung_for(0, 1) == "legacy"
-        assert d._rung_for(0, 2) == "serial"
-        # final permitted attempt is always serial, whatever the ladder says
-        assert d._rung_for(0, 3) == "serial"
+        assert d._rung_for(0) == "arena"
+        assert d._rung_for(1) == "arena"
+        assert d._rung_for(2) == "arena"
+        # final permitted attempt is always serial
+        assert d._rung_for(3) == "serial"
 
     def test_short_ladder_final_attempt_serial(self):
-        host = FakeHost(rungs=("legacy", "serial"))
-        d = SupervisedDispatcher(host, SupervisionConfig(max_retries=3), 2)
-        assert d._rung_for(0, 0) == "legacy"
-        assert d._rung_for(0, 1) == "serial"
-        assert d._rung_for(0, 3) == "serial"
+        d = SupervisedDispatcher(FakeHost(), SupervisionConfig(max_retries=1), 2)
+        assert d._rung_for(0) == "arena"
+        assert d._rung_for(1) == "serial"
 
     def test_zero_retries_runs_straight_to_last_rung(self):
         host = FakeHost()
         d = SupervisedDispatcher(host, SupervisionConfig(max_retries=0), 2)
-        assert d._rung_for(0, 0) == "serial"
+        assert d._rung_for(0) == "serial"
+        out = _dispatch(host, 2, max_retries=0)
+        assert sorted(out.records) == [0, 1]
+        assert host.submissions == [] and sorted(host.serial_runs) == [0, 1]
 
     def test_exception_walks_the_ladder(self):
-        # task 1 raises at attempts 0 and 1 -> arena, legacy fail; serial wins
+        # task 1 raises at attempts 0 and 1 -> two pool retries; the
+        # third pool attempt wins
         host = FakeHost(fail={1: (0, 1)})
         out = _dispatch(host, 3, max_retries=3)
         assert sorted(out.records) == [0, 1, 2]
         assert out.n_retries == 2
         assert [(e.attempt, e.cause, e.fallback) for e in out.fault_log] == [
-            (0, "exception", "legacy"),
-            (1, "exception", "serial"),
+            (0, "exception", "arena"),
+            (1, "exception", "arena"),
         ]
-        assert host.serial_runs == [1]
+        assert host.serial_runs == []
+        assert [a for i, a in host.submissions if i == 1] == [0, 1, 2]
         # seed rows restored before every retry
         assert host.reseeds == [(1,), (1,)]
+
+    def test_failing_every_pool_attempt_ends_in_the_parent(self):
+        host = FakeHost(fail={0: (0, 1, 2)})
+        out = _dispatch(host, 2, max_retries=3)
+        assert sorted(out.records) == [0, 1]
+        assert [e.fallback for e in out.fault_log] == ["arena", "arena", "serial"]
+        assert [a for i, a in host.submissions if i == 0] == [0, 1, 2]
+        assert host.serial_runs == [0]
 
     def test_faulty_task_counted_once(self):
         host = FakeHost(fail={0: (0,)})
@@ -209,24 +239,12 @@ class TestRetryLadder:
         assert len(out.records) == 4
         assert all(out.records[i][0] == i for i in range(4))
 
-    def test_exhaustion_raises_with_history(self):
-        # ladder that never reaches an unkillable rung: exhausting the
-        # budget must raise, carrying every attempt's cause
-        host = FakeHost(fail={0: (0, 1)}, rungs=("legacy",))
-        with pytest.raises(TaskFailedError) as exc_info:
-            _dispatch(host, 1, max_retries=1)
-        err = exc_info.value
-        assert err.task_idx == 0 and err.community_id == 100
-        assert [e.attempt for e in err.entries] == [0, 1]
-        assert "attempt 1: exception" in str(err)
-
 
 class TestTimeouts:
     def test_hung_task_times_out_and_degrades(self):
         # attempt 0 never completes; deadline expires, respawn, retry
-        host = FakeHost(deadlines={0: 0.01}, never_ready={(0, 0)},
-                        rungs=("legacy", "serial"))
-        out = _dispatch(host, 1, max_retries=3)
+        host = FakeHost(deadlines={0: 0.01}, never_ready={(0, 0)})
+        out = _dispatch(host, 1, max_retries=1)
         assert out.records[0] == _record(0)
         assert out.n_respawns == 1 and out.n_retries == 1
         (entry,) = out.fault_log
@@ -239,17 +257,16 @@ class TestTimeouts:
         # generation with no deadline -> requeued at the SAME attempt with
         # no fault entry of its own
         host = FakeHost(deadlines={0: 0.01},
-                        never_ready={(0, 0), (1, 0)},
-                        rungs=("legacy", "serial"))
+                        never_ready={(0, 0), (1, 0)})
 
         # second submission of task 1 completes
         orig_submit = host.submit_attempt
 
-        def submit(idx, attempt, rung):
+        def submit(idx, attempt):
             if idx == 1 and len([s for s in host.submissions if s[0] == 1]) >= 1:
-                host.submissions.append((idx, attempt, rung))
+                host.submissions.append((idx, attempt))
                 return FakeResult(lambda: _record(1), ready=True)
-            return orig_submit(idx, attempt, rung)
+            return orig_submit(idx, attempt)
 
         host.submit_attempt = submit
         out = _dispatch(host, 2, max_retries=3)
@@ -257,19 +274,21 @@ class TestTimeouts:
         task1_faults = [e for e in out.fault_log if e.task_idx == 1]
         assert task1_faults == []
         task1_subs = [s for s in host.submissions if s[0] == 1]
-        assert [a for _, a, _ in task1_subs] == [0, 0]  # attempt not burned
+        assert [a for _, a in task1_subs] == [0, 0]  # attempt not burned
 
 
 class TestCrashes:
     def test_dead_generation_burns_an_attempt(self):
-        host = FakeHost(never_ready={(0, 0)}, rungs=("legacy", "serial"))
+        host = FakeHost(never_ready={(0, 0)})
         host.damaged = True  # a worker is already dead when dispatch starts
         out = _dispatch(host, 1, max_retries=3)
         assert out.records[0] == _record(0)
         assert out.n_respawns == 1
         (entry,) = out.fault_log
         assert entry.cause == "crash" and entry.attempt == 0
+        assert entry.fallback == "arena"
         assert host.respawns == 1
+        assert host.submissions == [(0, 0), (0, 1)]
 
 
 class TestAccounting:
@@ -278,8 +297,8 @@ class TestAccounting:
     def test_retries_equal_fault_entries_with_fallback(self):
         host = FakeHost(fail={0: (0,), 2: (0, 1)})
         out = _dispatch(host, 3, max_retries=3)
-        retried = [e for e in out.fault_log if e.fallback is not None]
-        assert out.n_retries == len(retried) == 3
+        assert out.n_retries == len(out.fault_log) == 3
+        assert all(e.fallback == "arena" for e in out.fault_log)
         assert len(out.records) == 3  # every task exactly once
 
     def test_attempts_recorded_in_order_per_task(self):
