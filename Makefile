@@ -95,7 +95,8 @@ bench-slpa:
 	$(PYTHON) -m pytest -x -q benchmarks/test_perf_slpa.py
 
 ## scoring-service benchmark (score_columns groups vs one-at-a-time
-## scoring, burst vs scalar ingest, score_columns allocation audit,
+## scoring, burst vs scalar ingest, the burst fold kernel vs the
+## per-cascade fold on three burst shapes, score_columns allocation audit,
 ## latency percentiles, journal overhead, recovery rate, sharded scale-out
 ## + zero-copy publish gates, concurrent single `score` ops over TCP via
 ## benchmarks/serve_concurrency.py); writes BENCH_serving.json

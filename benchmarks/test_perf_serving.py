@@ -10,8 +10,13 @@ vectorized SVM) on a synthetic workload and records:
   one per request, the cost every naive serving loop pays) and for
   ``score_columns`` groups of several sizes — the call the server's
   group commit makes for concurrent ``score`` ops;
-* burst-ingest throughput: ``ingest_many`` (one vectorized fold per
-  touched cascade) vs the same event stream fed one call at a time;
+* burst-ingest throughput: ``ingest_many`` (one kernel call per burst)
+  vs the same event stream fed one call at a time;
+* the burst fold kernel (``fold_burst``) against the per-cascade fold it
+  replaced (kept in ``tests/property/test_prop_fold.py``) on three
+  burst shapes — perfbench's stream shape must clear 2×, a
+  1,024-cascade burst and one 10,000-adopter cascade 0.9× — with every
+  feature and fold-state row bit-identical;
 * a steady-state allocation audit of the ``score_columns`` hot path
   (tracemalloc, same methodology as ``test_perf_kernel``): with the
   workspace warm, scoring a group must allocate ~nothing net;
@@ -58,6 +63,9 @@ Results land in ``BENCH_serving.json`` at the repo root plus the usual
 ``benchmarks/results`` text dump.
 """
 
+import copy
+import gc
+import importlib.util
 import json
 import time
 import tracemalloc
@@ -70,7 +78,12 @@ import serve_concurrency
 from _common import current_scale, save_result
 
 from repro.embedding.model import EmbeddingModel
-from repro.prediction.features import PAPER_FEATURES
+from repro.prediction.features import (
+    PAPER_FEATURES,
+    FoldColumns,
+    IncrementalFeatures,
+    fold_burst,
+)
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
@@ -458,6 +471,199 @@ class TestIngestBurstThroughput:
             f"(gate {MIN_INGEST_SPEEDUP}x): {batched_eps:,.0f} vs "
             f"{scalar_eps:,.0f} events/s"
         )
+
+
+# --------------------------------------------------------------------- #
+# The fold on three burst shapes: one kernel call vs one fold per cascade
+# --------------------------------------------------------------------- #
+
+#: acceptance gates: the burst kernel against the per-cascade fold it
+#: replaced, per shape (interleaved best-of, per-burst time)
+FOLD_GATES = {"stream": 2.0, "wide": 0.9, "giant": 0.9}
+#: node universe per shape: perfbench's 800 GDELT sites, the ingest
+#: section's 500, and room for one 10,000-adopter cascade
+FOLD_N_NODES = {"stream": 800, "wide": 500, "giant": 12_000}
+FOLD_TOPICS = 10
+#: the box's speed drifts for tens of seconds at a time, and a short
+#: run per side leaves few chances to catch both sides at speed
+FOLD_MAX_ROUNDS = 30
+
+
+def _fold_reference():
+    """The per-cascade fold the kernel replaced, kept verbatim in the
+    reference-fold property suite: one copy serves both."""
+    path = ROOT / "tests" / "property" / "test_prop_fold.py"
+    spec = importlib.util.spec_from_file_location("_fold_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _fold_shape(name, rng):
+    """``(preload, bursts)`` of one shape, as ``(cascade, nodes, times)``
+    rows (preload) and lists of them (bursts), each cascade's nodes
+    distinct and every burst time-sorted (the firehose order)."""
+    perms = {}
+
+    def take(cid, count):
+        perm = perms.setdefault(cid, [rng.permutation(FOLD_N_NODES[name]), 0])
+        nodes = perm[0][perm[1] : perm[1] + count]
+        perm[1] += count
+        return nodes
+
+    def sorted_burst(parts, t0):
+        rows = [(cid, int(v), t0 + float(u)) for cid, nodes in parts
+                for v, u in zip(nodes, rng.random(len(nodes)))]
+        rows.sort(key=lambda r: r[2])
+        return rows
+
+    if name == "stream":
+        # perfbench's segment a: 256-event bursts over ~65 cascades with
+        # ~50-event histories, ~3.9 new events each
+        pool = [f"s{c}" for c in range(400)]
+        preload = [(cid, take(cid, 50), -1.0 - rng.random(50)) for cid in pool]
+        bursts = []
+        for b in range(40):
+            chosen = rng.choice(len(pool), size=65, replace=False)
+            share = rng.multinomial(256 - 65, np.full(65, 1 / 65)) + 1
+            bursts.append(sorted_burst(
+                [(pool[c], take(pool[c], k)) for c, k in zip(chosen, share)], b))
+        return preload, bursts
+    if name == "wide":
+        # the ingest section's firehose: 1,024 fresh cascades × 64 events
+        # in one burst
+        return [], [sorted_burst([(f"w{c}", take(f"w{c}", 64)) for c in range(1024)], 0)]
+    # one giant cascade: 10,000 adopters, then 128-event bursts beside
+    # 64 small cascades taking 2 events each
+    preload = [("g", take("g", 10_000), -1.0 - rng.random(10_000))]
+    bursts = [
+        sorted_burst([("g", take("g", 128))] + [(f"m{c}", take(f"m{c}", 2)) for c in range(64)], b)
+        for b in range(8)
+    ]
+    return preload, bursts
+
+
+def _fold_sides(ref, model, preload, bursts):
+    """Both sides' engines with the preload folded in, and each burst in
+    the input shape each side takes: per-cascade arrays for the
+    reference, one grouped column triple for the kernel."""
+    cids = list(dict.fromkeys(
+        [cid for cid, _, _ in preload] + [cid for burst in bursts for cid, _, _ in burst]))
+    row = {cid: i for i, cid in enumerate(cids)}
+    state = FoldColumns(PAPER_FEATURES, capacity=len(cids))
+    engines = [IncrementalFeatures(model, PAPER_FEATURES, state=state, row=i)
+               for i in range(len(cids))]
+    ref_engines = [ref.ReferenceFeatures(model, PAPER_FEATURES) for _ in cids]
+    for cid, nodes, times in preload:
+        order = np.argsort(times, kind="stable")
+        engines[row[cid]].update_many(nodes[order], times[order])
+        ref_engines[row[cid]].update_many(nodes[order], times[order])
+    per_cascade, grouped = [], []
+    for burst in bursts:
+        first = list(dict.fromkeys(cid for cid, _, _ in burst))
+        index = {cid: g for g, cid in enumerate(first)}
+        nodes = np.array([v for _, v, _ in burst], dtype=np.int64)
+        times = np.array([t for _, _, t in burst])
+        group_of = np.array([index[cid] for cid, _, _ in burst], dtype=np.intp)
+        per_cascade.append((
+            [(row[cid], [i for i, x in enumerate(group_of) if x == g])
+             for g, cid in enumerate(first)],
+            nodes,
+            times,
+        ))
+        grouped.append(([row[cid] for cid in first], group_of, nodes, times))
+    return engines, ref_engines, per_cascade, grouped
+
+
+class TestFoldShapes:
+    def test_burst_kernel_against_per_cascade_fold(self):
+        ref = _fold_reference()
+        rng = np.random.default_rng(23)
+        rows, lines = {}, []
+        for name, gate in FOLD_GATES.items():
+            shape = (FOLD_N_NODES[name], FOLD_TOPICS)
+            model = EmbeddingModel(rng.uniform(0, 1, shape), rng.uniform(0, 1, shape))
+            preload, bursts = _fold_shape(name, rng)
+            engines0, ref_engines0, per_cascade, grouped = _fold_sides(
+                ref, model, preload, bursts
+            )
+            # each run folds into its own copy of the preloaded engines
+            # (the model is shared, read-only)
+            memo = {id(model): model}
+
+            # the timed loops run with the collector off (as timeit
+            # does): a collection of the copied engines inside one run
+            # costs milliseconds and would land on whichever side it hits
+            def run_reference():
+                ref_engines = copy.deepcopy(ref_engines0, dict(memo))
+                gc.collect()
+                gc.disable()
+                t0 = time.perf_counter()
+                for shares, nodes, times in per_cascade:
+                    # the per-cascade loop of the store before the kernel:
+                    # gather each cascade's share, fold it in its engine
+                    for c, idx_list in shares:
+                        idx = np.asarray(idx_list, dtype=np.intp)
+                        ref.reference_update_many(
+                            ref_engines[c], nodes[idx], times[idx],
+                            validate=False, assume_sorted=True,
+                        )
+                elapsed = time.perf_counter() - t0
+                gc.enable()
+                return elapsed, ref_engines
+
+            def run_kernel():
+                engines = copy.deepcopy(engines0, dict(memo))
+                gc.collect()
+                gc.disable()
+                t0 = time.perf_counter()
+                for touched, group_of, nodes, times in grouped:
+                    fold_burst([engines[c] for c in touched], group_of, nodes, times, True)
+                elapsed = time.perf_counter() - t0
+                gc.enable()
+                return elapsed, engines
+
+            # bit-identity first: every feature row and fold-state row
+            _, ref_engines = run_reference()
+            _, engines = run_kernel()
+            for engine, ref_engine in zip(engines, ref_engines):
+                assert engine.features().tobytes() == ref_engine.features().tobytes()
+                state, r = engine._state, engine._row
+                side = ref_engine._side_a
+                assert np.float64(state.d2max[0][r]).tobytes() == np.float64(side.d2max).tobytes()
+                assert state.sums[0][r].tobytes() == side.vec_sum.tobytes()
+
+            ref_s = kernel_s = float("inf")
+            for round_no in range(FOLD_MAX_ROUNDS):  # interleaved best-of rounds
+                ref_s = min(ref_s, run_reference()[0])
+                kernel_s = min(kernel_s, run_kernel()[0])
+                if round_no + 1 >= MIN_ROUNDS and ref_s / kernel_s >= gate * 1.15:
+                    break
+            n_events = sum(len(b) for b in bursts)
+            n_cascades = np.mean([len({cid for cid, _, _ in b}) for b in bursts])
+            rows[name] = {
+                "n_nodes": FOLD_N_NODES[name],
+                "bursts": len(bursts),
+                "events_per_burst": n_events / len(bursts),
+                "cascades_per_burst": float(n_cascades),
+                "reference_ms_per_burst": ref_s * 1e3 / len(bursts),
+                "kernel_ms_per_burst": kernel_s * 1e3 / len(bursts),
+                "speedup": ref_s / kernel_s,
+                "min_speedup_gate": gate,
+            }
+            lines.append(
+                f"{name:>7}: {len(bursts):>3} bursts × {n_events / len(bursts):>7,.0f} ev "
+                f"over {n_cascades:>6,.0f} cascades: per-cascade fold "
+                f"{ref_s * 1e3 / len(bursts):8.2f} ms, kernel {kernel_s * 1e3 / len(bursts):8.2f} "
+                f"ms per burst = {ref_s / kernel_s:.2f}x (gate >= {gate}x)"
+            )
+        save_result("perf_serving_fold", "\n".join(lines))
+        _update_bench_json({"fold_shapes": {"topics": FOLD_TOPICS, **rows}})
+        for name, row in rows.items():
+            assert row["speedup"] >= row["min_speedup_gate"], (
+                f"{name}: burst kernel only {row['speedup']:.2f}x the per-cascade "
+                f"fold (gate {row['min_speedup_gate']}x)"
+            )
 
 
 def _journal_workload(scale):

@@ -62,14 +62,23 @@ def _positive_int_list(text: str) -> List[int]:
     return [_positive_int(x) for x in text.split(",") if x.strip()]
 
 
-def _positive_seconds(text: str) -> float:
+def _finite_float(text: str, low: float, strict: bool) -> float:
     try:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        bound = f"> {low:g}" if strict else f">= {low:g}"
+        raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text}")
     return value
+
+
+def _positive_seconds(text: str) -> float:
+    return _finite_float(text, 0.0, strict=True)
+
+
+def _non_negative_float(text: str) -> float:
+    return _finite_float(text, 0.0, strict=False)
 
 
 def _parse_float_list(text: str) -> List[float]:
@@ -148,25 +157,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", choices=("paper", "extended"), default="paper")
     p.add_argument("--shards", type=int, default=1,
                    help="shard the in-process tier across N worker processes")
-    p.add_argument("--capacity", type=int, default=100_000)
-    p.add_argument("--speed", type=float, default=1.0,
+    p.add_argument("--capacity", type=_positive_int, default=100_000)
+    p.add_argument("--speed", type=_non_negative_float, default=1.0,
                    help="real-time multiple (10 = ten recorded seconds per "
                    "wall second); 0 = flat out, no pacing")
-    p.add_argument("--chunk", type=int, default=None,
+    p.add_argument("--chunk", type=_positive_int, default=None,
                    help="re-chunk recorded bursts to at most N events")
-    p.add_argument("--max-inflight", type=int, default=4,
+    p.add_argument("--max-inflight", type=_positive_int, default=4,
                    help="bursts in flight between pacer and folder "
                    "(the backpressure window)")
-    p.add_argument("--max-retries", type=int, default=8,
+    p.add_argument("--max-retries", type=_non_negative_int, default=8,
                    help="backoff ladder depth on a backpressure reject")
     p.add_argument("--overload", choices=("block", "shed"), default="block",
                    help="past the retry budget: fail the run or drop "
                    "the burst")
-    p.add_argument("--score-every", type=int, default=None,
+    p.add_argument("--score-every", type=_positive_int, default=None,
                    help="score each burst's cascades every Nth burst")
-    p.add_argument("--window", type=float, default=1.0,
+    p.add_argument("--window", type=_positive_seconds, default=1.0,
                    help="SLO meter window seconds")
-    p.add_argument("--slo-p99-ms", type=float, default=None,
+    p.add_argument("--slo-p99-ms", type=_positive_seconds, default=None,
                    help="gate: fail (exit 1) if p99 ingest+score latency "
                    "exceeds this many milliseconds")
 
@@ -236,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=7569)
     p.add_argument("--stdio", action="store_true",
                    help="speak the protocol on stdin/stdout instead of TCP")
-    p.add_argument("--capacity", type=int, default=100_000,
+    p.add_argument("--capacity", type=_positive_int, default=100_000,
                    help="max cascades tracked before LRU eviction")
-    p.add_argument("--ttl", type=float, default=None,
+    p.add_argument("--ttl", type=_positive_seconds, default=None,
                    help="expire cascades idle this many seconds (default: never)")
     p.add_argument("--journal-dir", default=None,
                    help="write-ahead journal directory (enables durability)")

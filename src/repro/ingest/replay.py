@@ -22,6 +22,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
+import math
 import time
 from dataclasses import dataclass
 from typing import (
@@ -100,6 +101,19 @@ class ReplayConfig:
     slo_p99_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison: require finite values
+        # before the range checks
+        for name in (
+            "speed",
+            "burst_s",
+            "backoff_base_s",
+            "backoff_cap_s",
+            "window_s",
+            "slo_p99_ms",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.speed is not None and self.speed <= 0:
             raise ValueError("speed must be > 0 (or None for flat out)")
         if self.burst_s < 0:

@@ -245,6 +245,24 @@ def run_block_task(
     )
 
 
+def _empty_result(task: BlockTask) -> BlockResult:
+    """The answer to a task without nodes: it references no embedding
+    row, so there is nothing to fit — its seed rows come back unchanged
+    with no iterations, steps or stop reason, on every backend."""
+    return BlockResult(
+        community_id=task.community_id,
+        nodes=task.nodes,
+        A_rows=task.A_rows.copy(),
+        B_rows=task.B_rows.copy(),
+        n_iters=0,
+        final_loglik=0.0,
+        wall_seconds=0.0,
+        work_units=0,
+        accepted_steps=0,
+        stop_reason="",
+    )
+
+
 class Backend:
     """Interface: run a level's block tasks, return their results."""
 
@@ -280,7 +298,12 @@ class SerialBackend(Backend):
     def run_level(self, tasks: Sequence[BlockTask]) -> List[BlockResult]:
         if self._workspace is None:
             self._workspace = GradientWorkspace()
-        return [run_block_task(t, workspace=self._workspace) for t in tasks]
+        return [
+            run_block_task(t, workspace=self._workspace)
+            if t.nodes.size
+            else _empty_result(t)
+            for t in tasks
+        ]
 
 
 # --------------------------------------------------------------------- #
@@ -722,7 +745,7 @@ class MultiprocessBackend(Backend):
         if not work:
             stats = DispatchStats("empty", len(tasks), 0.0, 0.0, 0.0)
             self.level_profiles.append(stats)
-            return [self._empty_result(t) for t in tasks]
+            return [_empty_result(t) for t in tasks]
         if self._arena is None or not all(t.is_arena_backed for t in work):
             raise ValueError(
                 "MultiprocessBackend runs arena-backed tasks only: publish "
@@ -826,7 +849,7 @@ class MultiprocessBackend(Backend):
         )
         done = iter(results)
         return [
-            next(done) if t.nodes.size else self._empty_result(t) for t in tasks
+            next(done) if t.nodes.size else _empty_result(t) for t in tasks
         ]
 
     # ------------------------------------------------------------------ #
@@ -989,21 +1012,6 @@ class MultiprocessBackend(Backend):
             if spec is not None:
                 return spec
         return None
-
-    @staticmethod
-    def _empty_result(t: BlockTask) -> BlockResult:
-        return BlockResult(
-            community_id=t.community_id,
-            nodes=t.nodes,
-            A_rows=t.A_rows.copy(),
-            B_rows=t.B_rows.copy(),
-            n_iters=0,
-            final_loglik=0.0,
-            wall_seconds=0.0,
-            work_units=0,
-            accepted_steps=0,
-            stop_reason="",
-        )
 
     # ------------------------------------------------------------------ #
 

@@ -26,11 +26,20 @@ bit-for-bit.
 
 Batched folding
 ---------------
-:meth:`IncrementalFeatures.update_many` folds a *burst* of events for
-one cascade in a handful of vectorized calls instead of one python
-round-trip per event — the kernel the serving layer's
-``FeatureStore.ingest_many`` drives.  Bit-identity with the scalar path
-holds because every primitive is chosen to be *block-stable*:
+The *fold state* of a cascade is, per embedding plane, the running max
+squared pair distance (``diver*``) and the running left-fold sum
+(``norm*``/``max*``).  It lives in :class:`FoldColumns`, one row per
+cascade: a standalone engine owns a one-row instance, the serving store
+shares one across all its slots.  :func:`fold_burst` folds a burst of
+events spanning many cascades with one numeric pass over those columns —
+a stable sort groups the burst, each cascade does only its bookkeeping
+(duplicate check, event-log append, in-order check) and one block
+contraction, and the distances, the per-cascade max and the running-sum
+fold run once for the whole burst.  :meth:`IncrementalFeatures.update_many`
+and the replay of an out-of-order log call the same kernel with one
+cascade.  History rows are the model's rows of the logged nodes, gathered
+per burst.  Bit-identity with the scalar :meth:`IncrementalFeatures.update`
+holds because every primitive is *block-stable*:
 
 * history dot products go through :func:`_hist_dots` (numpy's einsum
   core, whose per-element contraction over ``k`` is identical whether
@@ -38,15 +47,22 @@ holds because every primitive is chosen to be *block-stable*:
   kernels round differently);
 * squared row norms go through :func:`_row_sq_norms`, the batched twin
   of :func:`_row_sq_norm` (same einsum core);
-* the running ``sum`` is folded with a row-prepended ``np.cumsum``,
-  which numpy evaluates as a strict sequential scan — exactly the
-  per-event left fold;
+* a pair block over history + new rows also holds the sub-diagonal
+  mirror of each valid pair, bitwise equal to its valid twin (float
+  multiply and add commute exactly), so once the self-pairs are struck
+  the block's plain max is the masked max;
+* the running ``sum`` is added to the first new row and the rest are
+  folded with ``np.cumsum``, which numpy evaluates as a strict
+  sequential scan — exactly the per-event left fold;
 * ``diver*``'s running max commutes with batching (max is exact).
+
+These hold for finite embedding rows; a model holding NaN or infinity
+gets no bit-identity promise.
 """
 
 from __future__ import annotations
 
-import threading
+from itertools import accumulate
 from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -54,11 +70,21 @@ import numpy as np
 from repro.cascades.types import Cascade
 from repro.embedding.model import EmbeddingModel
 
+try:
+    # the C core ``np.einsum`` runs when ``optimize`` is off: the same
+    # bits, without the Python wrapper and array-function dispatch that
+    # cost a few microseconds on each of a burst's per-cascade calls
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # pragma: no cover - numpy < 2
+    _einsum = np.einsum
+
 __all__ = [
     "PAPER_FEATURES",
     "EXTENDED_FEATURES",
     "extract_features",
+    "fold_burst",
     "FeatureExtractor",
+    "FoldColumns",
     "IncrementalFeatures",
 ]
 
@@ -81,56 +107,18 @@ EXTENDED_FEATURES: Tuple[str, ...] = (
 #: initial per-cascade buffer capacity (doubled on demand)
 _INIT_CAPACITY = 8
 
-#: max events folded per vectorized append; larger bursts run as
-#: sequential sub-folds (bit-identical — see ``_append_many``).  128
-#: keeps a ~100-event serving burst in a single fold (halving the
-#: fixed per-fold cost vs 64) while the pair-distance temporaries
-#: (``history × chunk`` doubles) still fit comfortably in L2.
+#: widest block of new adopters one pair tile contracts (and one
+#: running-sum pass folds): a larger share of a burst folds as
+#: successive column tiles, so replaying a long log computes little of
+#: its pair block's invalid upper triangle
 _FOLD_CHUNK = 128
 
-#: shared 0..chunk index ramp (read-only; sliced per fold)
-_CHUNK_ARANGE = np.arange(_FOLD_CHUNK)
-
-#: largest pair-matrix scratch retained between folds (in doubles);
-#: pathological history×chunk shapes beyond this fall back to fresh
-#: temporaries rather than pinning tens of megabytes per thread
-_PAIR_SCRATCH_MAX = 1 << 20
-
-
-class _FoldScratch(threading.local):
-    """Reusable per-thread buffers for the vectorized fold temporaries.
-
-    One fold fully writes and fully consumes its temporaries before
-    returning, so every engine on a thread can share one set — the
-    serving store tracks thousands of cascades and per-engine scratch
-    would multiply, while per-fold ``np.empty`` calls put two
-    ``history × chunk`` mallocs on the hot path.  Thread-locality keeps
-    concurrent services from racing on the buffers.
-    """
-
-    def __init__(self) -> None:
-        self.pair = np.empty(0)
-        self.fold = np.empty((0, 0))
-
-    def pair_views(self, end: int, j: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Two ``(end, j)`` work matrices (dot block, distance block)."""
-        need = 2 * end * j
-        if self.pair.shape[0] < need:
-            self.pair = np.empty(need)
-        half = end * j
-        return (
-            self.pair[:half].reshape(end, j),
-            self.pair[half:need].reshape(end, j),
-        )
-
-    def fold_view(self, j: int, n_topics: int) -> np.ndarray:
-        """A ``(j + 1, n_topics)`` matrix for the cumsum scan."""
-        if self.fold.shape[0] < j + 1 or self.fold.shape[1] != n_topics:
-            self.fold = np.empty((max(j + 1, _FOLD_CHUNK + 1), n_topics))
-        return self.fold[: j + 1]
-
-
-_scratch = _FoldScratch()
+#: cap, in doubles, on the transient work of one fold pass: the dot and
+#: distance blocks of the pair tiles contracted together, and the padded
+#: running-sum block.  A burst wider than this folds in several passes
+#: and a history longer than it allows splits its tile by rows, so the
+#: scratch does not grow with burst width or cascade length.
+_PAIR_CAP = 1 << 16
 
 
 def _row_sq_norm(v: np.ndarray) -> float:
@@ -139,20 +127,15 @@ def _row_sq_norm(v: np.ndarray) -> float:
     Both the batch path and the incremental tracker compute ‖x‖² through
     this single call so the bits can never diverge.
     """
-    return float(np.einsum("k,k->", v, v))
+    return float(_einsum("k,k->", v, v))
 
 
-def _row_sq_norms(
-    rows: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _row_sq_norms(rows: np.ndarray) -> np.ndarray:
     """Squared norms of many rows at once, bit-identical per row to
     :func:`_row_sq_norm` (same einsum sum-of-products core, contraction
     over the same axis — the outer dimension only changes the stride
-    walk, not the per-element arithmetic).  ``out`` only redirects where
-    the identical results land."""
-    if out is not None:
-        return np.einsum("ik,ik->i", rows, rows, out=out)
-    return np.einsum("ik,ik->i", rows, rows)
+    walk, not the per-element arithmetic)."""
+    return _einsum("ik,ik->i", rows, rows)
 
 
 def _hist_dots(
@@ -172,146 +155,332 @@ def _hist_dots(
     only changes where the bits land, never what they are.
     """
     if out is not None:
-        return np.einsum("ck,jk->cj", history, new_rows, out=out)
-    return np.einsum("ck,jk->cj", history, new_rows)
+        return _einsum("ck,jk->cj", history, new_rows, out=out)
+    return _einsum("ck,jk->cj", history, new_rows)
 
 
-class _SideState:
-    """Incremental state for one embedding plane (A or B).
+class FoldColumns:
+    """The fold state of many cascades, one row per cascade.
 
-    Maintains what the requested features need and nothing more: the
-    adopter rows + squared norms and the running max pairwise squared
-    distance when ``diver*`` is wanted; the running left-fold sum when
-    ``norm*``/``max*`` are.
+    Per embedding plane (0 = A, 1 = B), holding only what the feature
+    set reads: ``d2max[p][row]``, the running max squared pair distance,
+    when ``diver*`` is wanted (``-inf`` before the first pair); and
+    ``sums[p][row]``, the running left-fold sum of the adopters' rows,
+    when ``norm*``/``max*`` are.  Rows are recycled, never freed.
     """
 
-    __slots__ = (
-        "need_diver",
-        "need_sum",
-        "V",
-        "sq",
-        "d2max",
-        "vec_sum",
-    )
+    __slots__ = ("n_topics", "capacity", "d2max", "sums")
 
-    def __init__(self, n_topics: int, need_diver: bool, need_sum: bool) -> None:
-        self.need_diver = need_diver
-        self.need_sum = need_sum
-        self.V: Optional[np.ndarray] = (
-            np.empty((_INIT_CAPACITY, n_topics)) if need_diver else None
-        )
-        self.sq: Optional[np.ndarray] = (
-            np.empty(_INIT_CAPACITY) if need_diver else None
-        )
-        self.d2max = float("-inf")
-        self.vec_sum: Optional[np.ndarray] = (
-            np.zeros(n_topics) if need_sum else None
-        )
+    def __init__(self, feature_set: Sequence[str], capacity: int = 1) -> None:
+        fs = frozenset(feature_set)
+        self.n_topics = 0
+        self.capacity = capacity
+        self.d2max: List[Optional[np.ndarray]] = [
+            np.full(capacity, -np.inf) if f"diver{p}" in fs else None for p in "AB"
+        ]
+        self.sums: List[Optional[np.ndarray]] = [
+            np.zeros((capacity, 0)) if fs & {f"norm{p}", f"max{p}"} else None
+            for p in "AB"
+        ]
 
     def grow(self, capacity: int) -> None:
-        if self.V is not None and self.sq is not None:
-            V = np.empty((capacity, self.V.shape[1]))
-            V[: self.V.shape[0]] = self.V
-            self.V = V
-            sq = np.empty(capacity)
-            sq[: self.sq.shape[0]] = self.sq
-            self.sq = sq
+        """Enlarge to *capacity* rows, keeping every existing row."""
+        for p, col in enumerate(self.d2max):
+            if col is not None:
+                new = np.full(capacity, -np.inf)
+                new[: self.capacity] = col
+                self.d2max[p] = new
+        for p, mat in enumerate(self.sums):
+            if mat is not None:
+                new = np.zeros((capacity, self.n_topics))
+                new[: self.capacity] = mat
+                self.sums[p] = new
+        self.capacity = capacity
 
-    def reset(self) -> None:
-        """Forget all folded state but keep the grown buffers (the slot
-        pool in the serving store recycles side states across cascade
-        incarnations; re-admission must not re-allocate)."""
-        self.d2max = float("-inf")
-        if self.vec_sum is not None:
-            self.vec_sum.fill(0.0)
+    def fit_topics(self, n_topics: int) -> None:
+        """Size the sum rows for a model with *n_topics* topics.
 
-    def append(self, i: int, row: np.ndarray) -> None:
-        """Fold adopter *i*'s embedding row into the running state.
-
-        The ``diver`` update is the O(mK) step: squared distances of the
-        new adopter against every previous one via one :func:`_hist_dots`
-        call, folded into the running max (max is order-independent, so
-        the running fold equals the batch max bit-for-bit).
+        A different width reallocates the sums: every row computed
+        under the old model is stale then and is rebuilt before it is
+        read (the store replays a slot whose model version is behind).
         """
-        if self.V is not None and self.sq is not None:
-            self.V[i] = row
-            sq_new = _row_sq_norm(self.V[i])
-            self.sq[i] = sq_new
-            if i >= 1:
-                dots = _hist_dots(self.V[:i], self.V[i : i + 1])[:, 0]
-                d2 = self.sq[:i] + sq_new - 2.0 * dots
-                self.d2max = max(self.d2max, float(d2.max()))
-        if self.vec_sum is not None:
-            # left fold in adoption order — the canonical summation
-            self.vec_sum = self.vec_sum + row
+        if n_topics != self.n_topics:
+            self.n_topics = n_topics
+            self.sums = [
+                None if mat is None else np.zeros((self.capacity, n_topics))
+                for mat in self.sums
+            ]
 
-    def append_many(self, i0: int, rows: np.ndarray) -> None:
-        """Fold ``j`` adopters (positions ``i0 .. i0+j-1``) in a handful
-        of vectorized calls, bit-identical to ``j`` :meth:`append` calls.
+    def clear(self, row: int) -> None:
+        """Reset *row* to the state of a cascade with no adopters."""
+        for col in self.d2max:
+            if col is not None:
+                col[row] = -np.inf
+        for mat in self.sums:
+            if mat is not None:
+                mat[row] = 0.0
 
-        * ``diver``: one :func:`_hist_dots` block over history + new
-          rows; each column restricted to that adopter's strict
-          predecessors (a pair ``(p, c)`` is valid iff ``p < i0 + c``),
-          then one exact max fold.
-        * ``sum``: the left fold is evaluated as a row-prepended
-          ``np.cumsum`` — a strict sequential scan, so the final row
-          carries exactly ``((sum + r0) + r1) + …``.
-        """
-        j = rows.shape[0]
-        if j == 0:
-            return
-        if self.V is not None and self.sq is not None:
-            end = i0 + j
-            self.V[i0:end] = rows
-            new_rows = self.V[i0:end]
-            sq_new = _row_sq_norms(new_rows, out=self.sq[i0:end])
-            if end >= 2:
-                # work matrices from the shared scratch when they fit —
-                # the two ``history × chunk`` temporaries are the only
-                # mallocs left on this path
-                if 2 * end * j <= _PAIR_SCRATCH_MAX:
-                    dots, d2 = _scratch.pair_views(end, j)
-                else:
-                    dots, d2 = None, np.empty((end, j))
-                dots = _hist_dots(self.V[:end], new_rows, out=dots)
-                # (sq_p + sq_c) - 2·dot, grouped exactly as the scalar
-                # append writes it, evaluated entirely in-place
-                np.add(self.sq[:end, None], sq_new[None, :], out=d2)
-                np.multiply(dots, 2.0, out=dots)
-                np.subtract(d2, dots, out=d2)
-                # A pair (p, c) is valid iff p strictly precedes c.  The
-                # invalid region below the diagonal holds only *mirrors*
-                # of valid entries — (p, c) with p > i0+c reappears as
-                # the valid (i0+c, p-i0), and the mirrored dot/sum are
-                # bitwise equal because float multiply-and-add commute
-                # exactly.  So after striking the self-pair diagonal,
-                # one contiguous full-matrix max equals the masked max
-                # bit-for-bit, with no mask materialization.
-                cols = _CHUNK_ARANGE[:j]
-                d2[i0 + cols, cols] = float("-inf")
-                self.d2max = max(self.d2max, float(d2.max()))
-        if self.vec_sum is not None:
-            fold = _scratch.fold_view(j, rows.shape[1])
-            fold[0] = self.vec_sum
-            fold[1:] = rows
-            np.cumsum(fold, axis=0, out=fold)  # strict sequential scan
-            self.vec_sum = fold[j].copy()
+    def planes(
+        self, model: EmbeddingModel
+    ) -> List[Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]]:
+        """``(embedding plane, d2max column, sums matrix)`` of every
+        plane some feature reads."""
+        return [
+            (plane, d2max, sums)
+            for plane, d2max, sums in zip(
+                (model.A, model.B), self.d2max, self.sums
+            )
+            if d2max is not None or sums is not None
+        ]
 
-    # -- feature reads ------------------------------------------------- #
 
-    def diver(self, m: int) -> float:
-        """Max pairwise Euclidean distance (Eq. 17), 0 for < 2 adopters."""
-        if m < 2:
-            return 0.0
-        return float(np.sqrt(max(self.d2max, 0.0)))
+def _fold_pairs(
+    X: np.ndarray,
+    d2max: np.ndarray,
+    rows: Sequence[int],
+    offsets: Sequence[int],
+    starts: Sequence[int],
+    ends: Sequence[int],
+) -> None:
+    """Fold every group's new pair distances into its running max.
 
-    def norm(self) -> float:
-        assert self.vec_sum is not None
-        return float(np.linalg.norm(self.vec_sum))
+    ``X[offsets[g] : offsets[g] + ends[g]]`` are group *g*'s rows in
+    adoption order; the first ``starts[g]`` of them are already folded.
+    A new adopter at position *c* pairs with every position before it,
+    so the group's block is rows ``[0, c1)`` × new columns ``[c0, c1)``
+    — split into column tiles of at most ``_FOLD_CHUNK`` and, when a
+    tile would pass the cap, into row ranges.  Each tile is one
+    :func:`_hist_dots` contraction and one broadcast add of the squared
+    norms into a shared buffer, filled a chunk at a time, and one
+    strided slice striking its self-pairs (dot := ``+inf``, so the
+    distance is ``-inf``, which no max picks); the distances, tile
+    maxima and per-group fold are whole-chunk calls.
+    """
+    sq = _row_sq_norms(X)
+    sq_col = sq[:, None]
+    half = _PAIR_CAP // 2  # the dot block and the distance block
+    # (group, first row, end row, first new column, end column, pairs)
+    # in X's coordinates
+    tiles: List[Tuple[int, int, int, int, int, int]] = []
+    for g, (o, i0, end) in enumerate(zip(offsets, starts, ends)):
+        if end < 2:
+            continue  # the first adopter alone has no pair
+        if end - i0 <= _FOLD_CHUNK and end * (end - i0) <= half:  # one tile
+            tiles.append((g, o, o + end, o + i0, o + end, end * (end - i0)))
+            continue
+        for c0 in range(i0, end, _FOLD_CHUNK):
+            c1 = min(c0 + _FOLD_CHUNK, end)
+            if c1 < 2:
+                continue
+            cols = c1 - c0
+            step = max(1, half // cols)
+            for r0 in range(0, c1, step):
+                r1 = min(r0 + step, c1)
+                tiles.append((g, o + r0, o + r1, o + c0, o + c1, (r1 - r0) * cols))
+    lo = 0
+    while lo < len(tiles):
+        hi, total = lo, 0
+        while hi < len(tiles) and (hi == lo or total + tiles[hi][5] <= half):
+            total += tiles[hi][5]
+            hi += 1
+        dots = np.empty(total)
+        d2 = np.empty(total)
+        tile_at: List[int] = []
+        group_at: List[int] = []
+        group_rows: List[int] = []
+        off = 0
+        last = -1
+        for t in range(lo, hi):
+            g, r0, r1, c0, c1, size = tiles[t]
+            shape = (r1 - r0, c1 - c0)
+            _hist_dots(X[r0:r1], X[c0:c1], out=dots[off : off + size].reshape(shape))
+            # (sq_p + sq_c) - 2·dot, grouped exactly as the scalar
+            # update writes it; the difference runs once per chunk
+            np.add(sq_col[r0:r1], sq[c0:c1], out=d2[off : off + size].reshape(shape))
+            # the self-pairs (p == c) lie on one stride-(cols + 1) diagonal
+            s0 = r0 if r0 > c0 else c0
+            s1 = r1 if r1 < c1 else c1
+            if s1 > s0:
+                step = c1 - c0 + 1
+                first = off + (s0 - r0) * (step - 1) + (s0 - c0)
+                dots[first : first + (s1 - s0) * step : step] = np.inf
+            tile_at.append(off)
+            if g != last:  # a group's tiles are adjacent
+                group_at.append(t - lo)
+                group_rows.append(rows[g])
+                last = g
+            off += size
+        np.multiply(dots, 2.0, out=dots)
+        np.subtract(d2, dots, out=d2)
+        # fmax folds like the scalar ``max(d2max, block max)``
+        group_max = np.fmax.reduceat(np.maximum.reduceat(d2, tile_at), group_at)
+        where = np.asarray(group_rows, dtype=np.intp)
+        d2max[where] = np.fmax(d2max[where], group_max)
+        lo = hi
 
-    def max(self) -> float:
-        assert self.vec_sum is not None
-        return float(self.vec_sum.max()) if self.vec_sum.size else 0.0
+
+def _fold_sums(
+    X: np.ndarray,
+    sums: np.ndarray,
+    rows: Sequence[int],
+    firsts: Sequence[int],
+    counts: Sequence[int],
+) -> None:
+    """Left-fold every group's new rows into its running sum.
+
+    Group *g*'s new rows are ``X[firsts[g] : firsts[g] + counts[g]]``.
+    They are gathered into one ``(groups, new, K)`` block, padded past a
+    group's last row with copies of it; the running sum is added to each
+    group's first row and one ``np.cumsum`` along axis 1 continues the
+    sequential scan ``((sum + r0) + r1) + …`` of every group at once.
+    Each total is read at its group's own length, so the padding never
+    reaches it.  A group with more than ``_FOLD_CHUNK`` new rows folds
+    them in successive passes carrying the sum, and each pass stacks as
+    many groups as fit under the cap.
+    """
+    K = X.shape[1]
+    rows_arr = np.asarray(rows, dtype=np.intp)
+    firsts_arr = np.asarray(firsts, dtype=np.intp)
+    counts_arr = np.asarray(counts, dtype=np.intp)
+    live = np.arange(rows_arr.shape[0])
+    done = 0
+    while live.size:
+        n_live = np.minimum(counts_arr[live] - done, _FOLD_CHUNK)
+        width = int(n_live.max())
+        per = max(1, _PAIR_CAP // (width * max(K, 1)))
+        for a in range(0, live.shape[0], per):
+            grp, n_new = live[a : a + per], n_live[a : a + per]
+            where = rows_arr[grp]
+            first = firsts_arr[grp] + done
+            block = X[np.minimum(first[:, None] + np.arange(width), (first + n_new - 1)[:, None])]
+            block[:, 0] += sums[where]
+            np.cumsum(block, axis=1, out=block)  # strict sequential scan
+            sums[where] = block[np.arange(grp.shape[0]), n_new - 1]
+        done += _FOLD_CHUNK
+        live = live[counts_arr[live] > done]
+
+
+def _fold_rows(
+    model: EmbeddingModel,
+    state: FoldColumns,
+    rows: Sequence[int],
+    logs: Sequence[np.ndarray],
+    starts: Sequence[int],
+) -> None:
+    """The numeric fold: group *g*'s node log ``logs[g]`` (adoption
+    order) has its first ``starts[g]`` adopters folded into fold-state
+    row ``rows[g]``; fold the rest in.  Rows must be distinct."""
+    if not rows:
+        return
+    ends = [log.shape[0] for log in logs]
+    counts = [end - i0 for end, i0 in zip(ends, starts)]
+    for plane, d2max, sums in state.planes(model):
+        if d2max is not None:
+            # every group's rows, history then new, back to back
+            X = plane[np.concatenate(logs)]
+            offsets = list(accumulate(ends[:-1], initial=0))
+            _fold_pairs(X, d2max, rows, offsets, starts, ends)
+            firsts = [o + i0 for o, i0 in zip(offsets, starts)]
+        else:  # the sum reads only the new rows
+            X = plane[np.concatenate([log[i0:] for log, i0 in zip(logs, starts)])]
+            firsts = list(accumulate(counts[:-1], initial=0))
+        if sums is not None:
+            _fold_sums(X, sums, rows, firsts, counts)
+
+
+def fold_burst(
+    engines: Sequence["IncrementalFeatures"],
+    group_of: Optional[np.ndarray],
+    nodes: np.ndarray,
+    times: np.ndarray,
+    assume_sorted: bool = False,
+) -> List[int]:
+    """Fold one validated burst into many cascades at once.
+
+    Event *i* (``nodes[i]`` at ``times[i]``) belongs to
+    ``engines[group_of[i]]``; ``group_of=None`` means every event
+    belongs to the single engine.  The engines must share one
+    :class:`FoldColumns` (distinct rows) and one model.  Returns how
+    many events each engine applied.
+
+    One stable sort groups the burst.  Per engine, only the bookkeeping
+    runs in Python: duplicates are dropped in arrival order (against the
+    adopter set and within the burst), the event log grows, and the
+    in-order check picks the append path or a replay of the stable
+    time-sorted log.  Then every appending engine's new adopters fold
+    with one numeric pass (:func:`_fold_rows`), bit-identical to feeding
+    the same events through :meth:`IncrementalFeatures.update` one at a
+    time.  ``assume_sorted`` promises *times* is non-decreasing within
+    each engine's share; the check against each engine's last folded
+    event still runs.
+    """
+    n = nodes.shape[0]
+    if group_of is None:
+        bounds = [0, n]
+        g_nodes, g_times = nodes, times
+    else:
+        order = np.argsort(group_of, kind="stable")
+        g_nodes, g_times = nodes[order], times[order]
+        bounds = [0]
+        bounds.extend(np.cumsum(np.bincount(group_of, minlength=len(engines))).tolist())
+    node_list = g_nodes.tolist()
+    time_list = g_times.tolist()
+    descents: Optional[List[int]] = None
+    if not assume_sorted:
+        # descents[i]: time decreases counted over positions 1 .. i
+        descents = [0]
+        descents.extend(np.cumsum(g_times[1:] < g_times[:-1]).tolist())
+    applied: List[int] = []
+    rows: List[int] = []
+    logs: List[np.ndarray] = []
+    starts: List[int] = []
+    for g, engine in enumerate(engines):
+        a = bounds[g]
+        b = bounds[g + 1]
+        count = b - a
+        new_nodes = node_list[a:b]
+        seen = engine._node_set
+        before = len(seen)
+        # one blind set-union detects the common no-repeat case; on a
+        # repeat the set is repaired from the event log (it is always
+        # exactly the log's node set)
+        seen.update(new_nodes)
+        if len(seen) - before == count:
+            new_times = time_list[a:b]
+            node_arr = g_nodes[a:b]
+            in_order = descents is None or descents[b - 1] == descents[a]
+        else:
+            seen.clear()
+            seen.update(engine._event_nodes)
+            keep: List[int] = []
+            for i, node in enumerate(new_nodes):
+                if node not in seen:
+                    seen.add(node)
+                    keep.append(i)
+            count = len(keep)
+            new_nodes = [new_nodes[i] for i in keep]
+            new_times = [time_list[a + i] for i in keep]
+            node_arr = np.asarray(new_nodes, dtype=np.int64)
+            in_order = descents is None or all(
+                x <= y for x, y in zip(new_times, new_times[1:])
+            )
+        applied.append(count)
+        if not count:
+            continue
+        engine._event_nodes.extend(new_nodes)
+        engine._event_times.extend(new_times)
+        m = engine._m
+        if not in_order or (m and new_times[0] < engine._last):
+            engine._rebuild()  # state := fold over the stable-sorted log
+            continue
+        engine._place(node_arr, new_times)
+        rows.append(engine._row)
+        logs.append(engine._nodes[: m + count])
+        starts.append(m)
+    if rows:
+        _fold_rows(engines[0].model, engines[0]._state, rows, logs, starts)
+    return applied
+
 
 
 class _TreeState:
@@ -328,6 +497,7 @@ class _TreeState:
     __slots__ = (
         "parents",
         "depths",
+        "times",
         "depth_counts",
         "max_depth",
         "max_breadth",
@@ -339,6 +509,8 @@ class _TreeState:
     def __init__(self, track_sviral: bool) -> None:
         self.parents = np.empty(_INIT_CAPACITY, dtype=np.int64)
         self.depths = np.empty(_INIT_CAPACITY, dtype=np.int64)
+        #: adoption times in fold order (the MAP-parent search reads them)
+        self.times = np.empty(_INIT_CAPACITY, dtype=np.float64)
         self.depth_counts: List[int] = []
         self.max_depth = 0
         self.max_breadth = 0
@@ -355,14 +527,31 @@ class _TreeState:
         depths = np.empty(capacity, dtype=np.int64)
         depths[: self.depths.shape[0]] = self.depths
         self.depths = depths
+        times = np.empty(capacity, dtype=np.float64)
+        times[: self.times.shape[0]] = self.times
+        self.times = times
 
     def reset(self) -> None:
-        """Forget the forest but keep the grown parent/depth buffers."""
+        """Forget the forest but keep the grown buffers."""
         self.depth_counts.clear()
         self.max_depth = 0
         self.max_breadth = 0
         self.anc_sets.clear()
         self.sv_total = 0.0
+
+    def extend(
+        self,
+        model: EmbeddingModel,
+        nodes: np.ndarray,
+        times: Sequence[float],
+        i0: int,
+    ) -> None:
+        """Append the in-order adopters at positions ``i0 ..`` of the
+        fold-order log *nodes*, at *times*, one event at a time."""
+        end = i0 + len(times)
+        self.times[i0:end] = times
+        for i in range(i0, end):
+            self.append(model, nodes[: i + 1], self.times[: i + 1], i)
 
     def append(
         self,
@@ -404,6 +593,7 @@ class _TreeState:
         return self.sv_total / (m * (m - 1) // 2)
 
 
+
 class IncrementalFeatures:
     """Streaming evaluator of one cascade's early-adopter features.
 
@@ -421,6 +611,11 @@ class IncrementalFeatures:
     feature_set:
         Names from :data:`EXTENDED_FEATURES`; order defines the output
         layout.
+    state, row:
+        Where the fold state lives: row *row* of *state*.  By default
+        the engine owns a one-row :class:`FoldColumns`; the serving
+        store binds each slot's engine to its row of shared columns, so
+        one :func:`fold_burst` call folds a burst across cascades.
 
     Notes
     -----
@@ -439,6 +634,9 @@ class IncrementalFeatures:
         self,
         model: EmbeddingModel,
         feature_set: Sequence[str] = PAPER_FEATURES,
+        *,
+        state: Optional[FoldColumns] = None,
+        row: int = 0,
     ) -> None:
         for name in feature_set:
             if name not in EXTENDED_FEATURES:
@@ -447,17 +645,24 @@ class IncrementalFeatures:
                 )
         self.model = model
         self.feature_set = tuple(feature_set)
+        self._state = state if state is not None else FoldColumns(self.feature_set)
+        self._row = row
         fs = frozenset(self.feature_set)
-        self._need_a = ("diverA" in fs, bool(fs & {"normA", "maxA"}))
-        self._need_b = ("diverB" in fs, bool(fs & {"normB", "maxB"}))
-        self._need_tree = bool(fs & {"depth", "breadth", "sviral"})
         self._need_sviral = "sviral" in fs
+        self._tree = (
+            _TreeState(self._need_sviral)
+            if fs & {"depth", "breadth", "sviral"}
+            else None
+        )
         #: arrival-order event log; the source of truth for rebuilds.
         #: Two parallel lists, not a list of tuples: burst appends are
         #: then two C-level ``extend`` calls with no tuple boxing.
         self._event_nodes: List[int] = []
         self._event_times: List[float] = []
         self._node_set: Set[int] = set()
+        #: adopters in fold (stable time) order — the rows of the fold
+        self._capacity = _INIT_CAPACITY
+        self._nodes = np.empty(_INIT_CAPACITY, dtype=np.int64)
         self._init_derived()
 
     # ------------------------------------------------------------------ #
@@ -465,29 +670,15 @@ class IncrementalFeatures:
     def _init_derived(self) -> None:
         """(Re-)zero the derived state, recycling grown buffers.
 
-        Buffers are only reallocated when absent or when the embedding
-        dimension changed; otherwise the existing capacity is kept so
-        rebuilds and slot reuse in the serving store allocate nothing.
         Every retained buffer is fully rewritten before it is read, so
         stale data cannot leak between incarnations.
         """
-        K = self.model.n_topics
         self._m = 0
-        if getattr(self, "_buf_topics", None) == K:
-            self._side_a.reset()
-            self._side_b.reset()
-            if self._tree is not None:
-                self._tree.reset()
-        else:
-            self._capacity = _INIT_CAPACITY
-            self._nodes = np.empty(_INIT_CAPACITY, dtype=np.int64)
-            self._times = np.empty(_INIT_CAPACITY, dtype=np.float64)
-            self._side_a = _SideState(K, *self._need_a)
-            self._side_b = _SideState(K, *self._need_b)
-            self._tree = (
-                _TreeState(self._need_sviral) if self._need_tree else None
-            )
-            self._buf_topics = K
+        self._last = float("-inf")  # latest folded adoption time
+        self._state.fit_topics(self.model.n_topics)
+        self._state.clear(self._row)
+        if self._tree is not None:
+            self._tree.reset()
 
     def _ensure_capacity(self, n: int) -> None:
         if n <= self._capacity:
@@ -498,11 +689,6 @@ class IncrementalFeatures:
         nodes = np.empty(capacity, dtype=np.int64)
         nodes[: self._m] = self._nodes[: self._m]
         self._nodes = nodes
-        times = np.empty(capacity, dtype=np.float64)
-        times[: self._m] = self._times[: self._m]
-        self._times = times
-        self._side_a.grow(capacity)
-        self._side_b.grow(capacity)
         if self._tree is not None:
             self._tree.grow(capacity)
         self._capacity = capacity
@@ -517,7 +703,7 @@ class IncrementalFeatures:
     @property
     def last_time(self) -> float:
         """Latest adoption time observed (-inf before any event)."""
-        return float(self._times[self._m - 1]) if self._m else float("-inf")
+        return self._last
 
     def observed(self) -> Cascade:
         """The observed prefix as a :class:`Cascade` (stable time order)."""
@@ -548,7 +734,7 @@ class IncrementalFeatures:
         self._event_nodes.append(node)
         self._event_times.append(t)
         self._node_set.add(node)
-        if self._m and t < float(self._times[self._m - 1]):
+        if self._m and t < self._last:
             self._rebuild()
         else:
             self._append(node, t)
@@ -563,28 +749,21 @@ class IncrementalFeatures:
     ) -> int:
         """Fold a burst of adoption events in; returns how many applied.
 
-        The batched twin of :meth:`update`: duplicates are dropped in
-        arrival order (against prior state *and* within the burst), the
-        surviving events take the vectorized append path when they are
-        time-ordered, and any out-of-order arrival falls back to one
-        rebuild over the stable time-sorted log — so the resulting state
-        is bit-identical to feeding the same events through
-        :meth:`update` one at a time.
+        The batched twin of :meth:`update`, and :func:`fold_burst` with
+        one cascade: duplicates are dropped in arrival order (against
+        prior state *and* within the burst), the surviving events take
+        the vectorized append path when they are time-ordered, and any
+        out-of-order arrival falls back to one rebuild over the stable
+        time-sorted log — so the resulting state is bit-identical to
+        feeding the same events through :meth:`update` one at a time.
 
         Unlike the scalar path, the whole burst is validated before any
         state changes (an invalid node or non-finite time raises with
-        the engine untouched).  A caller that has already validated the
-        burst — the serving store checks a whole multi-cascade burst
-        atomically before queueing per-cascade folds — passes
-        ``validate=False`` to skip the redundant reductions.
-
-        ``assume_sorted=True`` is a trusted promise that *times* is
-        non-decreasing within the burst (the store checks its whole
-        multi-cascade burst once; every gathered subsequence of a
-        sorted firehose inherits the ordering).  Only the intra-burst
-        scan is skipped — the boundary against the cascade's last
-        folded event is still checked, so a sorted burst arriving
-        before earlier state still takes the rebuild path correctly.
+        the engine untouched); ``validate=False`` skips that for a
+        caller that has already checked the burst.  ``assume_sorted=True``
+        is a trusted promise that *times* is non-decreasing within the
+        burst; the boundary against the last folded event is still
+        checked.
         """
         n = len(nodes)
         if n != len(times):
@@ -596,91 +775,26 @@ class IncrementalFeatures:
         if validate:
             if not np.all(np.isfinite(time_arr)):
                 raise ValueError("adoption times must be finite")
-            if node_arr.size and (
-                int(node_arr.min()) < 0
-                or int(node_arr.max()) >= self.model.n_nodes
-            ):
+            if int(node_arr.min()) < 0 or int(node_arr.max()) >= self.model.n_nodes:
                 raise ValueError(
                     f"burst contains nodes outside the model universe of "
                     f"{self.model.n_nodes} nodes"
                 )
-        # -- duplicate filtering, arrival order --------------------------- #
-        # native ints via tolist(): the set probes and the event log
-        # stay off numpy scalar extraction.  One blind set-union detects
-        # the common no-repeat case: n fresh nodes grow the adopter set
-        # by exactly n.  On a repeat the union is repaired from the
-        # event log (the adopter set is always exactly its node set).
-        seen = self._node_set
-        node_list = node_arr.tolist()
-        before = len(seen)
-        seen.update(node_list)
-        if len(seen) - before == n:
-            j = n  # no repeats anywhere — keep the whole burst
-        else:
-            # rare path: drop repeats in arrival order (against prior
-            # state and within the burst)
-            seen.clear()
-            seen.update(self._event_nodes)
-            keep: List[int] = []
-            for i, node in enumerate(node_list):
-                if node in seen:
-                    continue
-                seen.add(node)
-                keep.append(i)
-            if not keep:
-                return 0
-            j = len(keep)
-            if j != n:
-                node_arr = node_arr[keep]
-                time_arr = time_arr[keep]
-                node_list = [node_list[i] for i in keep]
-        self._event_nodes.extend(node_list)
-        self._event_times.extend(time_arr.tolist())
-        in_order = (
-            assume_sorted or bool((time_arr[1:] >= time_arr[:-1]).all())
-        ) and (
-            self._m == 0 or float(time_arr[0]) >= float(self._times[self._m - 1])
-        )
-        if not in_order:
-            self._rebuild()  # state := fold over the stable-sorted log
-            return j
-        self._append_many(node_arr, time_arr)
-        return j
+        return fold_burst([self], None, node_arr, time_arr, assume_sorted)[0]
 
-    def _append_many(self, nodes: np.ndarray, times: np.ndarray) -> None:
-        """Vectorized in-order append of ``j`` pre-filtered events."""
-        j = nodes.shape[0]
-        if j > _FOLD_CHUNK:
-            # Split a large burst into sequential sub-folds.  Bit-safe:
-            # each chunk is itself a full in-order burst, and every fold
-            # (running max, cumulative sum, MAP-parent recurrence)
-            # accumulates left-to-right in the same order either way.
-            # This bounds the pairwise-distance temporaries and skips
-            # most of the invalid upper triangle one giant fold would
-            # compute and mask away.
-            for c0 in range(0, j, _FOLD_CHUNK):
-                self._append_many(
-                    nodes[c0 : c0 + _FOLD_CHUNK],
-                    times[c0 : c0 + _FOLD_CHUNK],
-                )
-            return
+    def _place(self, nodes: np.ndarray, times: Sequence[float]) -> None:
+        """Append pre-filtered in-order events to the fold-order log; the
+        fold itself is the caller's :func:`_fold_rows` pass.  The
+        MAP-parent recurrence is sequential, so it runs per event."""
         i0 = self._m
-        end = i0 + j
-        self._ensure_capacity(end)
+        end = i0 + nodes.shape[0]
+        if end > self._capacity:
+            self._ensure_capacity(end)
         self._nodes[i0:end] = nodes
-        self._times[i0:end] = times
         self._m = end
-        if self._side_a.need_diver or self._side_a.need_sum:
-            self._side_a.append_many(i0, self.model.A[nodes])
-        if self._side_b.need_diver or self._side_b.need_sum:
-            self._side_b.append_many(i0, self.model.B[nodes])
+        self._last = float(times[-1])
         if self._tree is not None:
-            # the MAP-parent recurrence is inherently sequential (each
-            # event's parent search sees every earlier event)
-            for i in range(i0, end):
-                self._tree.append(
-                    self.model, self._nodes[: i + 1], self._times[: i + 1], i
-                )
+            self._tree.extend(self.model, self._nodes, times, i0)
 
     def has_node(self, node: int) -> bool:
         """True when *node* already adopted in the observed prefix."""
@@ -717,32 +831,43 @@ class IncrementalFeatures:
         self._init_derived()
 
     def _rebuild(self) -> None:
+        self._init_derived()
         if not self._event_nodes:
-            self._init_derived()
             return
         nodes = np.asarray(self._event_nodes, dtype=np.int64)
         times = np.asarray(self._event_times, dtype=np.float64)
-        self._init_derived()
         order = np.argsort(times, kind="stable")  # Cascade's ordering
         # the sorted log is in-order by construction: replay it as one
-        # batched fold (bit-identical to scalar appends by the
-        # update_many parity invariant)
-        self._append_many(nodes[order], times[order])
+        # batched fold (bit-identical to scalar appends)
+        self._place(nodes[order], times[order])
+        _fold_rows(self.model, self._state, [self._row], [self._nodes[: self._m]], [0])
 
     def _append(self, node: int, t: float) -> None:
+        """Fold one in-order adopter: the scalar twin of :func:`_fold_rows`.
+
+        The ``diver`` update is the O(mK) step: squared distances of the
+        new adopter against every previous one via one :func:`_hist_dots`
+        call, folded into the running max (max is order-independent, so
+        the running fold equals the batch max bit-for-bit); the sum is
+        the left fold in adoption order.
+        """
         i = self._m
         self._ensure_capacity(i + 1)
         self._nodes[i] = node
-        self._times[i] = t
         self._m = i + 1
-        if self._side_a.need_diver or self._side_a.need_sum:
-            self._side_a.append(i, self.model.A[node])
-        if self._side_b.need_diver or self._side_b.need_sum:
-            self._side_b.append(i, self.model.B[node])
+        self._last = t
+        r = self._row
+        for plane, d2max, sums in self._state.planes(self.model):
+            if d2max is not None and i >= 1:
+                history = plane[self._nodes[:i]]
+                sq_new = _row_sq_norm(plane[node])
+                dots = _hist_dots(history, plane[node : node + 1])[:, 0]
+                d2 = _row_sq_norms(history) + sq_new - 2.0 * dots
+                d2max[r] = max(float(d2max[r]), float(d2.max()))
+            if sums is not None:
+                np.add(sums[r], plane[node], out=sums[r])
         if self._tree is not None:
-            self._tree.append(
-                self.model, self._nodes[: self._m], self._times[: self._m], i
-            )
+            self._tree.extend(self.model, self._nodes, (t,), i)
 
     # ------------------------------------------------------------------ #
 
@@ -771,18 +896,21 @@ class IncrementalFeatures:
             out[idx] = self._value(name, m)
 
     def _value(self, name: str, m: int) -> float:
-        if name == "diverA":
-            return self._side_a.diver(m)
-        if name == "normA":
-            return self._side_a.norm()
-        if name == "maxA":
-            return self._side_a.max()
-        if name == "diverB":
-            return self._side_b.diver(m)
-        if name == "normB":
-            return self._side_b.norm()
-        if name == "maxB":
-            return self._side_b.max()
+        state, r = self._state, self._row
+        if name in ("diverA", "diverB"):
+            # max pairwise Euclidean distance (Eq. 17), 0 for < 2 adopters
+            if m < 2:
+                return 0.0
+            d2max = state.d2max[0 if name == "diverA" else 1]
+            assert d2max is not None
+            return float(np.sqrt(max(float(d2max[r]), 0.0)))
+        if name in ("normA", "maxA", "normB", "maxB"):
+            sums = state.sums[0 if name[-1] == "A" else 1]
+            assert sums is not None
+            vec_sum = sums[r]
+            if name.startswith("norm"):
+                return float(np.linalg.norm(vec_sum))
+            return float(vec_sum.max()) if vec_sum.size else 0.0
         if name == "n_early":
             return float(m)
         tree = self._tree
@@ -796,6 +924,7 @@ class IncrementalFeatures:
         raise ValueError(
             f"unknown feature {name!r}; valid: {EXTENDED_FEATURES}"
         )  # pragma: no cover - names validated at construction
+
 
 
 def extract_features(

@@ -12,23 +12,26 @@ indexed by a *slot* table (the serving analog of the gradient kernel's
   ``(slots, F)`` matrix (``_rows``), so a batched flush gathers its
   feature matrix with a single fancy-index instead of stacking N
   per-tracker vectors;
-* the ragged per-cascade history (embedding prefixes, adoption log,
-  tree state) stays in one recycled
+* the fold state of every cascade — per embedding plane, the running
+  max squared pair distance and the running sum — is one row of the
+  shared :class:`~repro.prediction.features.FoldColumns`;
+* the ragged per-cascade history (adoption log, adopter set, tree
+  state) stays in one recycled
   :class:`~repro.prediction.features.IncrementalFeatures` engine per
-  slot.  Engines are *reset*, never freed: evicting a cascade returns
-  its slot (and the engine's grown buffers) to a free list, and the
-  next admission reuses them without allocation.
+  slot, bound to the slot's fold-state row.  Engines are *reset*,
+  never freed: evicting a cascade returns its slot (and the engine's
+  grown buffers) to a free list, and the next admission reuses them
+  without allocation.
 
-A micro-batch of adoption events spanning many cascades folds in as one
-vectorized update per touched cascade (:meth:`FeatureStore.ingest_many`
-riding :meth:`IncrementalFeatures.update_many`), in two passes: a
-bookkeeping pass in arrival order (admission, LRU touch, duplicate
-filtering, eviction — exactly the sequence the one-at-a-time path
-produces) that only *defers* the numeric folds, then one vectorized
-fold per surviving cascade.  The observable state — features, LRU
-order, stats — is identical to feeding the same events through
-:meth:`FeatureStore.ingest` one at a time; the parity property suite
-pins this down bit-for-bit.
+A burst of adoption events spanning many cascades folds in with one
+:func:`~repro.prediction.features.fold_burst` call
+(:meth:`FeatureStore.ingest_columns`): the store does the bookkeeping —
+admission, LRU touch, eviction, in exactly the sequence the
+one-at-a-time path produces — and the kernel groups the burst,
+filters duplicates and folds every touched cascade in one numeric pass.
+The observable state — features, LRU order, stats — is identical to
+feeding the same events through :meth:`FeatureStore.ingest` one at a
+time; the parity property suites pin this down bit-for-bit.
 
 The store bounds memory two ways:
 
@@ -59,8 +62,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import time
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
@@ -75,7 +79,12 @@ from typing import (
 
 import numpy as np
 
-from repro.prediction.features import PAPER_FEATURES, IncrementalFeatures
+from repro.prediction.features import (
+    PAPER_FEATURES,
+    FoldColumns,
+    IncrementalFeatures,
+    fold_burst,
+)
 from repro.serving.registry import ModelSnapshot
 from repro.serving.workspace import ScoringWorkspace
 
@@ -101,8 +110,10 @@ class StoreConfig:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if self.ttl is not None and self.ttl <= 0:
-            raise ValueError("ttl must be positive (or None)")
+        # NaN passes every ordered comparison: a NaN TTL would make the
+        # sweep's cutoff NaN and expire every cascade on each sweep
+        if self.ttl is not None and not (math.isfinite(self.ttl) and self.ttl > 0):
+            raise ValueError(f"ttl must be finite and > 0 (or None), got {self.ttl!r}")
 
 
 @dataclass
@@ -220,6 +231,8 @@ class FeatureStore:
         self._gen = np.empty(0, dtype=np.int64)
         self._row_valid = np.empty(0, dtype=np.bool_)
         self._rows = np.empty((0, f), dtype=np.float64)
+        # fold state of every slot, shared by the slots' engines
+        self._fold = FoldColumns(self.feature_set, capacity=0)
         # ragged per-slot state (recycled across incarnations)
         self._engines: List[Optional[IncrementalFeatures]] = []
         self._slot_ids: List[Optional[str]] = []
@@ -249,6 +262,7 @@ class FeatureStore:
         rows = np.empty((capacity, self._rows.shape[1]), dtype=np.float64)
         rows[: self._n_slots] = self._rows[: self._n_slots]
         self._rows = rows
+        self._fold.grow(capacity)
         extra = capacity - len(self._engines)
         self._engines.extend([None] * extra)
         self._slot_ids.extend([None] * extra)
@@ -266,7 +280,9 @@ class FeatureStore:
             self._n_slots += 1
         engine = self._engines[slot]
         if engine is None:
-            self._engines[slot] = IncrementalFeatures(snapshot.model, self.feature_set)
+            self._engines[slot] = IncrementalFeatures(
+                snapshot.model, self.feature_set, state=self._fold, row=slot
+            )
         else:
             engine.reset(snapshot.model)
         self._slots[cascade_id] = slot
@@ -374,26 +390,25 @@ class FeatureStore:
         Returns how many events applied (non-duplicates).  Observable
         state — features, LRU order, admission/eviction sequence, stats
         — is identical to calling :meth:`ingest` once per event under
-        one clock reading, but each touched cascade folds its share of
-        the burst as one vectorized update.
+        one clock reading, but the whole burst folds with one
+        :func:`~repro.prediction.features.fold_burst` call.
 
         Two regimes, same observable semantics:
 
         * **Headroom fast path** — when the burst's new cascades fit
-          under ``capacity`` (no eviction can occur), one dict pass
-          groups the burst by cascade, each group folds through
-          :meth:`IncrementalFeatures.update_many` (which already
-          duplicate-filters in arrival order), admissions replay in
-          first-occurrence order and LRU touches collapse to one
+          under ``capacity`` (no eviction can occur), admissions replay
+          in first-occurrence order, LRU touches collapse to one
           ``move_to_end`` per cascade in last-occurrence order — the
-          exact final order sequential ingest would leave.
+          exact final order sequential ingest would leave — and the
+          kernel folds the burst (it already duplicate-filters in
+          arrival order).
         * **Eviction slow path** — otherwise, pass 1 walks the burst in
           arrival order doing the bookkeeping (admit / LRU touch /
           duplicate filter / capacity eviction), queueing the numeric
           work per cascade incarnation; a cascade evicted mid-burst
           simply drops its queued folds (sequential ingest would have
           folded then discarded them — same end state, same stats).
-          Pass 2 replays the queued folds.
+          Pass 2 folds every queued share with one kernel call.
 
         Unlike the scalar path, the whole burst is validated before any
         state changes (an invalid node or non-finite time raises with
@@ -443,16 +458,16 @@ class FeatureStore:
             )
         now = self._clock()
         slots = self._slots
-        # one-pass grouping: dict insertion order is first-occurrence
-        # order — exactly the order sequential ingest admits new
-        # cascades (much cheaper than np.unique over the id strings)
-        groups: Dict[str, List[int]] = defaultdict(list)
-        for i, cid in enumerate(cascade_ids):
-            groups[cid].append(i)
-        n_new = sum(1 for cid in groups if cid not in slots)
+        # one dict pass numbers the cascades in first-occurrence order —
+        # exactly the order sequential ingest admits new cascades
+        index: Dict[str, int] = {}
+        number = index.setdefault
+        group_of = [number(cid, len(index)) for cid in cascade_ids]
+        first_seen = list(index)
+        n_new = sum(1 for cid in first_seen if cid not in slots)
         if len(slots) + n_new <= self.config.capacity:
             return self._ingest_many_fast(
-                groups, n_new, node_arr, time_arr, snapshot, now
+                first_seen, group_of, n_new, node_arr, time_arr, snapshot, now
             )
         return self._ingest_many_evicting(
             cascade_ids, node_arr, time_arr, snapshot, now
@@ -460,7 +475,8 @@ class FeatureStore:
 
     def _ingest_many_fast(
         self,
-        groups: Dict[str, List[int]],
+        first_seen: List[str],
+        group_of: List[int],
         n_new: int,
         node_arr: np.ndarray,
         time_arr: np.ndarray,
@@ -469,7 +485,6 @@ class FeatureStore:
     ) -> int:
         """Eviction-free burst fold: no per-event Python loop at all."""
         slots = self._slots
-        stats = self.stats
         # grow the pooled columns to their final size up front: a burst
         # admitting hundreds of fresh cascades would otherwise realloc
         # and copy every column once per doubling inside the loop
@@ -479,62 +494,53 @@ class FeatureStore:
             while cap < needed:
                 cap *= 2
             self._grow(cap)
-        # admissions in first-occurrence order (= dict insertion order)
-        for cid in groups:
+        # admissions in first-occurrence order
+        for cid in first_seen:
             if cid not in slots:
                 self._admit(cid, snapshot, now)
         # final LRU order == every touched cascade re-ranked by its last
         # occurrence (untouched cascades keep their relative positions)
-        for cid, _ in sorted(groups.items(), key=lambda kv: kv[1][-1]):
-            slots.move_to_end(cid)
-        # column aliases only AFTER admissions: _admit may grow (and
-        # therefore reassign) the pooled columns
-        engines = self._engines
-        version = self._version
-        n_events_col = self._n_events
-        last_at_col = self._last_event_at
-        row_valid = self._row_valid
-        public = self._public
-        applied = 0
-        duplicates = 0
-        snap_version = snapshot.version
-        n = node_arr.shape[0]
-        # one whole-burst scan: a time-sorted firehose (the common
-        # arrival order) lets every per-cascade fold skip its own
-        # intra-burst ordering check — gathered subsequences of a
-        # sorted burst are sorted
-        burst_sorted = bool((time_arr[1:] >= time_arr[:-1]).all())
-        for cid, idx_list in groups.items():
+        for g in reversed(dict.fromkeys(reversed(group_of))):
+            slots.move_to_end(first_seen[g])
+        engines: List[IncrementalFeatures] = []
+        touched: List[int] = []
+        for cid in first_seen:
             slot = slots[cid]
-            engine = engines[slot]
+            self._sync_slot(slot, snapshot)
+            engine = self._engines[slot]
             assert engine is not None
-            if version[slot] != snap_version:
-                version[slot] = snap_version
-                stats.rebuilds += 1
-                engine.rebind(snapshot.model)
-                row_valid[slot] = False
-                public[slot] = None
-            count = len(idx_list)
-            if count == n:  # single-cascade burst: skip the gather
-                g_nodes, g_times = node_arr, time_arr
-            else:
-                idx = np.asarray(idx_list, dtype=np.intp)
-                g_nodes = node_arr[idx]
-                g_times = time_arr[idx]
-            # update_many duplicate-filters in arrival order itself
-            done = engine.update_many(
-                g_nodes, g_times, validate=False, assume_sorted=burst_sorted
-            )
+            engines.append(engine)
+            touched.append(slot)
+        # one whole-burst scan: gathered subsequences of a time-sorted
+        # firehose (the common arrival order) are sorted, so the kernel
+        # skips every per-cascade ordering check
+        burst_sorted = bool((time_arr[1:] >= time_arr[:-1]).all())
+        applied = fold_burst(
+            engines, np.array(group_of, dtype=np.intp), node_arr, time_arr, burst_sorted
+        )
+        total = self._settle(touched, engines, applied, now)
+        self.stats.events += total
+        self.stats.duplicates += len(group_of) - total
+        return total
+
+    def _settle(
+        self,
+        touched: Sequence[int],
+        engines: Sequence[IncrementalFeatures],
+        applied: Sequence[int],
+        now: float,
+    ) -> int:
+        """Column bookkeeping after a burst fold; returns how many
+        events the folds applied."""
+        total = 0
+        for slot, engine, done in zip(touched, engines, applied):
             if done:
-                applied += done
-                n_events_col[slot] = engine.n_events
-                last_at_col[slot] = now
-                row_valid[slot] = False  # inlined _invalidate
-                public[slot] = None
-            duplicates += count - done
-        stats.events += applied
-        stats.duplicates += duplicates
-        return applied
+                total += done
+                self._n_events[slot] = engine.n_events
+                # the whole burst shares one clock reading
+                self._last_event_at[slot] = now
+                self._invalidate(slot)
+        return total
 
     def _ingest_many_evicting(
         self,
@@ -603,6 +609,11 @@ class FeatureStore:
             applied += 1
         stats.events += applied
         stats.duplicates += duplicates
+        folding: List[IncrementalFeatures] = []
+        touched: List[int] = []
+        sizes: List[int] = []
+        fold_nodes: List[int] = []
+        fold_times: List[float] = []
         for slot, group in pending.items():
             engine = engines[slot]
             assert engine is not None
@@ -610,13 +621,20 @@ class FeatureStore:
                 engine.rebind(snapshot.model)
                 self._invalidate(slot)
             if group.nodes:
-                # the burst was validated atomically above
-                engine.update_many(group.nodes, group.times, validate=False)
-                self._n_events[slot] = engine.n_events
-                # the whole burst shares one clock reading, so the final
-                # per-event timestamp write collapses to one store
-                self._last_event_at[slot] = now
-                self._invalidate(slot)
+                folding.append(engine)
+                touched.append(slot)
+                sizes.append(len(group.nodes))
+                fold_nodes.extend(group.nodes)
+                fold_times.extend(group.times)
+        # the burst was validated atomically above; pass 1 filtered
+        # every duplicate, so the kernel applies each queued event
+        folded = fold_burst(
+            folding,
+            np.repeat(np.arange(len(folding)), sizes),
+            np.asarray(fold_nodes, dtype=np.int64),
+            np.asarray(fold_times, dtype=np.float64),
+        )
+        self._settle(touched, folding, folded, now)
         return applied
 
     # ------------------------------------------------------------------ #

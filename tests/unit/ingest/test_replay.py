@@ -124,6 +124,15 @@ class TestReplayConfig:
         with pytest.raises(ValueError):
             ReplayConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["speed", "burst_s", "backoff_base_s", "backoff_cap_s", "window_s", "slo_p99_ms"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ReplayConfig(**{field: value})
+
     def test_speed_none_means_flat_out(self):
         assert ReplayConfig(speed=None).speed is None
 

@@ -36,6 +36,11 @@ class TestStoreConfig:
         with pytest.raises(ValueError):
             StoreConfig(**kwargs)
 
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_ttl(self, ttl):
+        with pytest.raises(ValueError, match="finite"):
+            StoreConfig(ttl=ttl)
+
 
 class TestIngestAndFeatures:
     def test_features_match_batch_extraction(self, registry):

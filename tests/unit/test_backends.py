@@ -193,6 +193,27 @@ class TestEmptyNodeLevels:
             assert r.n_iters == 0
             assert r.work_units == 0
 
+    def test_serial_and_multiprocess_agree_field_by_field(self):
+        """Both backends answer a task without nodes alike: seed rows
+        back, no iterations, no steps, no stop reason — so the level's
+        ``LevelStats`` entries match too."""
+        tasks = [self._empty_task(0), self._empty_task(1)]
+        serial = SerialBackend().run_level(tasks)
+        with MultiprocessBackend(n_workers=1) as backend:
+            parallel = backend.run_level(tasks)
+        timing = {"wall_seconds", "compile_seconds", "kernel_seconds", "gather_seconds"}
+        for s, p in zip(serial, parallel):
+            for f in dataclasses.fields(s):
+                a, b = getattr(s, f.name), getattr(p, f.name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b), f.name
+                elif f.name not in timing:
+                    assert a == b, f.name
+        assert [(r.n_iters, r.accepted_steps, r.stop_reason) for r in serial] == [
+            (0, 0, ""),
+            (0, 0, ""),
+        ]
+
     def test_mixed_empty_and_real(self):
         serial = SerialBackend().run_level(make_tasks())
         with MultiprocessBackend(n_workers=2) as backend:

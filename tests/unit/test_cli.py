@@ -111,6 +111,65 @@ class TestPositiveIntFlags:
         assert [getattr(args, f[2:].replace("-", "_")) for f in flags] == [1] * 5
 
 
+class TestReplayServeFlags:
+    """Bad values of the flags only ``ReplayConfig``/``StoreConfig``
+    used to check end in the usage line and one ``error:`` line with
+    exit 2, like the count flags above, not in a traceback."""
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--max-retries", "-1"),
+            ("--max-inflight", "0"),
+            ("--window", "0"),
+            ("--window", "nan"),
+            ("--chunk", "0"),
+            ("--score-every", "0"),
+            ("--capacity", "0"),
+            ("--slo-p99-ms", "0"),
+            ("--slo-p99-ms", "nan"),
+            ("--speed", "-1"),
+            ("--speed", "nan"),
+            ("--speed", "inf"),
+        ],
+    )
+    def test_replay_rejects(self, flag, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(tmp_path / "s.evs"), "--model", "m.npz", flag, value])
+        assert exc.value.code == 2
+        _assert_usage_error(capsys.readouterr().err, flag)
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--capacity", "0"),
+            ("--ttl", "-1"),
+            ("--ttl", "0"),
+            ("--ttl", "nan"),
+            ("--ttl", "inf"),
+        ],
+    )
+    def test_serve_rejects(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--model", "m.npz", "--stdio", flag, value])
+        assert exc.value.code == 2
+        _assert_usage_error(capsys.readouterr().err, flag)
+
+    def test_boundaries_are_accepted(self):
+        args = build_parser().parse_args(
+            ["replay", "s.evs", "--speed", "0", "--max-retries", "0",
+             "--max-inflight", "1", "--chunk", "1", "--score-every", "1",
+             "--capacity", "1", "--window", "0.5", "--slo-p99-ms", "0.5"]
+        )
+        assert args.speed == 0.0 and args.max_retries == 0
+        assert args.max_inflight == args.chunk == args.score_every == args.capacity == 1
+        assert args.window == args.slo_p99_ms == 0.5
+        args = build_parser().parse_args(
+            ["serve", "--stdio", "--capacity", "1", "--ttl", "0.5"]
+        )
+        assert args.capacity == 1 and args.ttl == 0.5
+
+
 def _assert_usage_error(stderr, flag):
     assert "Traceback" not in stderr
     lines = stderr.strip().splitlines()
