@@ -916,7 +916,10 @@ class TestShardedScaling:
             # through the 4-shard router: sum/max is the speedup the
             # fan-out converges to once a core exists per shard, and
             # the full-fan-out wall time must stay within
-            # SHARD_OVERHEAD_BOUND of the serialized sum.
+            # SHARD_OVERHEAD_BOUND of the serialized sum.  The shards
+            # are timed interleaved, round by round, like the
+            # throughput above: timed one after another, a slow phase
+            # of the box during one shard's turn lowers sum/max.
             wide = services[SHARD_COUNTS[-1]]
             shard_blocks = {s: [] for s in range(SHARD_COUNTS[-1])}
             for block in blocks:
@@ -926,15 +929,13 @@ class TestShardedScaling:
                 for s, sub in by.items():
                     if sub:
                         shard_blocks[s].append(sub)
-            per_shard_s = []
-            for s in range(SHARD_COUNTS[-1]):
-                t_best = float("inf")
-                for _ in range(REPEATS):
+            per_shard_s = [float("inf")] * SHARD_COUNTS[-1]
+            for _ in range(REPEATS):
+                for s in range(SHARD_COUNTS[-1]):
                     t0 = time.perf_counter()
                     for sub in shard_blocks[s]:
                         wide.score_columns(sub)
-                    t_best = min(t_best, time.perf_counter() - t0)
-                per_shard_s.append(t_best)
+                    per_shard_s[s] = min(per_shard_s[s], time.perf_counter() - t0)
             ideal_overlap = sum(per_shard_s) / max(per_shard_s)
             overhead_ratio = best[SHARD_COUNTS[-1]] / sum(per_shard_s)
 

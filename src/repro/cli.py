@@ -116,10 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", default=None,
                    help="also/instead export a timestamped event stream "
                    "consumable by 'repro replay'")
-    p.add_argument("--span", type=float, default=60.0,
+    p.add_argument("--span", type=_positive_seconds, default=60.0,
                    help="stream seconds the corpus is spread over "
                    "(--stream only)")
-    p.add_argument("--chunk", type=int, default=256,
+    p.add_argument("--chunk", type=_positive_int, default=256,
                    help="events per recorded burst (--stream only)")
 
     p = sub.add_parser(
@@ -134,11 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="synthetic world size (without --corpus)")
     p.add_argument("--events", type=int, default=500,
                    help="synthetic events to sample (without --corpus)")
-    p.add_argument("--span", type=float, default=60.0,
+    p.add_argument("--span", type=_positive_seconds, default=60.0,
                    help="stream seconds the corpus is spread over")
     p.add_argument("--start-fraction", type=float, default=0.75,
                    help="fraction of --span in which cascades may start")
-    p.add_argument("--chunk", type=int, default=256,
+    p.add_argument("--chunk", type=_positive_int, default=256,
                    help="events per recorded burst")
     p.add_argument("--seed", type=int, default=0)
 

@@ -24,7 +24,7 @@ class EmbeddingModel:
     Parameters
     ----------
     A, B:
-        Non-negative float64 matrices of identical shape.
+        Finite, non-negative float64 matrices of identical shape.
 
     Notes
     -----
@@ -41,8 +41,14 @@ class EmbeddingModel:
             raise ValueError(
                 f"A and B must be equal-shape 2-D matrices, got {A.shape} vs {B.shape}"
             )
-        if A.size and (A.min() < 0 or B.min() < 0):
-            raise ValueError("embeddings must be non-negative")
+        if A.size:
+            # NaN survives min and max, so finite extremes of both planes
+            # rule out NaN and both infinities
+            extremes = np.array([A.min(), A.max(), B.min(), B.max()])
+            if not np.isfinite(extremes).all():
+                raise ValueError("embeddings must be finite (no NaN or inf)")
+            if extremes.min() < 0:
+                raise ValueError("embeddings must be non-negative")
         self.A = A
         self.B = B
 

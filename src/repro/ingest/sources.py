@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -157,8 +158,10 @@ def batches_from_cascades(
     batches, which is exactly what a live multi-event feed looks like:
     many concurrent cascades progressing a few adoptions at a time.
     """
-    if span_s <= 0:
-        raise ValueError("span_s must be > 0")
+    # NaN passes every ordered comparison, and an infinite span
+    # overflows the uniform start draw
+    if not (math.isfinite(span_s) and span_s > 0):
+        raise ValueError(f"span_s must be finite and > 0, got {span_s!r}")
     if not 0.0 <= start_fraction < 1.0:
         raise ValueError("start_fraction must be in [0, 1)")
     rng = as_generator(seed)
@@ -331,33 +334,55 @@ class CascadeFileSource:
             yield batch
 
 
+#: frames one executor call reads for :class:`RecordedSource`.  Each
+#: call is a thread hop, and its decode thread contends with the
+#: consumer for the interpreter lock, so one hop per frame costs the
+#: flat-out replay more than the decoding does; a block much larger
+#: raises peak memory for no further gain (DESIGN.md §17.3).
+_BLOCK_FRAMES = 8
+
+
 class RecordedSource:
     """Replay a ``repro record`` stream file as an async source.
 
     Batches come back exactly as recorded (same framing, same order);
     the replay engine's ``chunk_events`` knob re-chunks downstream if a
-    different burst size is wanted.  File reads happen in an executor.
+    different burst size is wanted.  File reads happen in an executor,
+    a block of frames per call; a frame that fails to read raises only
+    after every frame before it has been yielded.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
 
     async def __aiter__(self) -> AsyncIterator[EventBatch]:
+        # looked up when iteration starts, so a wrapped iter_batches
+        # (a tracing harness timing decode) sees every frame
         from repro.ingest.recorder import iter_batches
 
         loop = asyncio.get_running_loop()
         it = iter_batches(self.path)
-        sentinel = object()
 
-        def _next() -> object:
-            return next(it, sentinel)
+        def _read_block() -> Tuple[List[EventBatch], Optional[Exception]]:
+            block: List[EventBatch] = []
+            try:
+                for _ in range(_BLOCK_FRAMES):
+                    batch = next(it, None)
+                    if batch is None:
+                        break
+                    block.append(batch)
+            except Exception as exc:  # re-raised once the block is yielded
+                return block, exc
+            return block, None
 
         while True:
-            item = await loop.run_in_executor(None, _next)
-            if item is sentinel:
+            block, error = await loop.run_in_executor(None, _read_block)
+            for batch in block:
+                yield batch
+            if error is not None:
+                raise error
+            if len(block) < _BLOCK_FRAMES:  # the recording ended
                 return
-            assert isinstance(item, EventBatch)
-            yield item
 
 
 def _columns_of(

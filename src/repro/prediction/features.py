@@ -56,6 +56,11 @@ holds because every primitive is *block-stable*:
   sequential scan — exactly the per-event left fold;
 * ``diver*``'s running max commutes with batching (max is exact).
 
+Reading features back is batched the same way: :func:`feature_rows`
+turns many cascades' fold-state rows into feature rows with one column
+pass per feature, and :meth:`IncrementalFeatures.features` is its
+one-row case.
+
 These hold for finite embedding rows; a model holding NaN or infinity
 gets no bit-identity promise.
 """
@@ -82,6 +87,7 @@ __all__ = [
     "PAPER_FEATURES",
     "EXTENDED_FEATURES",
     "extract_features",
+    "feature_rows",
     "fold_burst",
     "FeatureExtractor",
     "FoldColumns",
@@ -874,57 +880,74 @@ class IncrementalFeatures:
     def features(self) -> np.ndarray:
         """Current feature vector, shape ``(len(feature_set),)``.
 
-        Zero observed adopters yield the all-zero vector — every feature
-        is identically 0 for an empty prefix, stated here explicitly
-        rather than left to downstream arithmetic.
+        The one-row case of :func:`feature_rows`.  Zero observed
+        adopters yield the all-zero vector — every feature is
+        identically 0 for an empty prefix, stated explicitly rather than
+        left to downstream arithmetic.
         """
-        out = np.empty(len(self.feature_set), dtype=np.float64)
-        self.features_into(out)
-        return out
+        return feature_rows([self])[0]
 
-    def features_into(self, out: np.ndarray) -> None:
-        """Write the current feature vector into *out* (no allocation).
 
-        This is what lets the serving store's flush path refresh a row
-        of its pooled feature-cache matrix in place.
-        """
-        m = self._m
-        if m == 0:
-            out[: len(self.feature_set)] = 0.0
-            return
-        for idx, name in enumerate(self.feature_set):
-            out[idx] = self._value(name, m)
 
-    def _value(self, name: str, m: int) -> float:
-        state, r = self._state, self._row
+def feature_rows(engines: Sequence[IncrementalFeatures]) -> np.ndarray:
+    """Feature vectors of many engines at once, ``(len(engines), F)``.
+
+    The engines must share one :class:`FoldColumns` and one feature set
+    (the serving store's slots do; a standalone engine is the one-row
+    case).  Each fold-state feature is one column pass over the engines'
+    rows; the tree features are read from each engine's tree state.  A
+    row's bits do not depend on which other engines share the call.  Two
+    choices pin the values to the scalar expressions that define them:
+
+    * ``diver*`` is ``sqrt(max(d2max, 0.0))`` with Python's ``max``,
+      which returns its first argument on a tie, so a running max of
+      ``-0.0`` gives ``-0.0``.  ``np.where(d2 < 0.0, 0.0, d2)`` keeps
+      that; ``np.maximum(-0.0, 0.0)`` is ``+0.0``.
+    * ``norm*`` is ``sqrt(sum · sum)`` with the dot kernel of
+      ``ndarray.dot`` on one row (what ``np.linalg.norm`` computes).  A
+      stacked ``(n, 1, K) @ (n, K, 1)`` matmul runs that kernel once per
+      row; ``einsum`` and ``.sum(axis=1)`` accumulate in other orders.
+
+    Fewer than two adopters give ``diver*`` = 0 (Eq. 17 needs a pair),
+    and zero adopters the all-zero row.
+    """
+    first = engines[0]
+    state = first._state
+    rows = np.array([e._row for e in engines], dtype=np.intp)
+    m = np.array([e._m for e in engines], dtype=np.int64)
+    out = np.empty((rows.shape[0], len(first.feature_set)))
+    sums: Dict[int, np.ndarray] = {}  # each plane's rows, gathered once
+    for j, name in enumerate(first.feature_set):
         if name in ("diverA", "diverB"):
-            # max pairwise Euclidean distance (Eq. 17), 0 for < 2 adopters
-            if m < 2:
-                return 0.0
             d2max = state.d2max[0 if name == "diverA" else 1]
             assert d2max is not None
-            return float(np.sqrt(max(float(d2max[r]), 0.0)))
-        if name in ("normA", "maxA", "normB", "maxB"):
-            sums = state.sums[0 if name[-1] == "A" else 1]
-            assert sums is not None
-            vec_sum = sums[r]
+            d2 = d2max[rows]
+            out[:, j] = np.sqrt(np.where(d2 < 0.0, 0.0, d2))
+            out[m < 2, j] = 0.0
+        elif name in ("normA", "maxA", "normB", "maxB"):
+            p = 0 if name[-1] == "A" else 1
+            s = sums.get(p)
+            if s is None:
+                plane_sums = state.sums[p]
+                assert plane_sums is not None
+                s = sums[p] = plane_sums[rows]
             if name.startswith("norm"):
-                return float(np.linalg.norm(vec_sum))
-            return float(vec_sum.max()) if vec_sum.size else 0.0
-        if name == "n_early":
-            return float(m)
-        tree = self._tree
-        assert tree is not None
-        if name == "depth":
-            return float(tree.max_depth)
-        if name == "breadth":
-            return float(tree.max_breadth)
-        if name == "sviral":
-            return float(tree.sviral(m))
-        raise ValueError(
-            f"unknown feature {name!r}; valid: {EXTENDED_FEATURES}"
-        )  # pragma: no cover - names validated at construction
-
+                out[:, j] = np.sqrt(np.matmul(s[:, None, :], s[:, :, None])[:, 0, 0])
+            else:
+                out[:, j] = s.max(axis=1) if s.shape[1] else 0.0
+        elif name == "n_early":
+            out[:, j] = m
+        else:  # the MAP-infector-tree statistics, kept per engine
+            # (every engine of a set naming one has a tree state)
+            trees = [e._tree for e in engines if e._tree is not None]
+            if name == "depth":
+                out[:, j] = [tree.max_depth for tree in trees]
+            elif name == "breadth":
+                out[:, j] = [tree.max_breadth for tree in trees]
+            else:
+                out[:, j] = [tree.sviral(e._m) for tree, e in zip(trees, engines)]
+    out[m == 0] = 0.0
+    return out
 
 
 def extract_features(

@@ -11,7 +11,8 @@ indexed by a *slot* table (the serving analog of the gradient kernel's
 * the cached feature vector of every cascade is one **row** of a pooled
   ``(slots, F)`` matrix (``_rows``), so a batched flush gathers its
   feature matrix with a single fancy-index instead of stacking N
-  per-tracker vectors;
+  per-tracker vectors, after rewriting the stale rows with one
+  :func:`~repro.prediction.features.feature_rows` call;
 * the fold state of every cascade — per embedding plane, the running
   max squared pair distance and the running sum — is one row of the
   shared :class:`~repro.prediction.features.FoldColumns`;
@@ -83,6 +84,7 @@ from repro.prediction.features import (
     PAPER_FEATURES,
     FoldColumns,
     IncrementalFeatures,
+    feature_rows,
     fold_burst,
 )
 from repro.serving.registry import ModelSnapshot
@@ -641,12 +643,17 @@ class FeatureStore:
     # Feature access
     # ------------------------------------------------------------------ #
 
-    def _refresh_row(self, slot: int) -> None:
-        if not self._row_valid[slot]:
+    def _refresh_rows(self, slots: np.ndarray) -> None:
+        """Write the cached feature rows of *slots*, synced to one
+        snapshot, with one :func:`feature_rows` call; each slot is
+        marked valid only once its row is written."""
+        engines: List[IncrementalFeatures] = []
+        for slot in slots.tolist():
             engine = self._engines[slot]
             assert engine is not None
-            engine.features_into(self._rows[slot])
-            self._row_valid[slot] = True
+            engines.append(engine)
+        self._rows[slots] = feature_rows(engines)
+        self._row_valid[slots] = True
 
     def touch(self, cascade_id: str, snapshot: ModelSnapshot) -> Optional[CascadeTracker]:
         """Tracker view for scoring: LRU touch + model sync, one lookup."""
@@ -673,7 +680,8 @@ class FeatureStore:
         self._sync_slot(slot, snapshot)
         public = self._public[slot]
         if public is None:
-            self._refresh_row(slot)
+            if not self._row_valid[slot]:
+                self._refresh_rows(np.array([slot], dtype=np.intp))
             public = self._rows[slot].copy()
             public.setflags(write=False)
             self._public[slot] = public
@@ -695,7 +703,8 @@ class FeatureStore:
         next workspace call (the flush builds its results before then).
 
         Touches LRU order and syncs each live cascade to *snapshot*,
-        exactly like :meth:`features` per id.
+        exactly like :meth:`features` per id; the stale rows among them
+        are then refreshed with one :func:`feature_rows` call.
         """
         n = len(cascade_ids)
         row_of = ws.vec("gather_row_of", n, np.int64)
@@ -711,11 +720,15 @@ class FeatureStore:
                 continue
             slots.move_to_end(cascade_id)
             self._sync_slot(slot, snapshot)
-            self._refresh_row(slot)
             row_of[i] = k
             n_events[i] = self._n_events[slot]
             live[k] = slot
             k += 1
+        # every stale live slot refreshes in one pass (a repeated id
+        # computes and writes its row twice, with the same bits)
+        stale = live[:k][~self._row_valid[live[:k]]]
+        if stale.shape[0]:
+            self._refresh_rows(stale)
         x = ws.mat("gather_X", k, self._rows.shape[1])
         np.take(self._rows, live[:k], axis=0, out=x)
         return x, row_of, n_events

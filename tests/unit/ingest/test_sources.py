@@ -121,6 +121,13 @@ class TestBatchesFromCascades:
         with pytest.raises(ValueError):
             batches_from_cascades(make_cascades(), span_s=0.0)
 
+    @pytest.mark.parametrize("span", [np.nan, np.inf])
+    def test_rejects_non_finite_span(self, span):
+        # NaN passes every ordered comparison and an infinite span
+        # overflows the start draw; both must be refused up front
+        with pytest.raises(ValueError, match="span_s must be finite"):
+            batches_from_cascades(make_cascades(), span_s=span)
+
 
 class TestSyntheticGDELTSource:
     def test_streams_the_sampled_corpus(self):
@@ -179,7 +186,81 @@ class TestCascadeFileSource:
             CascadeFileSource(path).materialize()
 
 
+def _record_frames(path, n):
+    """Record *n* one-event frames; returns the batches written."""
+    from repro.ingest.recorder import StreamWriter
+
+    batches = [EventBatch([f"c{i % 3}"], [i], [float(i)]) for i in range(n)]
+    with StreamWriter(path) as w:
+        for b in batches:
+            w.write_batch(b)
+    return batches
+
+
+def _corrupt_frame(path, k):
+    """Flip one payload byte of frame *k* so its crc check fails."""
+    from repro.ingest.recorder import _FRAME, _HEADER
+
+    blob = bytearray(path.read_bytes())
+    pos = _HEADER.size
+    for _ in range(k):
+        length, _crc = _FRAME.unpack_from(blob, pos)
+        pos += _FRAME.size + length
+    blob[pos + _FRAME.size] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
 class TestRecordedSource:
+    @pytest.mark.parametrize("k", [0, 7, 8, 9])
+    def test_frames_before_a_corrupt_one_are_yielded_first(self, tmp_path, k):
+        # frames are read in blocks: the good frames of the block that
+        # holds the bad one still reach the consumer before the error
+        from repro.ingest.recorder import RecordingCorruptError
+
+        path = tmp_path / "s.evs"
+        batches = _record_frames(path, 20)
+        _corrupt_frame(path, k)
+        got = []
+
+        async def drain():
+            async for b in RecordedSource(path):
+                got.append(b)
+
+        with pytest.raises(RecordingCorruptError, match=f"crc mismatch at record {k}"):
+            asyncio.run(drain())
+        assert got == batches[:k]
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 100])
+    def test_yields_every_recorded_batch(self, tmp_path, n):
+        from repro.ingest.recorder import iter_batches
+
+        path = tmp_path / "s.evs"
+        _record_frames(path, n)
+        assert collect(RecordedSource(path)) == list(iter_batches(path))
+
+    def test_a_wrapped_iter_batches_sees_one_next_per_frame(self, tmp_path, monkeypatch):
+        # the way a tracing harness times decode: replace the module's
+        # iter_batches before iteration starts and wrap every next()
+        import repro.ingest.recorder as recorder
+
+        path = tmp_path / "s.evs"
+        batches = _record_frames(path, 19)
+        original = recorder.iter_batches
+        calls = []
+
+        def counted(p):
+            it = original(p)
+            while True:
+                batch = next(it, None)
+                calls.append(batch)
+                if batch is None:
+                    return
+                yield batch
+
+        monkeypatch.setattr(recorder, "iter_batches", counted)
+        assert collect(RecordedSource(path)) == batches
+        assert calls == batches + [None]  # one per frame, one at the end
+
     def test_round_trips_through_a_recording(self, tmp_path):
         from repro.ingest.recorder import StreamWriter
 

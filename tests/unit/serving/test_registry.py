@@ -164,6 +164,22 @@ class TestCorruptArtifacts:
             reg.publish_path(p)
         assert reg.current() is before
 
+    @pytest.mark.parametrize(
+        "plane,value", [("A", np.nan), ("B", np.inf), ("A", -np.inf)]
+    )
+    def test_non_finite_model_is_refused(self, tmp_path, plane, value):
+        reg = ModelRegistry()
+        live = self._publish_good(reg, tmp_path)
+        model = make_model(8)
+        planes = {"A": model.A.copy(), "B": model.B.copy()}
+        planes[plane][2, 1] = value
+        p = tmp_path / "model.npz"
+        np.savez_compressed(p, **planes)
+        with pytest.raises(SnapshotLoadError, match="must be finite"):
+            reg.publish_path(p)
+        assert reg.current() is live  # the last good snapshot stays live
+        assert reg.load_failures == 1
+
     def test_empty_checkpoint_dir(self, tmp_path):
         reg = ModelRegistry()
         live = self._publish_good(reg, tmp_path)

@@ -113,8 +113,9 @@ class TestPositiveIntFlags:
 
 class TestReplayServeFlags:
     """Bad values of the flags only ``ReplayConfig``/``StoreConfig``
-    used to check end in the usage line and one ``error:`` line with
-    exit 2, like the count flags above, not in a traceback."""
+    (or, for ``record``/``gdelt``, ``batches_from_cascades``) used to check end
+    in the usage line and one ``error:`` line with exit 2, like the
+    count flags above, not in a traceback or a partial recording."""
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -155,6 +156,38 @@ class TestReplayServeFlags:
         assert exc.value.code == 2
         _assert_usage_error(capsys.readouterr().err, flag)
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--span", "nan"),
+            ("--span", "inf"),
+            ("--span", "0"),
+            ("--span", "-5"),
+            ("--chunk", "0"),
+        ],
+    )
+    def test_record_rejects(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "s.evs"
+        with pytest.raises(SystemExit) as exc:
+            main(["record", "--out", str(out), "--events", "5", "--sites", "50",
+                  flag, value])
+        assert exc.value.code == 2
+        _assert_usage_error(capsys.readouterr().err, flag)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--span", "nan"), ("--span", "inf"), ("--span", "0"), ("--chunk", "0")],
+    )
+    def test_gdelt_stream_rejects(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "s.evs"
+        with pytest.raises(SystemExit) as exc:
+            main(["gdelt", "--sites", "50", "--events", "5", "--stream", str(out),
+                  flag, value])
+        assert exc.value.code == 2
+        _assert_usage_error(capsys.readouterr().err, flag)
+        assert not out.exists()
+
     def test_boundaries_are_accepted(self):
         args = build_parser().parse_args(
             ["replay", "s.evs", "--speed", "0", "--max-retries", "0",
@@ -168,6 +201,9 @@ class TestReplayServeFlags:
             ["serve", "--stdio", "--capacity", "1", "--ttl", "0.5"]
         )
         assert args.capacity == 1 and args.ttl == 0.5
+        for cmd in (["record", "--out", "s.evs"], ["gdelt", "--stream", "s.evs"]):
+            args = build_parser().parse_args(cmd + ["--span", "0.5", "--chunk", "1"])
+            assert args.span == 0.5 and args.chunk == 1
 
 
 def _assert_usage_error(stderr, flag):

@@ -33,6 +33,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-negative"):
             EmbeddingModel(-np.ones((2, 2)), np.ones((2, 2)))
 
+    @pytest.mark.parametrize(
+        "plane,value", [("A", np.nan), ("B", np.inf), ("A", -np.inf), ("B", -np.inf)]
+    )
+    def test_non_finite_rejected(self, plane, value):
+        # NaN passes the ordered non-negativity test; -inf must be
+        # named for what it is, not only as a negative entry
+        planes = {"A": np.ones((3, 2)), "B": np.ones((3, 2))}
+        planes[plane][1, 0] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            EmbeddingModel(planes["A"], planes["B"])
+
     def test_matrices_not_copied(self):
         A = np.ones((2, 2))
         B = np.ones((2, 2))
