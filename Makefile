@@ -6,7 +6,7 @@ export PYTHONPATH := src
 # wedging the suite.
 export REPRO_TEST_TIMEOUT ?= 600
 
-.PHONY: check fast test bench bench-dispatch bench-kernel bench-slpa bench-serving bench-ingest chaos lint analyze typecheck
+.PHONY: check fast test bench bench-dispatch bench-kernel bench-slpa bench-serving bench-ingest bench-startup chaos lint analyze typecheck
 
 ## tier-1 gate: lint, analyze, typecheck, then the full test suite (what CI runs)
 ## and the end-to-end benchmark's own arithmetic (perfbench/tests, outside testpaths)
@@ -108,3 +108,10 @@ bench-serving:
 ## writes BENCH_ingest.json
 bench-ingest:
 	$(PYTHON) -m pytest -x -q benchmarks/test_perf_ingest.py
+
+## cold-start benchmark (launch -> ready of the in-process scorer, of
+## `repro serve --shards 2` and of `repro --help`, with each one's exact
+## repro module count; 2-shard journal recovery wall time against the
+## per-shard replays); writes BENCH_startup.json
+bench-startup:
+	$(PYTHON) -m pytest -x -q benchmarks/test_perf_startup.py

@@ -12,27 +12,32 @@ per-link delays (§III-A).  This package provides:
 * :mod:`repro.cascades.io` — JSON-lines serialization.
 """
 
-from repro.cascades.types import Cascade, CascadeSet
-from repro.cascades.simulate import CascadeSimulator, simulate_corpus
-from repro.cascades.stats import (
-    cascade_durations,
-    cascade_sizes,
-    node_participation_counts,
-    size_histogram,
-)
-from repro.cascades.io import load_cascades_jsonl, save_cascades_jsonl
-from repro.cascades.kempe import (
-    estimate_spread,
-    greedy_influence_maximization,
-    independent_cascade,
-    linear_threshold,
-)
-from repro.cascades.trees import (
-    map_infector_tree,
-    max_breadth,
-    structural_virality,
-    tree_depth,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cascades.types import Cascade, CascadeSet
+    from repro.cascades.simulate import CascadeSimulator, simulate_corpus
+    from repro.cascades.stats import (
+        cascade_durations,
+        cascade_sizes,
+        node_participation_counts,
+        size_histogram,
+    )
+    from repro.cascades.io import load_cascades_jsonl, save_cascades_jsonl
+    from repro.cascades.kempe import (
+        estimate_spread,
+        greedy_influence_maximization,
+        independent_cascade,
+        linear_threshold,
+    )
+    from repro.cascades.trees import (
+        map_infector_tree,
+        max_breadth,
+        structural_virality,
+        tree_depth,
+    )
 
 __all__ = [
     "Cascade",
@@ -54,3 +59,22 @@ __all__ = [
     "max_breadth",
     "structural_virality",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.cascades.types": ("Cascade", "CascadeSet"),
+        "repro.cascades.simulate": ("CascadeSimulator", "simulate_corpus"),
+        "repro.cascades.stats": (
+            "cascade_durations", "cascade_sizes", "node_participation_counts", "size_histogram",
+        ),
+        "repro.cascades.io": ("load_cascades_jsonl", "save_cascades_jsonl"),
+        "repro.cascades.kempe": (
+            "estimate_spread", "greedy_influence_maximization", "independent_cascade",
+            "linear_threshold",
+        ),
+        "repro.cascades.trees": (
+            "map_infector_tree", "max_breadth", "structural_virality", "tree_depth",
+        ),
+    },
+)

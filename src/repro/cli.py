@@ -28,8 +28,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 __all__ = ["main", "build_parser"]
 
 
@@ -77,6 +75,21 @@ def _positive_seconds(text: str) -> float:
     return _finite_float(text, 0.0, strict=True)
 
 
+def _start_fraction(text: str) -> float:
+    value = _finite_float(text, 0.0, strict=False)
+    if value >= 1.0:
+        raise argparse.ArgumentTypeError(f"must be < 1, got {text}")
+    return value
+
+
+def _site_count(text: str) -> int:
+    """A synthetic GDELT world needs one site per region.  The import runs
+    only when the flag is given, so building the parser stays cheap."""
+    from repro.datasets.gdelt import DEFAULT_REGIONS
+
+    return _int_at_least(text, len(DEFAULT_REGIONS))
+
+
 def _non_negative_float(text: str) -> float:
     return _finite_float(text, 0.0, strict=False)
 
@@ -108,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("gdelt", help="generate a synthetic GDELT event corpus")
-    p.add_argument("--sites", type=int, default=800)
-    p.add_argument("--events", type=int, default=500)
+    p.add_argument("--sites", type=_site_count, default=800)
+    p.add_argument("--events", type=_non_negative_int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None,
                    help="write the corpus as cascade JSONL here")
@@ -130,13 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None,
                    help="cascade JSONL to stream (default: sample a "
                    "synthetic GDELT corpus)")
-    p.add_argument("--sites", type=int, default=800,
+    p.add_argument("--sites", type=_site_count, default=800,
                    help="synthetic world size (without --corpus)")
-    p.add_argument("--events", type=int, default=500,
+    p.add_argument("--events", type=_non_negative_int, default=500,
                    help="synthetic events to sample (without --corpus)")
     p.add_argument("--span", type=_positive_seconds, default=60.0,
                    help="stream seconds the corpus is spread over")
-    p.add_argument("--start-fraction", type=float, default=0.75,
+    p.add_argument("--start-fraction", type=_start_fraction, default=0.75,
                    help="fraction of --span in which cascades may start")
     p.add_argument("--chunk", type=_positive_int, default=256,
                    help="events per recorded burst")
@@ -275,6 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate_sbm(args) -> int:
+    import numpy as np
+
     from repro.cascades.io import save_cascades_jsonl
     from repro.datasets.sbm_corpus import make_sbm_experiment
 
@@ -298,6 +313,8 @@ def _cmd_simulate_sbm(args) -> int:
 
 
 def _cmd_gdelt(args) -> int:
+    import numpy as np
+
     from repro.cascades.io import save_cascades_jsonl
     from repro.datasets.gdelt import GDELTConfig, SyntheticGDELT
 
@@ -305,14 +322,20 @@ def _cmd_gdelt(args) -> int:
         print("nothing to do: pass --out and/or --stream", file=sys.stderr)
         return 2
     world = SyntheticGDELT(GDELTConfig(n_sites=args.sites), seed=args.seed)
-    events = world.sample_events(args.events, seed=args.seed + 1)
+    try:
+        events = world.sample_events(args.events, seed=args.seed + 1)
+    except RuntimeError as exc:  # a world too small to seed the events
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     sizes = events.sizes()
     if args.out is not None:
         save_cascades_jsonl(events, args.out)
+        spread = (
+            f"sizes: median {np.median(sizes):.0f}, max {sizes.max()}; " if len(sizes) else ""
+        )
         print(
             f"wrote {len(events)} events over {args.sites} sites to {args.out} "
-            f"(sizes: median {np.median(sizes):.0f}, max {sizes.max()}; "
-            f"window {world.config.window_hours:.0f}h)"
+            f"({spread}window {world.config.window_hours:.0f}h)"
         )
     if args.stream is not None:
         from repro.ingest import StreamWriter, batches_from_cascades
@@ -357,8 +380,9 @@ def _cmd_record(args) -> int:
         origin = f"synthetic GDELT ({args.sites} sites, {args.events} events)"
     try:
         info = record_source(source, args.out)
-    except (OSError, ValueError) as exc:
-        # a bad corpus must not leave a header-only .evs behind
+    except (OSError, ValueError, RuntimeError) as exc:
+        # a bad corpus (or a world too small to seed the events) must
+        # not leave a header-only .evs behind
         Path(args.out).unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -526,6 +550,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    import numpy as np
+
     from repro.bench.tables import format_table
     from repro.cascades.io import load_cascades_jsonl
     from repro.embedding.model import EmbeddingModel

@@ -7,8 +7,13 @@ align with geographic regions.  Everything here is implemented from
 scratch (scipy's implementations are used only as test oracles).
 """
 
-from repro.clustering.jaccard import jaccard_distance_matrix, jaccard_index
-from repro.clustering.ward import Dendrogram, ward_linkage
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.clustering.jaccard import jaccard_distance_matrix, jaccard_index
+    from repro.clustering.ward import Dendrogram, ward_linkage
 
 __all__ = [
     "jaccard_index",
@@ -16,3 +21,11 @@ __all__ = [
     "ward_linkage",
     "Dendrogram",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.clustering.jaccard": ("jaccard_distance_matrix", "jaccard_index"),
+        "repro.clustering.ward": ("Dendrogram", "ward_linkage"),
+    },
+)

@@ -8,6 +8,12 @@
 * :class:`MergeTree` — the balanced binary merge schedule of Algorithm 2 /
   Fig. 4, including the paper's stated future-work variant that balances by
   graph-node counts instead of tree-node counts.
+
+Unlike the other packages this init imports eagerly: ``slpa``,
+``louvain`` and ``modularity`` are functions named like the submodules
+that define them, and a lazy ``__getattr__`` would hand out the module
+once the submodule had been imported (DESIGN.md §19).  The serving
+paths never load this package.
 """
 
 from repro.community.partition import Partition

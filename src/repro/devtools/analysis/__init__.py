@@ -48,13 +48,18 @@ positive.
 
 from __future__ import annotations
 
-from repro.devtools.analysis.analyzers import (
-    ANALYSIS_RULE_IDS,
-    analysis_rule_table,
-    analyze_paths,
-    analyze_sources,
-)
-from repro.devtools.analysis.symbols import PackageIndex, build_index
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.devtools.analysis.analyzers import (
+        ANALYSIS_RULE_IDS,
+        analysis_rule_table,
+        analyze_paths,
+        analyze_sources,
+    )
+    from repro.devtools.analysis.symbols import PackageIndex, build_index
 
 __all__ = [
     "ANALYSIS_RULE_IDS",
@@ -64,3 +69,13 @@ __all__ = [
     "analyze_sources",
     "build_index",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.devtools.analysis.analyzers": (
+            "ANALYSIS_RULE_IDS", "analysis_rule_table", "analyze_paths", "analyze_sources",
+        ),
+        "repro.devtools.analysis.symbols": ("PackageIndex", "build_index"),
+    },
+)

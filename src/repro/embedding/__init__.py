@@ -22,19 +22,24 @@ linkmodel
     comparator behind the abstract's 50× claim.
 """
 
-from repro.embedding.model import EmbeddingModel
-from repro.embedding.likelihood import corpus_log_likelihood, log_likelihood
-from repro.embedding.gradients import accumulate_gradients
-from repro.embedding.optimizer import FitResult, OptimizerConfig, ProjectedGradientAscent
-from repro.embedding.linkmodel import LinkRateModel
-from repro.embedding.online import OnlineConfig, OnlineEmbeddingInference
-from repro.embedding.hazards import (
-    ExponentialKernel,
-    HazardKernel,
-    PowerLawKernel,
-    RayleighKernel,
-    get_kernel,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.embedding.model import EmbeddingModel
+    from repro.embedding.likelihood import corpus_log_likelihood, log_likelihood
+    from repro.embedding.gradients import accumulate_gradients
+    from repro.embedding.optimizer import FitResult, OptimizerConfig, ProjectedGradientAscent
+    from repro.embedding.linkmodel import LinkRateModel
+    from repro.embedding.online import OnlineConfig, OnlineEmbeddingInference
+    from repro.embedding.hazards import (
+        ExponentialKernel,
+        HazardKernel,
+        PowerLawKernel,
+        RayleighKernel,
+        get_kernel,
+    )
 
 __all__ = [
     "EmbeddingModel",
@@ -53,3 +58,18 @@ __all__ = [
     "OnlineConfig",
     "OnlineEmbeddingInference",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.embedding.model": ("EmbeddingModel",),
+        "repro.embedding.likelihood": ("corpus_log_likelihood", "log_likelihood"),
+        "repro.embedding.gradients": ("accumulate_gradients",),
+        "repro.embedding.optimizer": ("FitResult", "OptimizerConfig", "ProjectedGradientAscent"),
+        "repro.embedding.linkmodel": ("LinkRateModel",),
+        "repro.embedding.online": ("OnlineConfig", "OnlineEmbeddingInference"),
+        "repro.embedding.hazards": (
+            "ExponentialKernel", "HazardKernel", "PowerLawKernel", "RayleighKernel", "get_kernel",
+        ),
+    },
+)

@@ -13,21 +13,26 @@ Generators implement the topologies used in the paper's evaluation:
 * :func:`core_periphery` — the adversarial load-balancing case of §IV-B.
 """
 
-from repro.graphs.graph import Graph
-from repro.graphs.generators import (
-    barabasi_albert,
-    core_periphery,
-    erdos_renyi,
-    planted_partition_sizes,
-    stochastic_block_model,
-)
-from repro.graphs.stats import (
-    degree_histogram,
-    density,
-    mean_degree,
-    reciprocity,
-    weakly_connected_components,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.graphs.graph import Graph
+    from repro.graphs.generators import (
+        barabasi_albert,
+        core_periphery,
+        erdos_renyi,
+        planted_partition_sizes,
+        stochastic_block_model,
+    )
+    from repro.graphs.stats import (
+        degree_histogram,
+        density,
+        mean_degree,
+        reciprocity,
+        weakly_connected_components,
+    )
 
 __all__ = [
     "Graph",
@@ -42,3 +47,18 @@ __all__ = [
     "reciprocity",
     "weakly_connected_components",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.graphs.graph": ("Graph",),
+        "repro.graphs.generators": (
+            "barabasi_albert", "core_periphery", "erdos_renyi", "planted_partition_sizes",
+            "stochastic_block_model",
+        ),
+        "repro.graphs.stats": (
+            "degree_histogram", "density", "mean_degree", "reciprocity",
+            "weakly_connected_components",
+        ),
+    },
+)

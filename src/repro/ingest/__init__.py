@@ -15,36 +15,41 @@ arrive*.
   retry, and a per-window SLO meter.
 """
 
-from repro.ingest.recorder import (
-    RecordingCorruptError,
-    RecordingError,
-    StreamInfo,
-    StreamWriter,
-    iter_batches,
-    record_source,
-    record_stream,
-    stream_info,
-)
-from repro.ingest.replay import (
-    ReplayConfig,
-    ReplayEngine,
-    ReplayError,
-    ReplayOverloadError,
-    ReplayProgress,
-    SLOReport,
-    TokenBucket,
-    replay_recording,
-    replay_source,
-)
-from repro.ingest.sources import (
-    CascadeFileSource,
-    EventBatch,
-    EventSource,
-    RecordedSource,
-    SyntheticGDELTSource,
-    batches_from_cascades,
-    chunk_columns,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.ingest.recorder import (
+        RecordingCorruptError,
+        RecordingError,
+        StreamInfo,
+        StreamWriter,
+        iter_batches,
+        record_source,
+        record_stream,
+        stream_info,
+    )
+    from repro.ingest.replay import (
+        ReplayConfig,
+        ReplayEngine,
+        ReplayError,
+        ReplayOverloadError,
+        ReplayProgress,
+        SLOReport,
+        TokenBucket,
+        replay_recording,
+        replay_source,
+    )
+    from repro.ingest.sources import (
+        CascadeFileSource,
+        EventBatch,
+        EventSource,
+        RecordedSource,
+        SyntheticGDELTSource,
+        batches_from_cascades,
+        chunk_columns,
+    )
 
 __all__ = [
     "CascadeFileSource",
@@ -72,3 +77,21 @@ __all__ = [
     "replay_source",
     "stream_info",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.ingest.recorder": (
+            "RecordingCorruptError", "RecordingError", "StreamInfo", "StreamWriter", "iter_batches",
+            "record_source", "record_stream", "stream_info",
+        ),
+        "repro.ingest.replay": (
+            "ReplayConfig", "ReplayEngine", "ReplayError", "ReplayOverloadError", "ReplayProgress",
+            "SLOReport", "TokenBucket", "replay_recording", "replay_source",
+        ),
+        "repro.ingest.sources": (
+            "CascadeFileSource", "EventBatch", "EventSource", "RecordedSource",
+            "SyntheticGDELTSource", "batches_from_cascades", "chunk_columns",
+        ),
+    },
+)

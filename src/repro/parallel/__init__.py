@@ -19,34 +19,39 @@ core, the *scaling* figures are regenerated through
 with measured per-infection gradient costs (see DESIGN.md §3.2).
 """
 
-from repro.parallel.splitting import (
-    PositionSplit,
-    split_cascades,
-    split_positions,
-    subcorpus_for_community,
-)
-from repro.parallel.arena import CorpusArena, LevelSelection
-from repro.parallel.backends import (
-    Backend,
-    BlockResult,
-    BlockTask,
-    DispatchStats,
-    MultiprocessBackend,
-    SerialBackend,
-    run_block_task,
-)
-from repro.parallel.hierarchical import (
-    HierarchicalInference,
-    HierarchicalResult,
-    LevelStats,
-)
-from repro.parallel.costmodel import (
-    CostModelParams,
-    DispatchCostEstimator,
-    ParallelCostModel,
-    lpt_makespan,
-)
-from repro.parallel.hogwild import HogwildConfig, hogwild_fit
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.parallel.splitting import (
+        PositionSplit,
+        split_cascades,
+        split_positions,
+        subcorpus_for_community,
+    )
+    from repro.parallel.arena import CorpusArena, LevelSelection
+    from repro.parallel.backends import (
+        Backend,
+        BlockResult,
+        BlockTask,
+        DispatchStats,
+        MultiprocessBackend,
+        SerialBackend,
+        run_block_task,
+    )
+    from repro.parallel.hierarchical import (
+        HierarchicalInference,
+        HierarchicalResult,
+        LevelStats,
+    )
+    from repro.parallel.costmodel import (
+        CostModelParams,
+        DispatchCostEstimator,
+        ParallelCostModel,
+        lpt_makespan,
+    )
+    from repro.parallel.hogwild import HogwildConfig, hogwild_fit
 
 __all__ = [
     "split_cascades",
@@ -72,3 +77,24 @@ __all__ = [
     "HogwildConfig",
     "hogwild_fit",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.parallel.splitting": (
+            "PositionSplit", "split_cascades", "split_positions", "subcorpus_for_community",
+        ),
+        "repro.parallel.arena": ("CorpusArena", "LevelSelection"),
+        "repro.parallel.backends": (
+            "Backend", "BlockResult", "BlockTask", "DispatchStats", "MultiprocessBackend",
+            "SerialBackend", "run_block_task",
+        ),
+        "repro.parallel.hierarchical": (
+            "HierarchicalInference", "HierarchicalResult", "LevelStats",
+        ),
+        "repro.parallel.costmodel": (
+            "CostModelParams", "DispatchCostEstimator", "ParallelCostModel", "lpt_makespan",
+        ),
+        "repro.parallel.hogwild": ("HogwildConfig", "hogwild_fit"),
+    },
+)

@@ -13,36 +13,41 @@ exceed a threshold.  Evaluation is F1 under 10-fold cross-validation,
 swept over thresholds (the red curves of Figs. 9 and 12).
 """
 
-from repro.prediction.features import FeatureExtractor, extract_features
-from repro.prediction.svm import LinearSVM
-from repro.prediction.metrics import (
-    accuracy,
-    confusion_counts,
-    f1_score,
-    precision,
-    recall,
-)
-from repro.prediction.crossval import cross_val_f1, kfold_indices
-from repro.prediction.pipeline import (
-    PredictionDataset,
-    ThresholdSweepResult,
-    ViralityPredictor,
-    build_dataset,
-    threshold_sweep,
-)
-from repro.prediction.curves import (
-    average_precision,
-    best_informedness,
-    precision_recall_curve,
-    roc_auc,
-    roc_curve,
-)
-from repro.prediction.pointprocess import SelfExcitingSizePredictor
-from repro.prediction.regression import (
-    RidgeRegression,
-    mean_absolute_error,
-    r2_score,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.prediction.features import FeatureExtractor, extract_features
+    from repro.prediction.svm import LinearSVM
+    from repro.prediction.metrics import (
+        accuracy,
+        confusion_counts,
+        f1_score,
+        precision,
+        recall,
+    )
+    from repro.prediction.crossval import cross_val_f1, kfold_indices
+    from repro.prediction.pipeline import (
+        PredictionDataset,
+        ThresholdSweepResult,
+        ViralityPredictor,
+        build_dataset,
+        threshold_sweep,
+    )
+    from repro.prediction.curves import (
+        average_precision,
+        best_informedness,
+        precision_recall_curve,
+        roc_auc,
+        roc_curve,
+    )
+    from repro.prediction.pointprocess import SelfExcitingSizePredictor
+    from repro.prediction.regression import (
+        RidgeRegression,
+        mean_absolute_error,
+        r2_score,
+    )
 
 __all__ = [
     "FeatureExtractor",
@@ -70,3 +75,25 @@ __all__ = [
     "r2_score",
     "mean_absolute_error",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.prediction.features": ("FeatureExtractor", "extract_features"),
+        "repro.prediction.svm": ("LinearSVM",),
+        "repro.prediction.metrics": (
+            "accuracy", "confusion_counts", "f1_score", "precision", "recall",
+        ),
+        "repro.prediction.crossval": ("cross_val_f1", "kfold_indices"),
+        "repro.prediction.pipeline": (
+            "PredictionDataset", "ThresholdSweepResult", "ViralityPredictor", "build_dataset",
+            "threshold_sweep",
+        ),
+        "repro.prediction.curves": (
+            "average_precision", "best_informedness", "precision_recall_curve", "roc_auc",
+            "roc_curve",
+        ),
+        "repro.prediction.pointprocess": ("SelfExcitingSizePredictor",),
+        "repro.prediction.regression": ("RidgeRegression", "mean_absolute_error", "r2_score"),
+    },
+)

@@ -39,48 +39,53 @@ adoption events arrive:
   shard (``repro serve --shards N``).
 """
 
-from repro.serving.batching import (
-    LatencyBreakdown,
-    QueueFullError,
-    ScoreColumns,
-    ScoreResult,
-)
-from repro.serving.client import (
-    RemoteError,
-    ScoringClient,
-    ServerUnreachableError,
-    TCPScoringClient,
-)
-from repro.serving.durability import (
-    EventJournal,
-    JournalConfig,
-    JournalCorruptError,
-    JournalError,
-    RecoveryReport,
-    coalesce_reports,
-    recover_service,
-    shard_journal_dir,
-)
-from repro.serving.health import FaultRecord, HealthMonitor, aggregate_health
-from repro.serving.registry import (
-    ModelRegistry,
-    ModelSnapshot,
-    SharedSnapshotMeta,
-    SnapshotLoadError,
-    encode_shared_snapshot,
-)
-from repro.serving.server import ScoringServer, build_service, serve_stdio
-from repro.serving.service import ScoringService, ServiceStats
-from repro.serving.sharding import (
-    ShardDeadError,
-    ShardedScoringService,
-    ShardStartupError,
-    build_sharded_service,
-    recover_sharded_service,
-    shard_of,
-)
-from repro.serving.tracker import CascadeTracker, FeatureStore, StoreConfig, StoreStats
-from repro.serving.workspace import ScoringWorkspace
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serving.batching import (
+        LatencyBreakdown,
+        QueueFullError,
+        ScoreColumns,
+        ScoreResult,
+    )
+    from repro.serving.client import (
+        RemoteError,
+        ScoringClient,
+        ServerUnreachableError,
+        TCPScoringClient,
+    )
+    from repro.serving.durability import (
+        EventJournal,
+        JournalConfig,
+        JournalCorruptError,
+        JournalError,
+        RecoveryReport,
+        coalesce_reports,
+        recover_service,
+        shard_journal_dir,
+    )
+    from repro.serving.health import FaultRecord, HealthMonitor, aggregate_health
+    from repro.serving.registry import (
+        ModelRegistry,
+        ModelSnapshot,
+        SharedSnapshotMeta,
+        SnapshotLoadError,
+        encode_shared_snapshot,
+    )
+    from repro.serving.server import ScoringServer, build_service, serve_stdio
+    from repro.serving.service import ScoringService, ServiceStats
+    from repro.serving.sharding import (
+        ShardDeadError,
+        ShardedScoringService,
+        ShardStartupError,
+        build_sharded_service,
+        recover_sharded_service,
+        shard_of,
+    )
+    from repro.serving.tracker import CascadeTracker, FeatureStore, StoreConfig, StoreStats
+    from repro.serving.workspace import ScoringWorkspace
 
 __all__ = [
     "CascadeTracker",
@@ -124,3 +129,32 @@ __all__ = [
     "shard_journal_dir",
     "shard_of",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.serving.batching": (
+            "LatencyBreakdown", "QueueFullError", "ScoreColumns", "ScoreResult",
+        ),
+        "repro.serving.client": (
+            "RemoteError", "ScoringClient", "ServerUnreachableError", "TCPScoringClient",
+        ),
+        "repro.serving.durability": (
+            "EventJournal", "JournalConfig", "JournalCorruptError", "JournalError",
+            "RecoveryReport", "coalesce_reports", "recover_service", "shard_journal_dir",
+        ),
+        "repro.serving.health": ("FaultRecord", "HealthMonitor", "aggregate_health"),
+        "repro.serving.registry": (
+            "ModelRegistry", "ModelSnapshot", "SharedSnapshotMeta", "SnapshotLoadError",
+            "encode_shared_snapshot",
+        ),
+        "repro.serving.server": ("ScoringServer", "build_service", "serve_stdio"),
+        "repro.serving.service": ("ScoringService", "ServiceStats"),
+        "repro.serving.sharding": (
+            "ShardDeadError", "ShardedScoringService", "ShardStartupError", "build_sharded_service",
+            "recover_sharded_service", "shard_of",
+        ),
+        "repro.serving.tracker": ("CascadeTracker", "FeatureStore", "StoreConfig", "StoreStats"),
+        "repro.serving.workspace": ("ScoringWorkspace",),
+    },
+)

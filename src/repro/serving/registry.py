@@ -34,16 +34,18 @@ import zlib
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.devtools.sanitize import LockLike, guarded_lock
 from repro.embedding.model import EmbeddingModel
-from repro.embedding.online import OnlineEmbeddingInference
 from repro.parallel._shm import attach_untracked, create_segment
 from repro.parallel.arena import attach_arrays, layout_fields
 from repro.prediction.pipeline import ViralityPredictor
+
+if TYPE_CHECKING:  # annotation-only: publish_online takes a live estimator
+    from repro.embedding.online import OnlineEmbeddingInference
 
 __all__ = [
     "ModelSnapshot",

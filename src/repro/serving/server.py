@@ -63,11 +63,12 @@ Robustness (DESIGN.md §14):
   :class:`~repro.serving.batching.QueueFullError`, which the replay
   engine's retry ladder handles.
 * **Supervised background tasks** — the journal heartbeat (task
-  ``flusher``: an interval-fsync tick every ``_HEARTBEAT_INTERVAL``)
-  and the sweeper run under a restart wrapper: a crashed loop is
-  fault-logged and restarted with exponential backoff; past the restart
-  budget the task is abandoned and the service degrades
-  (``task:<name>``) instead of silently losing its contract.
+  ``flusher``: an interval-fsync tick every ``_HEARTBEAT_INTERVAL``,
+  run only for a service with a ``journal_tick``; shard workers tick
+  their own journals) and the sweeper run under a restart wrapper: a
+  crashed loop is fault-logged and restarted with exponential backoff;
+  past the restart budget the task is abandoned and the service
+  degrades (``task:<name>``) instead of silently losing its contract.
 * **Graceful drain** — :meth:`ScoringServer.run` installs a SIGTERM
   handler that stops accepting, lets the scorer answer every waiting
   ``score`` op, seals the journal, and returns (the CLI then exits 0).
@@ -429,9 +430,10 @@ class ScoringServer:
 
     def _start_background(self) -> None:
         self._stopping = False
-        self._flusher = asyncio.create_task(
-            self._supervised("flusher", self._heartbeat)
-        )
+        if hasattr(self.service, "journal_tick"):
+            self._flusher = asyncio.create_task(
+                self._supervised("flusher", self._heartbeat)
+            )
         if self.service.ttl_enabled():
             self._sweeper = asyncio.create_task(
                 self._supervised("sweeper", self._sweep_loop)

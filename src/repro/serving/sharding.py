@@ -354,11 +354,12 @@ class ShardedScoringService:
     LRU/TTL-bounded store over its hash range, so a sharded service
     tracks up to ``n_shards * capacity`` cascades.
 
-    Construction spawns the workers and performs the ready handshake;
-    a worker that fails to come up raises :class:`ShardStartupError`
-    (with every already-started sibling torn down).  Publish a model
-    before traffic via :meth:`publish` / :meth:`publish_path` — both
-    broadcast one shared segment, never per-shard copies.
+    Construction forks every worker, then collects their ready
+    handshakes in shard order, so the shards build (and replay their
+    journals) concurrently; a worker that fails to come up raises
+    :class:`ShardStartupError` with every sibling torn down.  Publish a
+    model before traffic via :meth:`publish` / :meth:`publish_path` —
+    both broadcast one shared segment, never per-shard copies.
     """
 
     #: tells the asyncio server to run this service's (pipe-blocking)
@@ -404,9 +405,15 @@ class ShardedScoringService:
         self._shard_cache_cap = max(4 * capacity * n_shards, 1 << 16)
         self.recovery_report: Optional[RecoveryReport] = None
         with self._lock:
+            # Fork every worker before waiting on any: builds and journal
+            # replays overlap, so start-up costs the slowest shard, not
+            # the sum of them.
             try:
                 for shard_id in range(n_shards):
                     self._handles.append(self._spawn(shard_id, recover=recover))
+                deadline = time.monotonic() + startup_timeout
+                for handle in self._handles:
+                    self._await_ready(handle, deadline)
             except BaseException:
                 self._kill_workers()
                 raise
@@ -418,7 +425,7 @@ class ShardedScoringService:
     # ------------------------------------------------------------------ #
 
     def _spawn(self, shard_id: int, recover: bool) -> _ShardHandle:
-        """Fork one worker and wait for its ready/fatal handshake."""
+        """Fork one worker; :meth:`_await_ready` completes its handshake."""
         plan = ShardPlan(
             shard_id=shard_id,
             feature_set=self._feature_set,
@@ -442,39 +449,40 @@ class ShardedScoringService:
             daemon=True,
         )
         process.start()
-        worker_conn.close()  # the router's copy of the worker end
+        # the router's copy of the worker end, closed before the next
+        # fork: no other child inherits it, so the worker's death is EOF
+        worker_conn.close()
+        return _ShardHandle(
+            shard_id=shard_id,
+            process=process,
+            conn=router_conn,
+            report=None,
+            fingerprint=None,
+            version=0,
+        )
+
+    def _await_ready(self, handle: _ShardHandle, deadline: float) -> None:
+        """Wait for one worker's ready/fatal handshake and record it.
+
+        Raises :class:`ShardStartupError`; the caller tears the worker
+        down.
+        """
+        shard_id = handle.shard_id
         try:
-            if not router_conn.poll(self._startup_timeout):
+            if not handle.conn.poll(max(0.0, deadline - time.monotonic())):
                 raise ShardStartupError(
                     f"shard {shard_id} did not come up within "
                     f"{self._startup_timeout:.0f}s"
                 )
-            hello = router_conn.recv()
-        except ShardStartupError:
-            process.terminate()
-            process.join(timeout=5)
-            router_conn.close()
-            raise
+            hello = handle.conn.recv()
         except _PIPE_DEAD as exc:
-            process.join(timeout=5)
-            router_conn.close()
             raise ShardStartupError(
                 f"shard {shard_id} died during startup "
                 f"({type(exc).__name__}: {exc})"
             ) from exc
         if hello[0] == "fatal":
-            process.join(timeout=5)
-            router_conn.close()
             raise ShardStartupError(f"shard {shard_id} failed to start: {hello[1]}")
-        _, _, report, fingerprint, version = hello
-        return _ShardHandle(
-            shard_id=shard_id,
-            process=process,
-            conn=router_conn,
-            report=report,
-            fingerprint=fingerprint,
-            version=version,
-        )
+        _, _, handle.report, handle.fingerprint, handle.version = hello
 
     def _kill_workers(self) -> None:
         """Hard teardown of every live worker; called under ``_lock``
@@ -490,6 +498,17 @@ class ShardedScoringService:
             handle.process.join(timeout=5)
         self._handles = []
         self._release_segment()
+
+    @staticmethod
+    def _stop_worker(handle: _ShardHandle) -> None:
+        """Hard teardown of one worker outside ``_handles``' bookkeeping."""
+        try:
+            handle.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+        if handle.process.is_alive():
+            handle.process.terminate()
+        handle.process.join(timeout=5)
 
     def _release_segment(self) -> None:
         seg = self._segment
@@ -518,16 +537,12 @@ class ShardedScoringService:
         self.health.record_fault(
             "shard_dead", f"shard {shard_id} died: {cause}; restarting"
         )
+        self._stop_worker(old)
+        handle = self._spawn(shard_id, recover=self._journal_base is not None)
         try:
-            old.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if old.process.is_alive():
-            old.process.terminate()
-        old.process.join(timeout=5)
-        try:
-            handle = self._spawn(shard_id, recover=self._journal_base is not None)
+            self._await_ready(handle, time.monotonic() + self._startup_timeout)
         except ShardStartupError as exc:
+            self._stop_worker(handle)
             self.health.degrade(
                 f"shard{shard_id}",
                 f"restart failed ({exc}); its hash range is down",
@@ -938,9 +953,6 @@ class ShardedScoringService:
             for reply in replies:
                 h.update(str(reply[1]).encode("utf-8"))
             return h.hexdigest()
-
-    def journal_tick(self) -> None:
-        """No-op: shard workers self-tick their journals between ops."""
 
     def seal_journal(self) -> None:
         """No-op at the router: shards seal their journals on drain."""

@@ -741,3 +741,69 @@ class TestBuildService:
         got = recovered.score("c", include_features=True)
         assert got.status == "ok"
         assert np.array_equal(got.features, reference.features)
+
+
+class TestShardedHeartbeat:
+    """Shard workers tick their own journals off their poll, so a server
+    over the shard router runs no heartbeat: no executor hop every
+    ``_HEARTBEAT_INTERVAL`` for a call with nothing to do."""
+
+    def test_no_journal_tick_reaches_the_router(self):
+        sharded = ShardedScoringService(n_shards=1)
+        sharded.publish(make_model(0))
+
+        async def scenario():
+            server = ScoringServer(sharded)
+            calls = []
+            real = server._call_service
+
+            async def counted(fn, *args, **kwargs):
+                calls.append(getattr(fn, "__name__", repr(fn)))
+                return await real(fn, *args, **kwargs)
+
+            server._call_service = counted
+            await server.start()
+            await asyncio.sleep(0.15)
+            idle = list(calls)
+            await server.stop()
+            return idle
+
+        try:
+            idle = asyncio.run(scenario())
+        finally:
+            sharded.close()
+        assert "journal_tick" not in idle
+
+    def test_shard_journals_fsync_a_quiet_stream(self, tmp_path):
+        sharded = ShardedScoringService(
+            n_shards=2, journal_dir=tmp_path, fsync="interval", fsync_interval=0.05
+        )
+        sharded.publish(make_model(0))
+
+        def fsyncs():
+            return [shard["journal"]["fsyncs"] for shard in sharded.stats()["shards"]]
+
+        async def scenario():
+            server = ScoringServer(sharded)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                request = {"op": "events", "events": [list(e) for e in EVENTS]}
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                reply = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                after_burst = fsyncs()
+                await asyncio.sleep(0.4)  # quiet: no op reaches the server
+                quiet = fsyncs()
+                writer.close()
+                await writer.wait_closed()
+                return reply, after_burst, quiet
+            finally:
+                await server.stop()
+
+        try:
+            reply, after_burst, quiet = asyncio.run(scenario())
+        finally:
+            sharded.close()
+        assert reply["ok"] is True
+        assert all(q > b for q, b in zip(quiet, after_burst)), (after_burst, quiet)

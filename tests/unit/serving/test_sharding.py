@@ -13,12 +13,14 @@ The SIGKILL crash tests double as the sharding leg of ``make chaos``.
 
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
 
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
+from repro.serving import sharding
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.sharding import (
@@ -105,6 +107,50 @@ class TestConstruction:
                 n_shards=2, journal_dir=tmp_path / "nothing", recover=True
             )
         assert "shard 0" in str(exc_info.value)
+
+
+class TestConcurrentStartup:
+    """The router forks every worker before it waits on any handshake,
+    so shard builds and journal replays overlap."""
+
+    N = 3
+
+    def _gate_builds(self, monkeypatch, tmp_path, fail_shard=None):
+        """Each worker leaves its pid, then builds only once every
+        sibling has been forked; a router that awaited shard 0 before
+        forking shard 1 would leave shard 0 waiting forever."""
+        real = sharding._build_shard_service
+
+        def gated(plan):
+            (tmp_path / f"forked-{plan.shard_id}").write_text(str(os.getpid()))
+            deadline = time.monotonic() + 5.0
+            while not all((tmp_path / f"forked-{i}").exists() for i in range(self.N)):
+                if time.monotonic() > deadline:
+                    raise RuntimeError("siblings were not forked while this shard built")
+                time.sleep(0.01)
+            if plan.shard_id == fail_shard:
+                raise RuntimeError("injected build failure")
+            return real(plan)
+
+        monkeypatch.setattr(sharding, "_build_shard_service", gated)
+
+    def test_every_worker_forks_before_any_handshake(self, monkeypatch, tmp_path):
+        self._gate_builds(monkeypatch, tmp_path)
+        svc = ShardedScoringService(n_shards=self.N)
+        try:
+            assert [h.shard_id for h in svc._handles] == list(range(self.N))
+            assert all(h.process.is_alive() for h in svc._handles)
+        finally:
+            svc.close()
+
+    def test_failed_handshake_tears_every_worker_down(self, monkeypatch, tmp_path):
+        self._gate_builds(monkeypatch, tmp_path, fail_shard=1)
+        with pytest.raises(ShardStartupError, match="shard 1 failed to start"):
+            ShardedScoringService(n_shards=self.N)
+        for i in range(self.N):
+            pid = int((tmp_path / f"forked-{i}").read_text())
+            with pytest.raises(ProcessLookupError):  # exited and reaped
+                os.kill(pid, 0)
 
 
 class TestBitIdentity:

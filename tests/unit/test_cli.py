@@ -206,6 +206,68 @@ class TestReplayServeFlags:
             assert args.span == 0.5 and args.chunk == 1
 
 
+class TestWorldFlags:
+    """Bad synthetic-world flags of ``repro gdelt`` and ``repro record``
+    used to end in a ``ValueError`` traceback (``record --events -1``
+    and ``--start-fraction nan`` in one ``error:`` line, but exit 1).
+    Each now gets the usage line, one ``error:`` line and exit 2, and
+    leaves no file.  ``GDELTConfig`` needs one site per region."""
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--events", "-1"), ("--sites", "0"), ("--sites", "3")]
+    )
+    def test_gdelt_rejects(self, flag, value, tmp_path, capsys):
+        out, stream = tmp_path / "c.jsonl", tmp_path / "s.evs"
+        with pytest.raises(SystemExit) as exc:
+            main(["gdelt", "--out", str(out), "--stream", str(stream), flag, value])
+        assert exc.value.code == 2
+        _assert_usage_error(capsys.readouterr().err, flag)
+        assert not out.exists() and not stream.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--sites", "0"),
+            ("--sites", "4"),
+            ("--events", "-1"),
+            ("--start-fraction", "nan"),
+            ("--start-fraction", "1"),
+            ("--start-fraction", "-0.5"),
+        ],
+    )
+    def test_record_rejects(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "s.evs"
+        with pytest.raises(SystemExit) as exc:
+            main(["record", "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        _assert_usage_error(capsys.readouterr().err, flag)
+        assert not out.exists()
+
+    def test_boundaries_are_accepted(self):
+        from repro.datasets.gdelt import DEFAULT_REGIONS
+
+        sites = str(len(DEFAULT_REGIONS))
+        for cmd in (["gdelt"], ["record", "--out", "s.evs", "--start-fraction", "0"]):
+            args = build_parser().parse_args(cmd + ["--sites", sites, "--events", "0"])
+            assert args.sites == len(DEFAULT_REGIONS) and args.events == 0
+
+    def test_no_events_is_an_empty_corpus(self, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        assert main(["gdelt", "--sites", "50", "--events", "0", "--out", str(out)]) == 0
+        assert "wrote 0 events" in capsys.readouterr().out
+        assert out.exists()
+
+    @pytest.mark.parametrize("command", ["gdelt", "record"])
+    def test_a_world_too_small_to_seed_is_one_error_line(self, command, tmp_path, capsys):
+        out = tmp_path / ("c.jsonl" if command == "gdelt" else "s.evs")
+        assert main([command, "--sites", "5", "--events", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == ["error: seed budget exhausted: "
+                                            "lower min_size or raise cluster_rate"]
+        assert not out.exists()
+
+
 def _assert_usage_error(stderr, flag):
     assert "Traceback" not in stderr
     lines = stderr.strip().splitlines()
