@@ -46,7 +46,6 @@ from repro.ingest import (
 from repro.prediction.pipeline import ViralityPredictor, build_dataset
 from repro.serving import (
     JournalConfig,
-    ScoringClient,
     build_service,
     build_sharded_service,
     recover_service,
@@ -90,7 +89,6 @@ def run(workdir: Path) -> None:
         predictor_path=str(workdir / "svm.npz"),
         journal_dir=workdir / "wal",
     )
-    client = ScoringClient(service)
     print(
         f"  artifacts in {workdir}; model version "
         f"{service.stats()['model_version']}; journaling to {workdir / 'wal'}"
@@ -108,14 +106,14 @@ def run(workdir: Path) -> None:
         cascade_ids.append(cid)
         cutoff = cascade.times[0] + exp.early_fraction * exp.window
         prefix = cascade.prefix_by_time(cutoff)
-        client.ingest_columns(
+        service.ingest_columns(
             [cid] * len(prefix.nodes),
             np.asarray(prefix.nodes),
             np.asarray(prefix.times),
         )
-    # score_many is one score_columns call: one snapshot read and one
-    # vectorized SVM evaluation for the whole group
-    results = client.score_many(cascade_ids)
+    # one score_columns call: one snapshot read and one vectorized SVM
+    # evaluation for the whole group, answered as columns in request order
+    results = service.score_columns(cascade_ids)
     stats = service.stats()
     print(
         f"  {stats['ingested']} events folded in; {stats['scored']} cascades "
@@ -123,13 +121,13 @@ def run(workdir: Path) -> None:
     )
 
     final_sizes = exp.test.sizes()
-    order = np.argsort([-r.score for r in results])[:5]
+    order = np.argsort(-results.scores)[:5]
     rows = [
         (
-            results[i].cascade_id,
-            results[i].n_early,
-            f"{results[i].score:+.2f}",
-            "viral" if results[i].label > 0 else "-",
+            cascade_ids[i],
+            int(results.n_early[i]),
+            f"{results.scores[i]:+.2f}",
+            "viral" if results.labels[i] > 0 else "-",
             int(final_sizes[i]),
             "viral" if final_sizes[i] >= threshold else "-",
         )
@@ -140,7 +138,7 @@ def run(workdir: Path) -> None:
         ("cascade", "early", "score", "predicted", "final size", "actual"), rows
     )
     print("\n".join("    " + line for line in table.splitlines()))
-    predicted = np.array([r.label for r in results])
+    predicted = results.labels
     actual = np.where(final_sizes >= threshold, 1, -1)
     agree = float(np.mean(predicted == actual))
     print(f"  prediction/outcome agreement: {agree:.0%}")
@@ -155,15 +153,15 @@ def run(workdir: Path) -> None:
     # service.publish is the journaled twin of registry.publish: the new
     # snapshot also goes down as a swap record, so recovery re-swaps it.
     service.publish(model2, predictor=predictor2, source="refit")
-    results2 = client.score_many(cascade_ids)
+    results2 = service.score_columns(cascade_ids)
     stats = service.stats()
-    sample = results[int(order[0])], results2[int(order[0])]
+    top = int(order[0])
     print(
-        f"  model version {sample[0].model_version} -> "
-        f"{sample[1].model_version}; {stats['rebuilds']} trackers rebuilt; "
-        f"top cascade rescored {sample[0].score:+.2f} -> {sample[1].score:+.2f}"
+        f"  model version {results.model_version} -> "
+        f"{results2.model_version}; {stats['rebuilds']} trackers rebuilt; "
+        f"top cascade rescored {results.scores[top]:+.2f} -> {results2.scores[top]:+.2f}"
     )
-    predicted2 = np.array([r.label for r in results2])
+    predicted2 = results2.labels
     agree2 = float(np.mean(predicted2 == actual))
     print(f"  agreement after swap: {agree2:.0%}")
 
@@ -172,11 +170,10 @@ def run(workdir: Path) -> None:
     # or seal — no goodbye flush.  Every appended record already reached
     # the OS (the journal flushes per frame; the fsync policy decides
     # when it hits the platter), so recovery sees the full stream.
-    reference = {r.cascade_id: r.score for r in results2}
-    del service, client
+    del service
     recovered, report = recover_service(JournalConfig(directory=workdir / "wal"))
-    results3 = ScoringClient(recovered).score_many(cascade_ids)
-    identical = all(reference[r.cascade_id] == r.score for r in results3)
+    results3 = recovered.score_columns(cascade_ids)
+    identical = bool(np.array_equal(results3.scores, results2.scores))
     print(
         f"  replayed {report.snapshot_events + report.events_replayed} events "
         f"+ {report.swaps_replayed} model swaps across "
@@ -191,7 +188,7 @@ def run(workdir: Path) -> None:
     # processes by cascade-id hash.  The router fans each burst out over
     # per-shard pipes and merges replies in request order; a model
     # publish crosses the plane bytes once, through a shared-memory
-    # segment every shard attaches read-only.  Same client, same wire
+    # segment every shard attaches read-only.  Same calls, same wire
     # protocol, same scores.
     sharded = build_sharded_service(
         str(workdir / "model.npz"),
@@ -199,21 +196,20 @@ def run(workdir: Path) -> None:
         predictor_path=str(workdir / "svm.npz"),
     )
     try:
-        sh_client = ScoringClient(sharded)
         for i, cascade in enumerate(exp.test):
             cutoff = cascade.times[0] + exp.early_fraction * exp.window
             prefix = cascade.prefix_by_time(cutoff)
-            sh_client.ingest_columns(
+            sharded.ingest_columns(
                 [cascade_ids[i]] * len(prefix.nodes),
                 np.asarray(prefix.nodes),
                 np.asarray(prefix.times),
             )
-        sh_results = sh_client.score_many(cascade_ids)
-        same_v1 = all(a.score == b.score for a, b in zip(sh_results, results))
+        sh_results = sharded.score_columns(cascade_ids)
+        same_v1 = bool(np.array_equal(sh_results.scores, results.scores))
         # One zero-copy publish swaps every shard to the refit model.
         sharded.publish(model2, predictor=predictor2, source="refit")
-        sh_results2 = sh_client.score_many(cascade_ids)
-        same_v2 = all(r.score == reference[r.cascade_id] for r in sh_results2)
+        sh_results2 = sharded.score_columns(cascade_ids)
+        same_v2 = bool(np.array_equal(sh_results2.scores, results2.scores))
         sh_stats = sharded.stats()
         per_shard = "+".join(
             str(s["tracked_cascades"]) for s in sh_stats["shards"]

@@ -71,7 +71,7 @@ def _finite_float(text: str, low: float, strict: bool) -> float:
     return value
 
 
-def _positive_seconds(text: str) -> float:
+def _positive_float(text: str) -> float:
     return _finite_float(text, 0.0, strict=True)
 
 
@@ -110,11 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate-sbm", help="generate an SBM cascade corpus")
-    p.add_argument("--nodes", type=int, default=400)
-    p.add_argument("--community-size", type=int, default=40)
-    p.add_argument("--cascades", type=int, default=450)
-    p.add_argument("--window", type=float, default=1.0)
-    p.add_argument("--rate-scale", type=float, default=0.9)
+    p.add_argument("--nodes", type=_positive_int, default=400)
+    p.add_argument("--community-size", type=_positive_int, default=40)
+    p.add_argument("--cascades", type=_positive_int, default=450)
+    p.add_argument("--window", type=_positive_float, default=1.0)
+    p.add_argument("--rate-scale", type=_positive_float, default=0.9)
     p.add_argument("--uniform", action="store_true",
                    help="disable hub communities (the scaling-benchmark corpus)")
     p.add_argument("--seed", type=int, default=0)
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", default=None,
                    help="also/instead export a timestamped event stream "
                    "consumable by 'repro replay'")
-    p.add_argument("--span", type=_positive_seconds, default=60.0,
+    p.add_argument("--span", type=_positive_float, default=60.0,
                    help="stream seconds the corpus is spread over "
                    "(--stream only)")
     p.add_argument("--chunk", type=_positive_int, default=256,
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="synthetic world size (without --corpus)")
     p.add_argument("--events", type=_non_negative_int, default=500,
                    help="synthetic events to sample (without --corpus)")
-    p.add_argument("--span", type=_positive_seconds, default=60.0,
+    p.add_argument("--span", type=_positive_float, default=60.0,
                    help="stream seconds the corpus is spread over")
     p.add_argument("--start-fraction", type=_start_fraction, default=0.75,
                    help="fraction of --span in which cascades may start")
@@ -186,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "the burst")
     p.add_argument("--score-every", type=_positive_int, default=None,
                    help="score each burst's cascades every Nth burst")
-    p.add_argument("--window", type=_positive_seconds, default=1.0,
+    p.add_argument("--window", type=_positive_float, default=1.0,
                    help="SLO meter window seconds")
-    p.add_argument("--slo-p99-ms", type=_positive_seconds, default=None,
+    p.add_argument("--slo-p99-ms", type=_positive_float, default=None,
                    help="gate: fail (exit 1) if p99 ingest+score latency "
                    "exceeds this many milliseconds")
 
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "supervision; the last permitted attempt runs in the "
                    "parent, earlier ones in the pool (default 3: up to three "
                    "pool attempts, then the parent; 0: every task in the parent)")
-    p.add_argument("--task-timeout", type=_positive_seconds, default=None,
+    p.add_argument("--task-timeout", type=_positive_float, default=None,
                    help="fixed per-task deadline in seconds (default: "
                    "adaptive from the dispatch cost model)")
     p.add_argument("--checkpoint-dir", default=None,
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="speak the protocol on stdin/stdout instead of TCP")
     p.add_argument("--capacity", type=_positive_int, default=100_000,
                    help="max cascades tracked before LRU eviction")
-    p.add_argument("--ttl", type=_positive_seconds, default=None,
+    p.add_argument("--ttl", type=_positive_float, default=None,
                    help="expire cascades idle this many seconds (default: never)")
     p.add_argument("--journal-dir", default=None,
                    help="write-ahead journal directory (enables durability)")
@@ -293,16 +293,20 @@ def _cmd_simulate_sbm(args) -> int:
     from repro.cascades.io import save_cascades_jsonl
     from repro.datasets.sbm_corpus import make_sbm_experiment
 
-    exp = make_sbm_experiment(
-        n_nodes=args.nodes,
-        community_size=args.community_size,
-        n_train=args.cascades,
-        n_test=0,
-        window=args.window,
-        rate_scale=args.rate_scale,
-        hub_communities=not args.uniform,
-        seed=args.seed,
-    )
+    try:
+        exp = make_sbm_experiment(
+            n_nodes=args.nodes,
+            community_size=args.community_size,
+            n_train=args.cascades,
+            n_test=0,
+            window=args.window,
+            rate_scale=args.rate_scale,
+            hub_communities=not args.uniform,
+            seed=args.seed,
+        )
+    except (ValueError, RuntimeError) as exc:  # too sparse, or rates that overflow
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     save_cascades_jsonl(exp.cascades, args.out)
     sizes = exp.cascades.sizes()
     print(

@@ -69,7 +69,9 @@ class RecordingError(RuntimeError):
 
 
 class RecordingCorruptError(RecordingError):
-    """The recording violates the framed format (crc, magic, truncation)."""
+    """The recording violates the framed format (crc, magic, truncation)
+    or a frame's contents (an undecodable id column, non-finite or
+    decreasing times)."""
 
 
 def _encode_batch(batch: EventBatch) -> bytes:
@@ -92,14 +94,20 @@ def _decode_batch(payload: bytes) -> EventBatch:
         raise RecordingCorruptError(
             f"record payload is {len(payload)} bytes, expected {expected}"
         )
-    cids = json.loads(payload[off : off + cid_len].decode("utf-8"))
+    try:
+        cids = json.loads(payload[off : off + cid_len].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both
+        raise RecordingCorruptError(f"cascade-id column: {exc}") from exc
     off += cid_len
     nodes = np.frombuffer(payload, dtype=np.int64, count=n, offset=off)
     off += 8 * n
     times = np.frombuffer(payload, dtype=np.float64, count=n, offset=off)
     if not isinstance(cids, list) or len(cids) != n:
         raise RecordingCorruptError("cascade-id column does not match n_events")
-    return EventBatch(cids, nodes, times)
+    try:
+        return EventBatch(cids, nodes, times)
+    except ValueError as exc:  # a NaN/inf or decreasing time
+        raise RecordingCorruptError(f"record times: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ adoption events arrive:
   backpressure error;
 * :mod:`repro.serving.service` — the synchronous, thread-safe scoring
   core tying the three together;
-* :mod:`repro.serving.client` — in-process synchronous client, plus a
-  reconnecting TCP client speaking the server's wire protocol (the
-  replay harness's remote feed point);
+* :mod:`repro.serving.client` — a reconnecting TCP client speaking the
+  server's wire protocol (the replay harness's remote feed point); in
+  process, callers use the service itself;
 * :mod:`repro.serving.server` — asyncio newline-JSON front end
   (TCP or stdio) with group commit for concurrent ``score`` ops, an
   in-flight bound that refuses excess data requests with ``queue
@@ -52,7 +52,6 @@ if TYPE_CHECKING:
     )
     from repro.serving.client import (
         RemoteError,
-        ScoringClient,
         ServerUnreachableError,
         TCPScoringClient,
     )
@@ -104,7 +103,6 @@ __all__ = [
     "RemoteError",
     "ScoreColumns",
     "ScoreResult",
-    "ScoringClient",
     "ScoringServer",
     "ScoringService",
     "ScoringWorkspace",
@@ -137,7 +135,7 @@ __getattr__, __dir__ = _lazy_exports(
             "LatencyBreakdown", "QueueFullError", "ScoreColumns", "ScoreResult",
         ),
         "repro.serving.client": (
-            "RemoteError", "ScoringClient", "ServerUnreachableError", "TCPScoringClient",
+            "RemoteError", "ServerUnreachableError", "TCPScoringClient",
         ),
         "repro.serving.durability": (
             "EventJournal", "JournalConfig", "JournalCorruptError", "JournalError",

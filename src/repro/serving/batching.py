@@ -14,9 +14,9 @@ are independent of *how* scores are computed:
   bound refused a request (the TCP client raises it, the replay
   engine's retry ladder catches it).
 
-``score`` and the in-process ``score_many`` convert their rows with
-:meth:`ScoreColumns.result`; the asyncio server's group commit does the
-same for each ``score`` op of a group (DESIGN.md §12.3).
+``score`` converts its row with :meth:`ScoreColumns.result`; the
+asyncio server turns a group's columns into JSON rows directly (DESIGN.md
+§12.3).
 """
 
 from __future__ import annotations
@@ -114,24 +114,17 @@ class ScoreColumns:
     def __len__(self) -> int:
         return int(self.ok.shape[0])
 
-    def result(
-        self,
-        i: int,
-        cascade_id: str,
-        include_features: bool = True,
-        queued_s: float = 0.0,
-    ) -> ScoreResult:
+    def result(self, i: int, cascade_id: str) -> ScoreResult:
         """Row *i* as the :class:`ScoreResult` for *cascade_id*.
 
         ``features`` is a read-only copy of row *i*, attached when the
-        columns carry features and *include_features* is set — a group
-        gathers features for all its ids when any request asked, and
-        answers only the requests that did.  ``latency`` is *queued_s*,
-        the call's ``compute_s`` and ``len(self)`` as the batch size.
+        columns carry features.  ``latency`` has no queued time (the
+        call scores at once), the call's ``compute_s`` and ``len(self)``
+        as the batch size.
         """
         # positional construction: keywords cost these slotted dataclasses
         # about twice as much, and this runs once per scored request
-        latency = LatencyBreakdown(queued_s, self.compute_s, len(self.ok))
+        latency = LatencyBreakdown(0.0, self.compute_s, len(self.ok))
         if not self.ok.item(i):
             return ScoreResult(
                 cascade_id=cascade_id,
@@ -140,7 +133,7 @@ class ScoreColumns:
                 latency=latency,
             )
         features: Optional[np.ndarray] = None
-        if include_features and self.features is not None:
+        if self.features is not None:
             features = self.features[i].copy()
             features.setflags(write=False)
         return ScoreResult(

@@ -1,14 +1,11 @@
-"""Synchronous clients for the scoring service: in-process and TCP.
+"""Synchronous TCP client for the scoring service.
 
-:class:`ScoringClient` is the embed-in-your-pipeline interface: no
-sockets, no event loop — just direct calls into the (thread-safe)
-service.  It is what the examples and benchmarks drive, and the
-reference for what the wire protocol in :mod:`repro.serving.server`
-must express.  Its ``score_many`` is one ``score_columns`` call, like
-the ``score_many`` op :class:`TCPScoringClient` sends.
-
-:class:`TCPScoringClient` speaks that wire protocol over a socket with
-the hardening a replay run needs: lazy connect, reconnect with bounded
+In process there is no client: callers use the (thread-safe)
+:class:`~repro.serving.service.ScoringService` or
+:class:`~repro.serving.sharding.ShardedScoringService` directly.
+:class:`TCPScoringClient` speaks the wire protocol of
+:mod:`repro.serving.server` over a socket with the hardening a replay
+run needs: lazy connect, reconnect with bounded
 exponential backoff when the server drops mid-exchange (requests are
 re-sent — at-least-once delivery; the store's duplicate filter makes
 ingest re-sends idempotent), a clean :class:`ServerUnreachableError`
@@ -23,75 +20,17 @@ from __future__ import annotations
 import json
 import socket
 import time
-from typing import IO, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import IO, Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.serving.batching import QueueFullError, ScoreResult
-from repro.serving.service import ScoringService
+from repro.serving.batching import QueueFullError
 
 __all__ = [
     "RemoteError",
-    "ScoringClient",
     "ServerUnreachableError",
     "TCPScoringClient",
 ]
-
-
-class ScoringClient:
-    """Synchronous façade over a :class:`ScoringService`.
-
-    Safe to share between threads (the service serializes internally).
-    """
-
-    def __init__(self, service: ScoringService) -> None:
-        self.service = service
-
-    def ingest(self, cascade_id: str, node: int, t: float) -> bool:
-        """Report one adoption event; ``False`` for duplicate adopters."""
-        return self.service.ingest(cascade_id, node, t)
-
-    def ingest_many(self, events: Sequence[Tuple[str, int, float]]) -> int:
-        """Report a burst of ``(cascade_id, node, t)`` events; returns
-        how many were new (non-duplicate).
-
-        Rides the vectorized batch-fold path: one lock round-trip and
-        one snapshot for the whole burst, and each touched cascade folds
-        its share of the burst in one vectorized update.
-        """
-        return self.service.ingest_many(events)
-
-    def ingest_columns(
-        self,
-        cascade_ids: Sequence[str],
-        nodes: np.ndarray,
-        times: np.ndarray,
-    ) -> int:
-        """Columnar :meth:`ingest_many` — three parallel columns, no
-        per-event tuple boxing; the fastest way to hand over a burst a
-        producer already holds struct-of-arrays."""
-        return self.service.ingest_columns(cascade_ids, nodes, times)
-
-    def score(self, cascade_id: str, include_features: bool = False) -> ScoreResult:
-        """Score one cascade now (batch-of-one; pays the full call cost)."""
-        return self.service.score(cascade_id, include_features=include_features)
-
-    def score_many(
-        self, cascade_ids: Sequence[str], include_features: bool = False
-    ) -> List[ScoreResult]:
-        """Score a group of cascades in one ``score_columns`` call.
-
-        One snapshot read and one vectorized SVM evaluation for the
-        whole group; results come back in request order, an untracked
-        cascade as an ``"unknown_cascade"`` result of its own.
-        """
-        columns = self.service.score_columns(
-            cascade_ids, include_features=include_features
-        )
-        return [columns.result(i, cid) for i, cid in enumerate(cascade_ids)]
-
-    def stats(self) -> Dict[str, object]:
-        return self.service.stats()
 
 
 class ServerUnreachableError(ConnectionError):
@@ -266,21 +205,21 @@ class TCPScoringClient:
 
     @staticmethod
     def _check(response: Dict[str, Any]) -> Dict[str, Any]:
-        if response.get("ok"):
+        """Return a reply, or raise the error it carries.
+
+        A score row of an untracked cascade (``"ok": false``, status
+        ``"unknown_cascade"``) carries no error and is returned as is,
+        as the in-process ``score_columns`` marks it not ok.
+        """
+        if "error" not in response:
             return response
-        if "error" in response:
-            error = str(response["error"])
-        elif "cascade" in response:
-            # a per-cascade score result: name the cascade and its status
-            error = f"cascade {response['cascade']!r}: {response.get('status')}"
-        else:
-            error = "unknown server error"
+        error = str(response["error"])
         if _QUEUE_FULL_MARKER in error:
             raise QueueFullError(error)
         raise RemoteError(error)
 
     # ------------------------------------------------------------------ #
-    # Operations (mirror :class:`ScoringClient`)
+    # Operations
     # ------------------------------------------------------------------ #
 
     def ping(self) -> bool:
@@ -293,12 +232,6 @@ class TCPScoringClient:
             {"op": "event", "cascade": cascade_id, "node": int(node), "t": float(t)}
         )
         return bool(response["applied"])
-
-    def ingest_many(self, events: Sequence[Tuple[str, int, float]]) -> int:
-        """Report a burst of ``(cascade_id, node, t)`` events."""
-        burst = [[c, int(n), float(t)] for c, n, t in events]
-        response = self._request({"op": "events", "events": burst})
-        return int(response["applied"])
 
     def ingest_columns(
         self,
@@ -315,7 +248,8 @@ class TCPScoringClient:
         return int(response["applied"])
 
     def score(self, cascade_id: str, include_features: bool = False) -> Dict[str, Any]:
-        """Score one cascade; returns the server's JSON response."""
+        """Score one cascade; returns the server's JSON row (not ok for
+        an untracked cascade)."""
         payload: Dict[str, Any] = {"op": "score", "cascade": cascade_id}
         if include_features:
             payload["features"] = True
@@ -327,8 +261,9 @@ class TCPScoringClient:
         """Score a group of cascades in one ``score_many`` exchange.
 
         The server answers the whole group with one ``score_columns``
-        call, and the replies come back in request order.  A cascade the
-        server does not track raises :class:`RemoteError` naming it.
+        call, and the rows come back in request order.  A cascade the
+        server does not track is a row of its own with ``"ok": false``
+        and status ``"unknown_cascade"``.
         """
         response = self._request(
             {
@@ -337,7 +272,7 @@ class TCPScoringClient:
                 "features": bool(include_features),
             }
         )
-        return [self._check(r) for r in response["results"]]
+        return list(response["results"])
 
     def swap(self, path: str) -> Dict[str, Any]:
         """Hot-swap the model from a filesystem artifact."""

@@ -436,6 +436,7 @@ class EventJournal:
         self._n_appends = 0
         self._bytes_since_snapshot = 0
         self._last_fsync = clock()
+        self._unsynced = False  # a frame was written since the last fsync
         self._fh: Optional[io.BufferedWriter] = None
         self._segment_bytes = 0
         # abandoned snapshot temp files from a crashed compaction
@@ -473,6 +474,7 @@ class EventJournal:
         fh.flush()
         os.fsync(fh.fileno())
         self.stats.fsyncs += 1
+        self._unsynced = False
         fh.close()
         self._fh = None
 
@@ -520,6 +522,7 @@ class EventJournal:
         self._bytes_since_snapshot += len(frame)
         self.stats.records += 1
         self.stats.bytes_written += len(frame)
+        self._unsynced = True
         self._maybe_fsync(fh)
         if fire and chaos is not None and chaos.action == "kill":
             raise InjectedCrash("chaos: killed after journal write")
@@ -535,22 +538,25 @@ class EventJournal:
             return
         os.fsync(fh.fileno())
         self._last_fsync = now
+        self._unsynced = False
         self.stats.fsyncs += 1
 
     def tick(self) -> None:
         """Opportunistic fsync for ``fsync="interval"`` on an idle stream.
 
         The server's flusher loop calls this so a burst followed by
-        silence still hits the disk within one interval.
+        silence still hits the disk within one interval.  A tick with
+        no frame written since the last fsync does nothing.
         """
         fh = self._fh
-        if fh is None or self.config.fsync != "interval":
+        if fh is None or self.config.fsync != "interval" or not self._unsynced:
             return
         now = self._clock()
         if now - self._last_fsync >= self.config.fsync_interval:
             fh.flush()
             os.fsync(fh.fileno())
             self._last_fsync = now
+            self._unsynced = False
             self.stats.fsyncs += 1
 
     def append_events(

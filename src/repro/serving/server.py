@@ -5,9 +5,9 @@ One request per line, one JSON object per response.  Operations:
 ``{"op": "event", "cascade": "c1", "node": 3, "t": 0.25}``
     Fold an adoption event in.  Responds ``{"ok": true, "applied": ...}``.
 ``{"op": "events", "events": [["c1", 3, 0.25], ["c2", 7, 0.3], ...]}``
-    Fold a burst of adoption events in one call — one lock round-trip
-    and one vectorized fold per touched cascade (the firehose path).
-    Responds ``{"ok": true, "applied": <non-duplicates>}``.
+    Fold a burst of adoption events in with one ``ingest_columns`` call
+    (the firehose path); a malformed row rejects the whole burst.
+    Responds ``{"ok": true, "applied": <non-duplicates>, "count": <rows>}``.
 ``{"op": "score", "cascade": "c1"}``
     Score one cascade.  Concurrent ``score`` ops are answered by group
     commit: one scorer task scores every waiting op with a single
@@ -81,16 +81,17 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import itertools
 import json
 import signal
 import sys
 import time
-from typing import IO, Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import IO, Any, Awaitable, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.prediction.features import PAPER_FEATURES
-from repro.serving.batching import ScoreColumns, ScoreResult
+from repro.serving.batching import ScoreColumns
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.tracker import StoreConfig
@@ -99,7 +100,6 @@ __all__ = [
     "ScoringServer",
     "build_service",
     "columns_to_dicts",
-    "result_to_dict",
     "serve_stdio",
 ]
 
@@ -209,68 +209,76 @@ def build_service(
     return service
 
 
-def result_to_dict(result: ScoreResult) -> Dict[str, Any]:
-    """JSON-friendly view of a :class:`ScoreResult`."""
-    out: Dict[str, Any] = {
-        "ok": result.ok,
-        "status": result.status,
-        "cascade": result.cascade_id,
-        "n_early": result.n_early,
-        "model_version": result.model_version,
-    }
-    if result.score is not None:
-        out["score"] = result.score
-    if result.label is not None:
-        out["label"] = result.label
-    if result.features is not None:
-        out["features"] = np.asarray(result.features).tolist()
-    if result.latency is not None:
-        out["latency_ms"] = {
-            "queued": result.latency.queued_s * 1e3,
-            "compute": result.latency.compute_s * 1e3,
-            "total": result.latency.total_s * 1e3,
-            "batch_size": result.latency.batch_size,
+def _score_rows(
+    cascade_ids: Sequence[str],
+    columns: ScoreColumns,
+    queued_s: Iterable[float],
+    with_features: Iterable[bool],
+) -> List[Dict[str, Any]]:
+    """The JSON reply row of each request in one :class:`ScoreColumns` group.
+
+    Row *i* answers ``cascade_ids[i]``: it waited its ``queued_s`` entry
+    for the group's scoring call, and it carries its feature vector when
+    its ``with_features`` entry is set and the columns hold features.
+    ``latency_ms.total`` is ``(queued + compute) × 1e3`` and
+    ``batch_size`` the group size.
+    """
+    n = len(cascade_ids)
+    compute_s = columns.compute_s
+    compute_ms = compute_s * 1e3
+    scores = columns.scores.tolist() if columns.scores is not None else None
+    labels = columns.labels.tolist() if columns.labels is not None else None
+    features = columns.features.tolist() if columns.features is not None else None
+    out: List[Dict[str, Any]] = []
+    for i, (cascade_id, ok, n_early, queued, wants_features) in enumerate(
+        zip(cascade_ids, columns.ok.tolist(), columns.n_early.tolist(), queued_s, with_features)
+    ):
+        row: Dict[str, Any] = {
+            "ok": ok,
+            "status": "ok" if ok else "unknown_cascade",
+            "cascade": cascade_id,
+            "n_early": n_early,
+            "model_version": columns.model_version,
         }
+        if ok and scores is not None and labels is not None:
+            row["score"] = scores[i]
+            row["label"] = labels[i]
+        if ok and wants_features and features is not None:
+            row["features"] = features[i]
+        row["latency_ms"] = {
+            "queued": queued * 1e3,
+            "compute": compute_ms,
+            "total": (queued + compute_s) * 1e3,
+            "batch_size": n,
+        }
+        out.append(row)
     return out
 
 
 def columns_to_dicts(
     cascade_ids: Sequence[str], columns: ScoreColumns
 ) -> List[Dict[str, Any]]:
-    """Per-cascade JSON view of one :class:`ScoreColumns` group.
+    """Per-cascade JSON rows of one ``score_many`` group.
 
-    Row *i* carries the keys :func:`result_to_dict` writes for
-    ``cascade_ids[i]``.  A group is scored in one call and never queues,
-    so ``latency_ms.queued`` is 0 and ``batch_size`` is the group size.
+    A group is scored in one call and never queues, so
+    ``latency_ms.queued`` is 0; every row carries features when the
+    columns hold them.
     """
-    n = len(cascade_ids)
-    compute_ms = columns.compute_s * 1e3
-    scores = columns.scores.tolist() if columns.scores is not None else None
-    labels = columns.labels.tolist() if columns.labels is not None else None
-    features = columns.features.tolist() if columns.features is not None else None
-    n_early = columns.n_early.tolist()
-    out: List[Dict[str, Any]] = []
-    for i, ok in enumerate(columns.ok.tolist()):
-        row: Dict[str, Any] = {
-            "ok": ok,
-            "status": "ok" if ok else "unknown_cascade",
-            "cascade": cascade_ids[i],
-            "n_early": n_early[i],
-            "model_version": columns.model_version,
-        }
-        if ok and scores is not None and labels is not None:
-            row["score"] = scores[i]
-            row["label"] = labels[i]
-        if ok and features is not None:
-            row["features"] = features[i]
-        row["latency_ms"] = {
-            "queued": 0.0,
-            "compute": compute_ms,
-            "total": compute_ms,
-            "batch_size": n,
-        }
-        out.append(row)
-    return out
+    return _score_rows(cascade_ids, columns, itertools.repeat(0.0), itertools.repeat(True))
+
+
+def _event_columns(rows: Any) -> Tuple[List[str], np.ndarray, np.ndarray]:
+    """The ``events`` field of a request as the three ``ingest_columns``
+    columns, built in one pass; a malformed row raises before any state
+    changes."""
+    cascade_ids: List[str] = []
+    nodes: List[int] = []
+    times: List[float] = []
+    for cascade, node, t in rows:
+        cascade_ids.append(str(cascade))
+        nodes.append(int(node))
+        times.append(float(t))
+    return cascade_ids, np.array(nodes, dtype=np.int64), np.array(times, dtype=np.float64)
 
 
 def _cascade_ids(value: Any) -> List[str]:
@@ -621,12 +629,11 @@ class ScoringServer:
                 )
                 return {"ok": True, "applied": applied}
             if op == "events":
-                burst = [
-                    (str(cascade), int(node), float(t))
-                    for cascade, node, t in message["events"]
-                ]
-                count = await self._call_service(self.service.ingest_many, burst)
-                return {"ok": True, "applied": count, "count": len(burst)}
+                cascade_ids, nodes, times = _event_columns(message["events"])
+                count = await self._call_service(
+                    self.service.ingest_columns, cascade_ids, nodes, times
+                )
+                return {"ok": True, "applied": count, "count": len(cascade_ids)}
             if op == "score":
                 return await self._score(
                     str(message["cascade"]), bool(message.get("features", False))
@@ -691,21 +698,23 @@ class ScoringServer:
             while self._waiting:
                 group, self._waiting = self._waiting, []
                 start = time.monotonic()
+                cascade_ids, wants_features, enqueued, futures = zip(*group)
                 try:
                     columns = await self._call_service(
                         self.service.score_columns,
-                        [cascade_id for cascade_id, *_ in group],
-                        include_features=any(features for _, features, *_ in group),
+                        list(cascade_ids),
+                        include_features=any(wants_features),
                     )
                 except Exception as exc:  # the group's error answers each op
-                    for *_, future in group:
+                    for future in futures:
                         if not future.done():
                             future.set_exception(exc)
                     continue
-                for i, (cascade_id, features, enqueued, future) in enumerate(group):
+                queued_s = [start - t for t in enqueued]
+                rows = _score_rows(cascade_ids, columns, queued_s, wants_features)
+                for future, row in zip(futures, rows):
                     if not future.done():
-                        result = columns.result(i, cascade_id, features, start - enqueued)
-                        future.set_result(result_to_dict(result))
+                        future.set_result(row)
         finally:
             self._scorer = None
 

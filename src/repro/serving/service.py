@@ -1,8 +1,8 @@
 """The synchronous scoring core: trackers + registry + vectorized scoring.
 
-:class:`ScoringService` is the piece every front end shares (the
-in-process :class:`~repro.serving.client.ScoringClient`, the asyncio
-server, the benchmarks).  It is thread-safe — one re-entrant lock
+:class:`ScoringService` is the piece every front end shares (in-process
+callers use it directly; the asyncio server and the benchmarks wrap
+it).  It is thread-safe — one re-entrant lock
 serializes ingest/score/sweep — and clock-agnostic: all timing uses the
 injected monotonic clock, so tests can drive time deterministically.
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -242,25 +242,6 @@ class ScoringService:
             )
             return applied
 
-    def ingest_many(self, events: Sequence[Tuple[str, int, float]]) -> int:
-        """Fold a burst of ``(cascade_id, node, t)`` adoption events in.
-
-        A row-wise shim over :meth:`ingest_columns`: one lock
-        round-trip, one registry snapshot, one clock reading — and each
-        touched cascade folds its share of the burst as a single
-        vectorized update.  Returns how many events applied
-        (non-duplicates); the result state is identical to calling
-        :meth:`ingest` per event.
-        """
-        if not events:
-            return 0
-        cid_seq, node_seq, time_seq = zip(*events)
-        return self.ingest_columns(
-            cid_seq,
-            np.asarray(node_seq, dtype=np.int64),
-            np.asarray(time_seq, dtype=np.float64),
-        )
-
     def ingest_columns(
         self,
         cascade_ids: Sequence[str],
@@ -269,10 +250,11 @@ class ScoringService:
     ) -> int:
         """Fold a burst given as three parallel columns in.
 
-        The natural entry point when the upstream consumer already
-        holds struct-of-arrays batches (log shards, Arrow record
-        batches): no per-event tuple boxing on either side of the call.
-        :meth:`ingest_many` is the row-wise shim over this one.
+        One lock round-trip, one registry snapshot, one clock reading,
+        and one kernel call folds every touched cascade's share of the
+        burst (:meth:`FeatureStore.ingest_columns`).  Returns how many
+        events applied (non-duplicates); the result state is identical
+        to calling :meth:`ingest` per event.
         """
         with self._lock:
             snapshot = self.registry.current()
@@ -302,8 +284,8 @@ class ScoringService:
         """Bulk synchronous scoring: columns in, columns out.
 
         The one code path that turns cascade ids into scores (the
-        server's ``score`` groups, :meth:`score`, the clients'
-        ``score_many`` and the sharded router's workers all ride it): one
+        server's ``score`` groups and ``score_many`` op, :meth:`score`
+        and the sharded router's workers all ride it): one
         snapshot read, one gather, one ``decision_function`` over the
         whole group, no queue and no per-request dataclass.  Row *i* of
         every returned column answers ``cascade_ids[i]``; per-row SVM

@@ -8,7 +8,7 @@ the front door:
 
 * :class:`ShardedScoringService` is the router.  It duck-types the
   synchronous :class:`ScoringService` surface the asyncio server and
-  the in-process client consume (ingest/score_columns/publish/stats/
+  in-process callers consume (ingest/score_columns/publish/stats/
   health/drain), so ``repro serve --shards N`` is a flag, not a fork of
   the serving tier.  The router keeps no request queue: a group of
   cascade ids is one fan-out.
@@ -96,6 +96,8 @@ __all__ = [
 
 #: worker poll granularity (drives journal ticks and TTL sweeps)
 _POLL_S = 0.05
+#: seconds a worker may take to build (or journal-recover) its service
+_STARTUP_TIMEOUT_S = 120.0
 #: worker-side TTL sweep cadence, mirroring the server's sweeper
 _SWEEP_S = 1.0
 #: exceptions that mean "the peer end of this pipe is gone"
@@ -156,7 +158,6 @@ class ShardPlan:
     fsync: str
     fsync_interval: float
     recover: bool
-    compact: bool = True
 
 
 def _build_shard_service(plan: ShardPlan) -> Tuple[ScoringService, Optional[RecoveryReport]]:
@@ -175,7 +176,6 @@ def _build_shard_service(plan: ShardPlan) -> Tuple[ScoringService, Optional[Reco
             ),
             feature_set=plan.feature_set,
             store_config=store_config,
-            compact=plan.compact,
         )
         return service, report  # type: ignore[return-value]
     registry = ModelRegistry()
@@ -233,12 +233,6 @@ def _handle_op(service: ScoringService, msg: Tuple[Any, ...]) -> Tuple[Any, ...]
         return ("ok", service.compact())
     if op == "state_fingerprint":
         return ("ok", service.state_fingerprint())
-    if op == "fingerprint":
-        try:
-            snap = service.registry.current()
-        except LookupError:
-            return ("ok", 0, None)
-        return ("ok", snap.version, snap.fingerprint)
     if op == "export_model":
         snap = service.registry.current()
         return (
@@ -252,7 +246,7 @@ def _handle_op(service: ScoringService, msg: Tuple[Any, ...]) -> Tuple[Any, ...]
         )
     if op == "drain":
         return ("ok", service.drain())
-    if op in ("ping", "exit"):
+    if op == "exit":
         return ("ok",)
     raise ValueError(f"unknown shard op: {op!r}")
 
@@ -344,7 +338,7 @@ class ShardedScoringService:
     """Hash-routing front end over N single-process shard workers.
 
     Duck-types the :class:`ScoringService` surface the asyncio server,
-    the in-process client, and the CLI consume.  Thread-safe the same
+    in-process callers, and the CLI consume.  Thread-safe the same
     way: one re-entrant router lock serializes every entry point —
     parallelism comes from the fan-out *inside* a call (all involved
     workers compute their pieces concurrently), not from concurrent
@@ -377,7 +371,6 @@ class ShardedScoringService:
         fsync_interval: float = 0.05,
         recover: bool = False,
         clock: Callable[[], float] = time.monotonic,
-        startup_timeout: float = 120.0,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
@@ -390,7 +383,6 @@ class ShardedScoringService:
         self._journal_base = str(journal_dir) if journal_dir is not None else None
         self._fsync = fsync
         self._fsync_interval = fsync_interval
-        self._startup_timeout = startup_timeout
         # Reentrant: ingest() rides ingest_columns() while already
         # holding it.  Order-tracked under REPRO_SANITIZE=1.
         self._lock: LockLike = guarded_rlock("ShardedScoringService._lock")
@@ -411,7 +403,7 @@ class ShardedScoringService:
             try:
                 for shard_id in range(n_shards):
                     self._handles.append(self._spawn(shard_id, recover=recover))
-                deadline = time.monotonic() + startup_timeout
+                deadline = time.monotonic() + _STARTUP_TIMEOUT_S
                 for handle in self._handles:
                     self._await_ready(handle, deadline)
             except BaseException:
@@ -472,7 +464,7 @@ class ShardedScoringService:
             if not handle.conn.poll(max(0.0, deadline - time.monotonic())):
                 raise ShardStartupError(
                     f"shard {shard_id} did not come up within "
-                    f"{self._startup_timeout:.0f}s"
+                    f"{_STARTUP_TIMEOUT_S:.0f}s"
                 )
             hello = handle.conn.recv()
         except _PIPE_DEAD as exc:
@@ -540,7 +532,7 @@ class ShardedScoringService:
         self._stop_worker(old)
         handle = self._spawn(shard_id, recover=self._journal_base is not None)
         try:
-            self._await_ready(handle, time.monotonic() + self._startup_timeout)
+            self._await_ready(handle, time.monotonic() + _STARTUP_TIMEOUT_S)
         except ShardStartupError as exc:
             self._stop_worker(handle)
             self.health.degrade(
@@ -627,15 +619,6 @@ class ShardedScoringService:
             return exc_type(f"shard {shard_id}: {detail}")
         return RuntimeError(f"shard {shard_id}: {kind}: {detail}")
 
-    def _call(self, shard_id: int, msg: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        """Round-trip with the watchdog retry: restart a dead shard and
-        replay the call once (idempotent by protocol design)."""
-        try:
-            return self._roundtrip(self._handles[shard_id], msg)
-        except ShardDeadError as exc:
-            self._restart_shard(shard_id, exc)
-            return self._roundtrip(self._handles[shard_id], msg)
-
     def _fanout(
         self, calls: Sequence[Tuple[int, Tuple[Any, ...]]]
     ) -> List[Tuple[Any, ...]]:
@@ -643,8 +626,8 @@ class ShardedScoringService:
 
         The overlap is the point: worker *i* computes its piece while
         the router is still serializing piece *i+1* onto the next pipe.
-        A shard that died is restarted and its piece replayed through
-        the normal :meth:`_call` path.
+        A shard that died is restarted and its piece replayed once
+        (idempotent by protocol design).
         """
         sent: List[bool] = []
         for shard_id, msg in calls:
@@ -737,16 +720,6 @@ class ShardedScoringService:
                 np.asarray([t], dtype=np.float64),
             )
             return bool(applied)
-
-    def ingest_many(self, events: Sequence[Tuple[str, int, float]]) -> int:
-        if not events:
-            return 0
-        cid_seq, node_seq, time_seq = zip(*events)
-        return self.ingest_columns(
-            list(cid_seq),
-            np.asarray(node_seq, dtype=np.int64),
-            np.asarray(time_seq, dtype=np.float64),
-        )
 
     def ingest_columns(
         self,
@@ -1029,7 +1002,8 @@ class ShardedScoringService:
             shard_snaps: List[Dict[str, object]] = []
             for shard_id in range(self.n_shards):
                 try:
-                    shard_snaps.append(self._call(shard_id, ("health",))[1])
+                    (reply,) = self._fanout([(shard_id, ("health",))])
+                    shard_snaps.append(reply[1])
                 except (ShardDeadError, ShardStartupError, RuntimeError) as exc:
                     shard_snaps.append(
                         {

@@ -382,12 +382,16 @@ class FeatureStore:
         self._evict_over_capacity()
         return applied
 
-    def ingest_many(
+    def ingest_columns(
         self,
-        events: Sequence[Tuple[str, int, float]],
+        cascade_ids: Sequence[str],
+        nodes: np.ndarray,
+        times: np.ndarray,
         snapshot: ModelSnapshot,
     ) -> int:
-        """Fold a burst of ``(cascade_id, node, t)`` events in.
+        """Fold a burst given as three parallel columns in: an id
+        sequence, a node array and a time array, the layout a firehose
+        consumer (log shard, Arrow batch) already holds.
 
         Returns how many events applied (non-duplicates).  Observable
         state — features, LRU order, admission/eviction sequence, stats
@@ -416,32 +420,6 @@ class FeatureStore:
         state changes (an invalid node or non-finite time raises with
         the store untouched).
         """
-        if not events:
-            return 0
-        cid_seq, node_seq, time_seq = zip(*events)
-        return self.ingest_columns(
-            cid_seq,
-            np.asarray(node_seq, dtype=np.int64),
-            np.asarray(time_seq, dtype=np.float64),
-            snapshot,
-        )
-
-    def ingest_columns(
-        self,
-        cascade_ids: Sequence[str],
-        nodes: np.ndarray,
-        times: np.ndarray,
-        snapshot: ModelSnapshot,
-    ) -> int:
-        """Columnar twin of :meth:`ingest_many`.
-
-        Takes the burst as three parallel columns — id sequence, node
-        array, time array — the layout a firehose consumer (log shard,
-        Arrow batch) already holds, so nothing is boxed into tuples just
-        to be unboxed again.  Semantics, validation, and observable
-        state are exactly those of :meth:`ingest_many`; the row-wise
-        form is a thin ``zip`` shim over this one.
-        """
         node_arr = np.asarray(nodes, dtype=np.int64)
         time_arr = np.asarray(times, dtype=np.float64)
         n = node_arr.shape[0]
@@ -468,14 +446,14 @@ class FeatureStore:
         first_seen = list(index)
         n_new = sum(1 for cid in first_seen if cid not in slots)
         if len(slots) + n_new <= self.config.capacity:
-            return self._ingest_many_fast(
+            return self._ingest_headroom(
                 first_seen, group_of, n_new, node_arr, time_arr, snapshot, now
             )
-        return self._ingest_many_evicting(
+        return self._ingest_evicting(
             cascade_ids, node_arr, time_arr, snapshot, now
         )
 
-    def _ingest_many_fast(
+    def _ingest_headroom(
         self,
         first_seen: List[str],
         group_of: List[int],
@@ -544,7 +522,7 @@ class FeatureStore:
                 self._invalidate(slot)
         return total
 
-    def _ingest_many_evicting(
+    def _ingest_evicting(
         self,
         cid_seq: Sequence[str],
         node_arr: np.ndarray,

@@ -25,6 +25,7 @@ from repro.serving.client import TCPScoringClient
 from repro.serving.durability import JournalConfig, recover_service
 from repro.serving.server import columns_to_dicts
 from repro.serving.sharding import recover_sharded_service
+from tests.columns import event_columns
 
 pytestmark = pytest.mark.slow
 
@@ -116,7 +117,7 @@ def test_sigterm_drains_seals_and_recovers(tmp_path, shards):
     proc, port, log_path = start_server(tmp_path, shards)
     try:
         with TCPScoringClient("127.0.0.1", port) as client:
-            client.ingest_many(EVENTS)
+            client.ingest_columns(*event_columns(EVENTS))
             grouped = [without_latency(r) for r in client.score_many(CASCADES)]
             singles = [without_latency(client.score(c)) for c in CASCADES]
         workers = children(proc.pid)

@@ -29,6 +29,7 @@ from repro.serving.durability import (
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.tracker import StoreConfig
+from tests.columns import event_columns
 
 N = 12
 K = 3
@@ -108,7 +109,7 @@ def crash_plan(draw, ops):
 def apply_op(service, op, journaled):
     kind, arg = op
     if kind == "burst":
-        service.ingest_many(arg)
+        service.ingest_columns(*event_columns(arg))
     elif kind == "swap":
         if journaled:
             service.publish(make_model(arg), source=f"swap{arg}")

@@ -52,6 +52,7 @@ from repro.prediction.features import (
 )
 from repro.serving.registry import ModelRegistry, ModelSnapshot
 from repro.serving.tracker import FeatureStore, StoreConfig
+from tests.columns import event_columns
 
 # --------------------------------------------------------------------- #
 # The reference: the per-cascade fold, verbatim
@@ -920,7 +921,7 @@ def test_burst_kernel_matches_per_cascade_fold(case):
             if shape["swap"] and b:
                 snap = reg.publish(_model(rng, K, near_dup))
             events = _burst(rng, shape, b, used)
-            assert store.ingest_many(events, snap) == ref.ingest(events, snap)
+            assert store.ingest_columns(*event_columns(events), snap) == ref.ingest(events, snap)
             assert store.cascade_ids() == list(ref.lru)
             assert vars(store.stats) == ref.stats
             assert store.state_fingerprint() == ref.fingerprint()

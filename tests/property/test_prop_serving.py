@@ -8,7 +8,7 @@ feature sets, and through LRU eviction / re-admission.
 
 The batched-ingest twin carries the same invariant: folding events
 through :meth:`IncrementalFeatures.update_many` /
-:meth:`FeatureStore.ingest_many` in arbitrary burst sizes — interleaved
+:meth:`FeatureStore.ingest_columns` in arbitrary burst sizes — interleaved
 across cascades, through mid-burst LRU eviction, re-admission, and
 model hot-swap replay — produces bit-identical features, identical LRU
 order, and identical stats to the one-at-a-time path.
@@ -28,6 +28,7 @@ from repro.prediction.features import (
 )
 from repro.serving.registry import ModelRegistry
 from repro.serving.tracker import FeatureStore, StoreConfig
+from tests.columns import event_columns
 
 N = 10
 K = 3
@@ -142,7 +143,7 @@ class TestStoreParityUnderEviction:
 
 
 class TestBatchedIngestParity:
-    """`update_many` / `ingest_many` ≡ one-at-a-time ≡ batch extraction."""
+    """`update_many` / `ingest_columns` ≡ one-at-a-time ≡ batch extraction."""
 
     @given(
         model_strategy(),
@@ -226,7 +227,7 @@ class TestBatchedIngestParity:
                     observed[cid].append((node, t))
                     applied_seq += 1
                 observed = {c: ev for c, ev in observed.items() if c in seq}
-            assert bat.ingest_many(burst, snap) == applied_seq
+            assert bat.ingest_columns(*event_columns(burst), snap) == applied_seq
             assert bat.cascade_ids() == seq.cascade_ids()
             for cid in bat.cascade_ids():  # LRU-order touch, same on both
                 vec = bat.features(cid, snap)

@@ -24,6 +24,7 @@ from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.sharding import ShardedScoringService, shard_of
 from repro.serving.tracker import StoreConfig
+from tests.columns import event_columns
 
 N = 12
 K = 3
@@ -82,7 +83,8 @@ class TestShardedParity:
             reg = ModelRegistry()
             reg.publish(model, predictor=predictor)
             reference = ScoringService(reg)
-            assert sharded.ingest_many(events) == reference.ingest_many(events)
+            columns = event_columns(events)
+            assert sharded.ingest_columns(*columns) == reference.ingest_columns(*columns)
             probe = list(CASCADE_IDS)
             assert_columns_equal(
                 sharded.score_columns(probe, include_features=True),
@@ -114,8 +116,8 @@ class TestShardedParity:
             )
             substream = [e for e in events if shard_of(e[0], n_shards) == 0]
             sub_ids = [c for c in CASCADE_IDS if shard_of(c, n_shards) == 0]
-            sharded.ingest_many(events)
-            reference.ingest_many(substream)
+            sharded.ingest_columns(*event_columns(events))
+            reference.ingest_columns(*event_columns(substream))
             assert_columns_equal(
                 sharded.score_columns(sub_ids, include_features=True),
                 reference.score_columns(sub_ids, include_features=True),

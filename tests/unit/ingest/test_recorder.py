@@ -1,10 +1,13 @@
 """Unit tests for the crc-framed recording format."""
 
+import asyncio
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.ingest.recorder import (
     RecordingCorruptError,
     RecordingError,
@@ -13,7 +16,7 @@ from repro.ingest.recorder import (
     record_source,
     stream_info,
 )
-from repro.ingest.sources import EventBatch
+from repro.ingest.sources import EventBatch, RecordedSource
 
 
 def make_batches(n=4, events_per=5):
@@ -165,3 +168,58 @@ class TestCorruption:
         path.write_bytes(blob + b"\x01\x02")
         with pytest.raises(RecordingCorruptError, match="truncated frame"):
             list(iter_batches(path))
+
+
+def write_one_frame(path, cid_blob, times):
+    """A recording of one crc-valid frame whose contents are malformed."""
+    n = len(times)
+    payload = (
+        struct.pack("<BII", 1, n, len(cid_blob))
+        + cid_blob
+        + np.arange(n, dtype=np.int64).tobytes()
+        + np.asarray(times, dtype=np.float64).tobytes()
+    )
+    path.write_bytes(
+        struct.pack("<4sHH", b"REVS", 1, 0)
+        + struct.pack("<II", len(payload), zlib.crc32(payload))
+        + payload
+    )
+
+
+MALFORMED_FRAMES = {
+    "id-column-not-utf8": (b'["\xff"]', [0.0]),
+    "id-column-not-json": (b'["a",', [0.0]),
+    "nan-time": (b'["a"]', [float("nan")]),
+    "decreasing-times": (b'["a", "b"]', [1.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("frame", sorted(MALFORMED_FRAMES))
+class TestMalformedFrames:
+    """A crc-valid frame with an undecodable id column or bad times is a
+    typed corruption, like the journal's malformed events records."""
+
+    def test_iter_batches_raises_corrupt(self, frame, tmp_path):
+        path = tmp_path / "s.evs"
+        write_one_frame(path, *MALFORMED_FRAMES[frame])
+        with pytest.raises(RecordingCorruptError):
+            list(iter_batches(path))
+
+    def test_recorded_source_raises_corrupt(self, frame, tmp_path):
+        path = tmp_path / "s.evs"
+        write_one_frame(path, *MALFORMED_FRAMES[frame])
+
+        async def drain():
+            return [batch async for batch in RecordedSource(path)]
+
+        with pytest.raises(RecordingCorruptError):
+            asyncio.run(drain())
+
+    def test_replay_exits_2_with_one_error_line(self, frame, tmp_path, capsys):
+        path = tmp_path / "s.evs"
+        write_one_frame(path, *MALFORMED_FRAMES[frame])
+        assert main(["replay", str(path), "--model", str(tmp_path / "m.npz")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        assert line.startswith("error: ")

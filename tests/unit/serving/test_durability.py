@@ -47,6 +47,7 @@ from repro.serving.durability import (
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.tracker import StoreConfig
+from tests.columns import event_columns
 
 
 def make_model(seed, n=30, k=3):
@@ -133,7 +134,7 @@ class TestRoundTrip:
     def test_recovery_is_bit_identical(self, tmp_path):
         service, config = journaled_service(tmp_path)
         events = sample_events()
-        service.ingest_many(events[:15])
+        service.ingest_columns(*event_columns(events[:15]))
         service.publish(make_model(1), predictor=make_predictor(1), source="refit")
         for cid, node, t in events[15:25]:
             service.ingest(cid, node, t)
@@ -148,11 +149,11 @@ class TestRoundTrip:
         reference.registry.publish(
             make_model(0), predictor=make_predictor(), source="seed"
         )
-        reference.ingest_many(events[:15])
+        reference.ingest_columns(*event_columns(events[:15]))
         reference.registry.publish(
             make_model(1), predictor=make_predictor(1), source="refit"
         )
-        reference.ingest_many(events[15:])
+        reference.ingest_columns(*event_columns(events[15:]))
 
         recovered, report = recover_service(config)
         assert_bit_identical(recovered, reference)
@@ -197,7 +198,7 @@ class TestRoundTrip:
     def test_iter_journal_events_flattens(self, tmp_path):
         service, config = journaled_service(tmp_path)
         events = sample_events(n=10)
-        service.ingest_many(events)
+        service.ingest_columns(*event_columns(events))
         service.seal_journal()
         assert list(iter_journal_events(config.directory)) == events
 
@@ -230,7 +231,7 @@ class TestSegments:
         reference.registry.publish(
             make_model(0), predictor=make_predictor(), source="seed"
         )
-        reference.ingest_many(events)
+        reference.ingest_columns(*event_columns(events))
         recovered, report = recover_service(config)
         assert report.segments_replayed >= 2
         assert_bit_identical(recovered, reference)
@@ -266,7 +267,7 @@ class TestCompaction:
     def test_snapshot_prunes_and_recovers(self, tmp_path):
         service, config = journaled_service(tmp_path)
         events = sample_events(n=30)
-        service.ingest_many(events[:20])
+        service.ingest_columns(*event_columns(events[:20]))
         assert service.compact()
         assert len(_list_snapshots(config.directory)) == 1
         # segments strictly before the snapshot's seq are gone
@@ -275,14 +276,14 @@ class TestCompaction:
             int(p.stem.split("-")[1]) >= snap_seq - 1
             for p in _list_segments(config.directory)
         )
-        service.ingest_many(events[20:])  # journal tail past the snapshot
+        service.ingest_columns(*event_columns(events[20:]))  # journal tail past the snapshot
         service.seal_journal()
 
         reference = make_service()
         reference.registry.publish(
             make_model(0), predictor=make_predictor(), source="seed"
         )
-        reference.ingest_many(events)
+        reference.ingest_columns(*event_columns(events))
         recovered, report = recover_service(config, compact=False)
         assert report.snapshot_loaded
         # the snapshot holds the *observed* logs (duplicates deduped);
@@ -293,7 +294,7 @@ class TestCompaction:
 
     def test_recover_compacts_by_default(self, tmp_path):
         service, config = journaled_service(tmp_path)
-        service.ingest_many(sample_events(n=10))
+        service.ingest_columns(*event_columns(sample_events(n=10)))
         service.seal_journal()
         recovered, first = recover_service(config)
         recovered.seal_journal()
@@ -306,7 +307,7 @@ class TestCompaction:
     def test_corrupt_snapshot_falls_back(self, tmp_path):
         service, config = journaled_service(tmp_path)
         events = sample_events(n=12)
-        service.ingest_many(events)
+        service.ingest_columns(*event_columns(events))
         assert service.compact()
         service.seal_journal()
         (snap,) = _list_snapshots(config.directory)
@@ -323,11 +324,11 @@ class TestCompaction:
         mask the older, loadable one."""
         service, config = journaled_service(tmp_path)
         events = sample_events(n=12)
-        service.ingest_many(events[:6])
+        service.ingest_columns(*event_columns(events[:6]))
         assert service.compact()
         (good,) = _list_snapshots(config.directory)
         good_seq = int(good.stem.split("-")[1])
-        service.ingest_many(events[6:])
+        service.ingest_columns(*event_columns(events[6:]))
         service.seal_journal()
         # a newer snapshot that never finished writing
         (config.directory / "snap-00000099.npz").write_bytes(b"garbage")
@@ -339,7 +340,7 @@ class TestCompaction:
         reference.registry.publish(
             make_model(0), predictor=make_predictor(), source="seed"
         )
-        reference.ingest_many(events)
+        reference.ingest_columns(*event_columns(events))
         recovered, report = recover_service(config, compact=False)
         assert report.snapshot_loaded
         assert_bit_identical(recovered, reference)
@@ -354,7 +355,7 @@ class TestCompaction:
         reference.registry.publish(
             make_model(0), predictor=make_predictor(), source="seed"
         )
-        reference.ingest_many(sample_events(n=200, n_cascades=4))
+        reference.ingest_columns(*event_columns(sample_events(n=200, n_cascades=4)))
         recovered, _ = recover_service(config, compact=False)
         assert_bit_identical(recovered, reference)
 
@@ -403,6 +404,27 @@ class TestFsyncPolicy:
         journal.tick()
         assert journal.stats.fsyncs == 1
 
+    def test_idle_ticks_do_not_fsync(self, tmp_path):
+        now = [0.0]
+        journal = self._journal(
+            tmp_path, clock=lambda: now[0], fsync="interval", fsync_interval=1.0
+        )
+        for step in range(1, 20):
+            now[0] = 0.5 * step
+            journal.tick()
+        assert journal.stats.fsyncs == 0 and journal.stats.bytes_written == 0
+
+    def test_one_append_then_ticks_fsync_exactly_once(self, tmp_path):
+        now = [0.0]
+        journal = self._journal(
+            tmp_path, clock=lambda: now[0], fsync="interval", fsync_interval=1.0
+        )
+        journal.append_events(["c"], np.asarray([1]), np.asarray([0.1]))
+        for step in range(1, 20):
+            now[0] = 0.5 * step
+            journal.tick()
+        assert journal.stats.fsyncs == 1
+
 
 class TestChaos:
     def test_kill_before_loses_the_record(self, tmp_path):
@@ -442,7 +464,7 @@ class TestChaos:
         reference.registry.publish(
             make_model(0), predictor=make_predictor(), source="seed"
         )
-        reference.ingest_many(events[:4])
+        reference.ingest_columns(*event_columns(events[:4]))
 
         recovered, report = recover_service(config)
         assert report.torn_tail_repaired

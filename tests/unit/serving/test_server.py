@@ -19,6 +19,7 @@ from repro.serving.server import (
 )
 from repro.serving.service import ScoringService
 from repro.serving.sharding import ShardedScoringService
+from tests.columns import event_columns
 
 
 def make_model(seed, n=30, k=3):
@@ -132,6 +133,29 @@ class TestTCPServer:
         assert by_id[1]["ok"] is False and "error" in by_id[1]
         assert by_id[2]["stats"]["tracked_cascades"] == 0
 
+    @pytest.mark.parametrize(
+        "events, error",
+        [
+            ([["a", 3, 0.0], ["b", 7]], "ValueError: not enough values to unpack"),
+            ([["a", 3, 0.0], ["b", "seven", 0.1]], "ValueError: invalid literal for int()"),
+            (5, "TypeError: 'int' object is not iterable"),
+            ("a3", "ValueError: not enough values to unpack"),
+        ],
+        ids=["two-element-row", "non-numeric-node", "int", "string"],
+    )
+    def test_malformed_events_get_one_error_line_and_change_nothing(self, events, error):
+        service = make_service()
+        service.ingest_columns(*event_columns(EVENTS))
+        ingested = service.stats()["ingested"]
+        fingerprint = service.state_fingerprint()
+        (reply,) = asyncio.run(
+            run_session(service, [{"op": "events", "events": events, "id": 1}])
+        )
+        assert set(reply) == {"ok", "error", "id"} and reply["ok"] is False
+        assert reply["error"].startswith(error) and "\n" not in reply["error"]
+        assert service.stats()["ingested"] == ingested
+        assert service.state_fingerprint() == fingerprint
+
     def test_pipelined_scores_coalesce_into_one_batch(self):
         service = make_service()
         requests = [{"op": "event", "cascade": "c", "node": 3, "t": 0.0}]
@@ -239,7 +263,7 @@ class TestScoreManyOp:
     @pytest.mark.parametrize("n_shards", [None, 1, 2], ids=["inproc", "1-shard", "2-shards"])
     def test_group_equals_in_process_score_columns(self, n_shards):
         service = make_scorer(n_shards)
-        service.ingest_many(EVENTS)
+        service.ingest_columns(*event_columns(EVENTS))
         cids = ["c3", "c0", "c4", "c1", "c2"]
         responses = asyncio.run(
             run_session(
@@ -252,7 +276,7 @@ class TestScoreManyOp:
             )
         )
         reference = make_scorer(None)
-        reference.ingest_many(EVENTS)
+        reference.ingest_columns(*event_columns(EVENTS))
         want = reference.score_columns(cids, include_features=True)
         by_id = {r["id"]: r for r in responses}
         for req_id in (1, 2):
@@ -271,7 +295,7 @@ class TestScoreManyOp:
 
     def test_unknown_cascade_gets_its_own_row_status(self):
         service = make_scorer(None)
-        service.ingest_many(EVENTS)
+        service.ingest_columns(*event_columns(EVENTS))
         response = asyncio.run(
             run_session(
                 service, [{"op": "score_many", "cascades": ["c0", "ghost", "c1"], "id": 1}]
@@ -320,7 +344,7 @@ class TestScoreManyOp:
 
     def test_group_over_stdio(self):
         service = make_scorer(None)
-        service.ingest_many(EVENTS)
+        service.ingest_columns(*event_columns(EVENTS))
         request = {"op": "score_many", "cascades": ["c0", "c1"], "id": 1}
         fout = io.StringIO()
         asyncio.run(
@@ -328,7 +352,7 @@ class TestScoreManyOp:
         )
         (response,) = [json.loads(x) for x in fout.getvalue().splitlines()]
         want = make_scorer(None)
-        want.ingest_many(EVENTS)
+        want.ingest_columns(*event_columns(EVENTS))
         cols = want.score_columns(["c0", "c1"])
         assert [r["score"] for r in response["results"]] == cols.scores.tolist()
 
@@ -340,7 +364,7 @@ class TestGroupCommit:
     @pytest.mark.parametrize("n_shards", [None, 2], ids=["inproc", "2-shards"])
     def test_concurrent_scores_equal_their_score_many_rows(self, n_shards):
         service = make_scorer(n_shards)
-        service.ingest_many(EVENTS)
+        service.ingest_columns(*event_columns(EVENTS))
         ids = ["c0", "c1", "ghost", "c2", "c3", "c4"] * 3
 
         async def connection(port, k):
@@ -401,7 +425,11 @@ class TestGroupCommit:
                 reply = by_id[request["id"]]
                 row = reference[request["cascade"], request.get("features", False)]
                 assert strip(reply) == strip(row)
-                group_sizes.append(reply["latency_ms"]["batch_size"])
+                # key for key: the latency block differs only in its values
+                latency = reply["latency_ms"]
+                assert list(latency) == list(row["latency_ms"])
+                assert latency["total"] == pytest.approx(latency["queued"] + latency["compute"])
+                group_sizes.append(latency["batch_size"])
         assert reference["ghost", False]["status"] == "unknown_cascade"
         assert max(group_sizes) > 1  # pipelined ops shared scoring calls
 

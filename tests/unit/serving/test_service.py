@@ -1,4 +1,4 @@
-"""Unit tests for the scoring service core and the in-process client.
+"""Unit tests for the scoring service core.
 
 Includes the concurrency acceptance test: scoring threads race against
 a publisher storm and every result must be attributable to exactly one
@@ -15,10 +15,10 @@ from repro.cascades.types import Cascade
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.features import PAPER_FEATURES, extract_features
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
-from repro.serving.client import ScoringClient
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.tracker import StoreConfig
+from tests.columns import event_columns
 
 
 def make_model(seed, n=30, k=3):
@@ -124,7 +124,7 @@ class TestIngestScore:
 class TestIngestMany:
     def test_burst_matches_scalar_ingest(self, service):
         events = [("a", 3, 0.0), ("b", 7, 0.1), ("a", 12, 0.2), ("a", 3, 0.3)]
-        assert service.ingest_many(events) == 3  # one duplicate
+        assert service.ingest_columns(*event_columns(events)) == 3  # one duplicate
         assert service.stats()["ingested"] == 3
         twin = ScoringService(service.registry)
         for cid, node, t in events:
@@ -136,12 +136,12 @@ class TestIngestMany:
             )
 
     def test_empty_burst(self, service):
-        assert service.ingest_many([]) == 0
+        assert service.ingest_columns(*event_columns([])) == 0
         assert service.stats()["ingested"] == 0
 
     def test_burst_then_score(self, service):
         events = [("c", 3, 0.0), ("c", 7, 0.2), ("c", 12, 0.5)]
-        service.ingest_many(events)
+        service.ingest_columns(*event_columns(events))
         result = service.score("c")
         assert result.ok and result.n_early == 3
         snap = service.registry.current()
@@ -159,7 +159,9 @@ class TestScoreFlushBitIdentity:
         the same workspace/gather/predict code — same score, bit for bit."""
         cids = ["a", "b", "c", "d"]
         for i, cid in enumerate(cids):
-            service.ingest_many([(cid, (3 * i + j) % 30, 0.1 * j) for j in range(4)])
+            service.ingest_columns(
+                *event_columns([(cid, (3 * i + j) % 30, 0.1 * j) for j in range(4)])
+            )
         singles = [service.score(cid).score for cid in cids]
         assert service.score_columns(cids).scores.tolist() == singles
 
@@ -245,30 +247,36 @@ class TestSwapDuringScoring:
         assert reg.n_published == 40
 
 
-class TestScoringClient:
-    def test_client_roundtrip(self, service):
-        client = ScoringClient(service)
-        n_new = client.ingest_many([("a", 3, 0.0), ("a", 7, 0.2), ("a", 3, 0.5)])
+class TestScoreColumnsRows:
+    """Per-row objects come from ``ScoreColumns.result``."""
+
+    def test_burst_drops_duplicate_adopter(self, service):
+        n_new = service.ingest_columns(
+            *event_columns([("a", 3, 0.0), ("a", 7, 0.2), ("a", 3, 0.5)])
+        )
         assert n_new == 2  # duplicate adopter dropped
-        result = client.score("a")
+        result = service.score("a")
         assert result.ok and result.n_early == 2
 
-    def test_score_many_batches(self, service):
-        client = ScoringClient(service)
+    def test_unknown_cascade_row_and_batch_size(self, service):
         for i, cid in enumerate(("a", "b", "c", "d")):
-            client.ingest(cid, i, 0.0)
-        results = client.score_many(["a", "b", "c", "d", "ghost"])
+            service.ingest(cid, i, 0.0)
+        ids = ["a", "b", "c", "d", "ghost"]
+        columns = service.score_columns(ids)
+        results = [columns.result(i, cid) for i, cid in enumerate(ids)]
         assert [r.status for r in results] == ["ok"] * 4 + ["unknown_cascade"]
         assert all(r.latency.batch_size == 5 for r in results)
 
-    def test_score_many_rows_equal_score_columns(self, service):
-        client = ScoringClient(service)
+    def test_rows_equal_score_columns(self, service):
         for i, cid in enumerate(("a", "b", "c")):
-            client.ingest_many([(cid, (3 * i + j) % 30, 0.2 * j) for j in range(3)])
+            service.ingest_columns(
+                *event_columns([(cid, (3 * i + j) % 30, 0.2 * j) for j in range(3)])
+            )
         ids = ["c", "ghost", "a", "b"]
         want = service.score_columns(ids, include_features=True)
         for include_features in (False, True):
-            rows = client.score_many(ids, include_features=include_features)
+            columns = service.score_columns(ids, include_features=include_features)
+            rows = [columns.result(i, cid) for i, cid in enumerate(ids)]
             assert [r.cascade_id for r in rows] == ids
             assert [r.status for r in rows] == ["ok", "unknown_cascade", "ok", "ok"]
             for i, row in enumerate(rows):
@@ -281,7 +289,3 @@ class TestScoringClient:
                     assert (row.features == want.features[i]).all()
                 else:
                     assert row.features is None
-
-    def test_stats_passthrough(self, service):
-        client = ScoringClient(service)
-        assert client.stats()["model_version"] == 1

@@ -29,6 +29,7 @@ from repro.serving.sharding import (
     shard_of,
 )
 from repro.serving.tracker import StoreConfig
+from tests.columns import event_columns
 
 
 def make_model(seed, n=30, k=3):
@@ -159,7 +160,8 @@ class TestBitIdentity:
         sharded = make_sharded(n_shards=3, seed=1)
         try:
             reference = make_reference(seed=1)
-            assert sharded.ingest_many(events) == reference.ingest_many(events)
+            columns = event_columns(events)
+            assert sharded.ingest_columns(*columns) == reference.ingest_columns(*columns)
             probe = cids + ["never-seen"]
             got = sharded.score_columns(probe, include_features=True)
             want = reference.score_columns(probe, include_features=True)
@@ -183,7 +185,8 @@ class TestBitIdentity:
         try:
             reference = make_reference()
             events = [("c", 3, 0.0), ("c", 3, 0.1), ("d", 3, 0.2), ("c", 4, 0.3)]
-            assert sharded.ingest_many(events) == reference.ingest_many(events)
+            columns = event_columns(events)
+            assert sharded.ingest_columns(*columns) == reference.ingest_columns(*columns)
             assert (
                 sharded.stats()["duplicates"]
                 == reference.stats()["duplicates"]
@@ -207,8 +210,8 @@ class TestBitIdentity:
             substream = [e for e in events if shard_of(e[0], n_shards) == 0]
             sub_cids = [c for c in cids if shard_of(c, n_shards) == 0]
             assert substream, "stream must touch shard 0"
-            sharded.ingest_many(events)
-            reference.ingest_many(substream)
+            sharded.ingest_columns(*event_columns(events))
+            reference.ingest_columns(*event_columns(substream))
             got = sharded.score_columns(sub_cids, include_features=True)
             want = reference.score_columns(sub_cids, include_features=True)
             assert_columns_equal(got, want)
@@ -248,8 +251,8 @@ class TestPublish:
                     make_model(5), predictor=make_predictor(5)
                 )
             events = make_stream(seed=4)[1]
-            sharded.ingest_many(events)
-            reference.ingest_many(events)
+            sharded.ingest_columns(*event_columns(events))
+            reference.ingest_columns(*event_columns(events))
             cids = sorted({e[0] for e in events})
             assert_columns_equal(
                 sharded.score_columns(cids), reference.score_columns(cids)
@@ -292,7 +295,7 @@ class TestLifecycle:
         cids, events = make_stream(seed=5)
         sharded = make_sharded(n_shards=3)
         try:
-            applied = sharded.ingest_many(events)
+            applied = sharded.ingest_columns(*event_columns(events))
             sharded.score_columns(cids)
             stats = sharded.stats()
             assert stats["n_shards"] == 3 and stats["shard_restarts"] == 0
@@ -308,7 +311,7 @@ class TestLifecycle:
     def test_drain_flushes_then_stops(self):
         sharded = make_sharded(n_shards=2)
         try:
-            sharded.ingest_many([("a", 3, 0.0), ("b", 5, 0.1)])
+            sharded.ingest_columns(*event_columns([("a", 3, 0.0), ("b", 5, 0.1)]))
             sharded.drain()
             assert sharded.health_snapshot()["state"] == "stopped"
         finally:
@@ -329,14 +332,13 @@ class TestCrashRecovery:
         try:
             reference = make_reference(seed=6)
             half = len(events) // 2
-            sharded.ingest_many(events[:half])
-            reference.ingest_many(events[:half])
+            sharded.ingest_columns(*event_columns(events[:half]))
+            reference.ingest_columns(*event_columns(events[:half]))
             self._kill_shard(sharded, 1)
             # the next fan-out touching shard 1 triggers the watchdog:
             # restart, journal replay, transparent retry of the burst
-            assert sharded.ingest_many(events[half:]) == reference.ingest_many(
-                events[half:]
-            )
+            tail = event_columns(events[half:])
+            assert sharded.ingest_columns(*tail) == reference.ingest_columns(*tail)
             assert_columns_equal(
                 sharded.score_columns(cids, include_features=True),
                 reference.score_columns(cids, include_features=True),
@@ -362,10 +364,28 @@ class TestCrashRecovery:
             assert len({h.fingerprint for h in sharded._handles}) == 1
             sharded.ingest("d", 5, 0.1)
             reference = make_reference(seed=3)
-            reference.ingest_many([("c", 3, 0.0), ("d", 5, 0.1)])
+            reference.ingest_columns(*event_columns([("c", 3, 0.0), ("d", 5, 0.1)]))
             got = sharded.score_columns(["c", "d"])
             want = reference.score_columns(["c", "d"])
             assert np.array_equal(got.scores, want.scores)
+        finally:
+            sharded.close()
+
+    def test_health_reports_a_shard_that_cannot_restart_as_dead(self, monkeypatch):
+        sharded = make_sharded(n_shards=2, seed=0)
+        try:
+            self._kill_shard(sharded, 1)
+
+            def broken(plan):
+                raise RuntimeError("injected build failure")
+
+            monkeypatch.setattr(sharding, "_build_shard_service", broken)
+            snap = sharded.health_snapshot()
+            assert snap["ready"] is False
+            assert snap["shards"][0]["ready"] is True
+            dead = snap["shards"][1]
+            assert dead["state"] == "dead" and dead["ready"] is False
+            assert "injected build failure" in dead["degraded_reasons"]["dead"]
         finally:
             sharded.close()
 

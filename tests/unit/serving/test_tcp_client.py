@@ -1,7 +1,8 @@
 """Unit tests for the reconnecting TCP scoring client.
 
-The client's contract: same operation surface as the in-process
-:class:`ScoringClient`, at-least-once delivery across a server restart
+The client's contract: the service's ingest and scoring surface over
+the wire (an untracked cascade is a not-ok row, as in process),
+at-least-once delivery across a server restart
 (invisible inside the reconnect budget), a clean
 :class:`ServerUnreachableError` past it, and remote "queue full"
 rejects mapped onto :class:`QueueFullError` so replay backpressure
@@ -32,8 +33,10 @@ from repro.serving.client import (
     TCPScoringClient,
 )
 from repro.serving.registry import ModelRegistry
-from repro.serving.server import ScoringServer
+from repro.serving.server import ScoringServer, columns_to_dicts
 from repro.serving.service import ScoringService
+from repro.serving.tracker import StoreConfig
+from tests.columns import event_columns
 
 N = 30
 
@@ -122,7 +125,7 @@ class TestRoundTrips:
             assert client.ping()
             assert client.ingest("c", 3, 0.0) is True
             assert client.ingest("c", 3, 0.5) is False  # duplicate adopter
-            assert client.ingest_many([("d", 1, 0.6), ("d", 1, 0.7)]) == 1
+            assert client.ingest_columns(*event_columns([("d", 1, 0.6), ("d", 1, 0.7)])) == 1
             applied = client.ingest_columns(
                 ["e", "e"], np.array([2, 4]), np.array([0.8, 0.9])
             )
@@ -137,9 +140,9 @@ class TestRoundTrips:
     def test_score_many_matches_in_process_results(self, harness):
         events = [("a", 1, 0.0), ("b", 2, 0.1), ("a", 3, 0.2), ("b", 4, 0.3)]
         reference = make_service()
-        reference.ingest_many(events)
+        reference.ingest_columns(*event_columns(events))
         with TCPScoringClient("127.0.0.1", harness.port) as client:
-            client.ingest_many(events)
+            client.ingest_columns(*event_columns(events))
             responses = client.score_many(["a", "b"], include_features=True)
         want = reference.score_columns(["a", "b"], include_features=True)
         assert [r["cascade"] for r in responses] == ["a", "b"]
@@ -183,16 +186,58 @@ class TestFailureModes:
             )
 
     def test_not_ok_score_result_names_the_cascade(self, harness):
-        with pytest.raises(RemoteError, match="^cascade 'ghost': unknown_cascade$"):
-            TCPScoringClient._check(
-                {"ok": False, "status": "unknown_cascade", "cascade": "ghost"}
-            )
+        """An untracked cascade is the server's not-ok row, returned as
+        is (the in-process rule); only a reply carrying ``error`` raises."""
+        row = {"ok": False, "status": "unknown_cascade", "cascade": "ghost"}
+        assert TCPScoringClient._check(row) is row
         with TCPScoringClient("127.0.0.1", harness.port) as client:
             client.ingest("a", 1, 0.0)
-            with pytest.raises(RemoteError, match="cascade 'ghost': unknown_cascade"):
-                client.score_many(["a", "ghost"])
-            with pytest.raises(RemoteError, match="cascade 'ghost': unknown_cascade"):
-                client.score("ghost")
+            ok, ghost = client.score_many(["a", "ghost"])
+            assert ok["ok"] is True and ok["status"] == "ok"
+            assert ghost["ok"] is False and ghost["status"] == "unknown_cascade"
+            assert ghost["cascade"] == "ghost" and "score" not in ghost
+            single = client.score("ghost")
+            assert single["ok"] is False and single["status"] == "unknown_cascade"
+            assert single["cascade"] == "ghost"
+            with pytest.raises(RemoteError, match="unknown op"):
+                client._request({"op": "warp"})
+
+    def test_untracked_cascades_replay_alike_on_both_transports(self, tmp_path):
+        """One burst of 20 distinct cascades into a 10-cascade store,
+        scored after every burst: half the group is evicted before it
+        is scored.  Both transports complete the replay with the same
+        scored count, and serve the same rows."""
+        path = tmp_path / "wide.evs"
+        cids = [f"c{i}" for i in range(20)]
+        with StreamWriter(path) as writer:
+            writer.write_columns(cids, np.arange(20) % N, np.linspace(0.0, 1.0, 20))
+        config = ReplayConfig(speed=None, score_every=1)
+
+        def bounded_service():
+            reg = ModelRegistry()
+            reg.publish(make_model(0), predictor=make_predictor(0))
+            service = ScoringService(reg, store_config=StoreConfig(capacity=10))
+            service.begin_serving()
+            return service
+
+        inproc = bounded_service()
+        local = replay_recording(path, inproc, config)
+        remote_service = bounded_service()
+        harness = ServerHarness(remote_service).start()
+        try:
+            with TCPScoringClient("127.0.0.1", harness.port) as client:
+                remote = replay_recording(path, client, config)
+                rows = client.score_many(cids)
+        finally:
+            harness.stop()
+        assert local.scored == remote.scored == 20
+        assert [r["status"] for r in rows].count("unknown_cascade") == 10
+
+        def without_latency(replies):
+            return [{k: v for k, v in r.items() if k != "latency_ms"} for r in replies]
+
+        want = columns_to_dicts(cids, inproc.score_columns(cids))
+        assert without_latency(rows) == without_latency(want)
 
     def test_reconnects_across_a_server_restart(self):
         service = make_service()

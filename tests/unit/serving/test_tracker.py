@@ -9,6 +9,7 @@ from repro.prediction.features import EXTENDED_FEATURES, extract_features
 from repro.serving.registry import ModelRegistry
 from repro.serving.tracker import FeatureStore, StoreConfig
 from repro.serving.workspace import ScoringWorkspace
+from tests.columns import event_columns
 
 
 @pytest.fixture
@@ -204,14 +205,14 @@ class TestDrop:
 class TestIngestMany:
     def test_empty_burst_is_noop(self, registry):
         store = FeatureStore()
-        assert store.ingest_many([], registry.current()) == 0
+        assert store.ingest_columns(*event_columns([]), registry.current()) == 0
         assert len(store) == 0
         assert store.stats.events == 0 and store.stats.admissions == 0
 
     def test_single_event_burst_matches_scalar(self, registry):
         snap = registry.current()
         store = FeatureStore()
-        assert store.ingest_many([("c", 3, 0.5)], snap) == 1
+        assert store.ingest_columns(*event_columns([("c", 3, 0.5)]), snap) == 1
         vec = store.features("c", snap)
         batch = extract_features(snap.model, Cascade([3], [0.5]))
         assert np.array_equal(vec, batch)
@@ -232,7 +233,7 @@ class TestIngestMany:
             ("b", 7, 0.3),  # duplicate within the burst
             ("a", 4, 0.1),
         ]
-        assert store.ingest_many(burst, snap) == 4
+        assert store.ingest_columns(*event_columns(burst), snap) == 4
         assert store.stats.duplicates == 2
         vec_a = store.features("a", snap)
         vec_b = store.features("b", snap)
@@ -254,7 +255,7 @@ class TestIngestMany:
             ("b", 3, 0.2),  # admits "b": evicts "a" with folds pending
             ("a", 4, 0.3),  # re-admits "a": evicts "b"
         ]
-        assert store.ingest_many(burst, snap) == 4
+        assert store.ingest_columns(*event_columns(burst), snap) == 4
         assert "b" not in store and "a" in store
         assert store.stats.evictions == 2
         assert store.stats.admissions == 3
@@ -269,9 +270,9 @@ class TestIngestMany:
         snap = registry.current()
         store = FeatureStore()
         with pytest.raises(ValueError, match="outside the model universe"):
-            store.ingest_many([("a", 1, 0.0), ("b", 999, 0.1)], snap)
+            store.ingest_columns(*event_columns([("a", 1, 0.0), ("b", 999, 0.1)]), snap)
         with pytest.raises(ValueError, match="finite"):
-            store.ingest_many([("a", 1, 0.0), ("b", 2, float("nan"))], snap)
+            store.ingest_columns(*event_columns([("a", 1, 0.0), ("b", 2, float("nan"))]), snap)
         assert len(store) == 0
         assert store.stats.events == 0 and store.stats.admissions == 0
 
@@ -283,7 +284,7 @@ class TestIngestMany:
         snap2 = registry.publish(
             EmbeddingModel(rng.uniform(0, 1, (40, 4)), rng.uniform(0, 1, (40, 4)))
         )
-        assert store.ingest_many([("c", 7, 0.2), ("c", 9, 0.4)], snap2) == 2
+        assert store.ingest_columns(*event_columns([("c", 7, 0.2), ("c", 9, 0.4)]), snap2) == 2
         assert store.stats.rebuilds == 1
         assert store.get("c").model_version == snap2.version
         vec = store.features("c", snap2)

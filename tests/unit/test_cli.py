@@ -276,6 +276,50 @@ def _assert_usage_error(stderr, flag):
     assert len(errors) == 1 and f"argument {flag}" in errors[0], stderr
 
 
+class TestSimulateFlags:
+    """Bad ``repro simulate-sbm`` flags used to end in a traceback with
+    exit 1 (``--cascades 0`` after writing the corpus).  Each now gets
+    the usage line, one ``error:`` line and exit 2, and leaves no file;
+    a world too sparse to seed its cascades is one ``error:`` line with
+    exit 1 and no file."""
+
+    BASE = ["simulate-sbm", "--nodes", "80", "--community-size", "10", "--cascades", "5"]
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--cascades", "0"),
+            ("--cascades", "-3"),
+            ("--community-size", "0"),
+            ("--nodes", "0"),
+            ("--window", "nan"),
+            ("--window", "-1"),
+            ("--rate-scale", "nan"),
+        ],
+    )
+    def test_rejects(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(self.BASE + [flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        _assert_usage_error(capsys.readouterr().err, flag)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--rate-scale", "0.001"], ["--nodes", "3", "--community-size", "1", "--cascades", "2"]],
+        ids=["rate-scale", "tiny-world"],
+    )
+    def test_a_world_too_sparse_is_one_error_line(self, extra, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        assert main(self.BASE + extra + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        assert line.startswith("error: could not generate")
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_writes_corpus(self, small_corpus_file, capsys):
         from repro.cascades.io import load_cascades_jsonl
