@@ -54,7 +54,11 @@ bench:
 ## chaos suite: crash-kill / torn-write / slow-disk / task-death injection
 ## against the journal, recovery, the supervised server, and the sharded
 ## tier (SIGKILL a shard mid-burst → watchdog restart + journal replay to
-## bit-identical state), plus the replay legs (slow consumer, scoring
+## bit-identical state), both corruption suites of the shared event-log
+## reader (the journal's torn-tail and malformed-record cases in
+## test_durability.py, the recording's in test_recorder.py), hostile
+## input (rejected events leave state unchanged on both tiers, every
+## request line gets one reply), plus the replay legs (slow consumer, scoring
 ## server restart mid-replay, SIGKILL a shard mid-replay), the server's
 ## in-flight bound (queue-full refusals and the replay retry ladder, in
 ## test_tcp_client.py), SIGTERM to a real `repro serve` process, and the
@@ -66,6 +70,7 @@ bench:
 chaos:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q \
 		tests/unit/serving/test_durability.py \
+		tests/unit/ingest/test_recorder.py \
 		tests/unit/serving/test_server.py \
 		tests/unit/serving/test_sharding.py \
 		tests/unit/serving/test_tcp_client.py \

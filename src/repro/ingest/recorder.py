@@ -1,28 +1,22 @@
-"""Recorded event streams: a versioned, crc-framed on-disk format.
+"""Recorded event streams: ``repro record`` writes them, ``repro replay``
+reads them.
 
 ``repro record`` captures any :class:`~repro.ingest.sources.EventSource`
 into a single file that ``repro replay`` can re-play at Nx real-time.
-The layout deliberately mirrors the serving journal (DESIGN.md §14) so
-the two formats share one failure model:
-
-- an 8-byte header: magic ``REVS``, a format version, a reserved word;
-- then frames of ``<u32 length><u32 crc32><payload>``;
-- each payload is one recorded batch in the ``ingest_columns`` wire
-  shape: ``<u8 rtype><u32 n_events><u32 cid_blob_len>`` + a JSON-encoded
-  cascade-id list + the int64 node column + the float64 time column.
+The file is an event log with magic ``REVS``, in the format the serving
+journal shares (:mod:`repro.serving.eventlog`, DESIGN.md §17.2): each
+frame is one recorded batch in the ``ingest_columns`` wire shape.
 
 Unlike the journal — a live artifact where a torn tail is expected and
 repaired — a recording is an offline corpus: any mismatch (bad magic,
-unknown version, crc failure, truncated frame) raises
-:class:`RecordingCorruptError` rather than being silently trimmed.
+unsupported version, crc failure, truncated frame, malformed batch)
+raises :class:`RecordingCorruptError` rather than being silently
+trimmed.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from types import TracebackType
@@ -38,9 +32,15 @@ from typing import (
     Type,
 )
 
-import numpy as np
-
 from repro.ingest.sources import EventBatch
+from repro.serving.eventlog import (
+    RECORDING_MAGIC,
+    decode_events,
+    encode_events,
+    frame,
+    header,
+    iter_frames,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ingest.sources import EventSource
@@ -56,13 +56,6 @@ __all__ = [
     "record_source",
 ]
 
-_MAGIC = b"REVS"
-_VERSION = 1
-_HEADER = struct.Struct("<4sHH")  # magic, version, reserved
-_FRAME = struct.Struct("<II")  # payload length, crc32(payload)
-_BATCH_HEAD = struct.Struct("<BII")  # rtype, n_events, cid_blob length
-_RT_BATCH = 1
-
 
 class RecordingError(RuntimeError):
     """Base error for recording I/O."""
@@ -72,42 +65,6 @@ class RecordingCorruptError(RecordingError):
     """The recording violates the framed format (crc, magic, truncation)
     or a frame's contents (an undecodable id column, non-finite or
     decreasing times)."""
-
-
-def _encode_batch(batch: EventBatch) -> bytes:
-    cid_blob = json.dumps(list(batch.cascade_ids)).encode("utf-8")
-    head = _BATCH_HEAD.pack(_RT_BATCH, len(batch), len(cid_blob))
-    return b"".join(
-        (head, cid_blob, batch.nodes.tobytes(), batch.times.tobytes())
-    )
-
-
-def _decode_batch(payload: bytes) -> EventBatch:
-    if len(payload) < _BATCH_HEAD.size:
-        raise RecordingCorruptError("record payload shorter than its header")
-    rtype, n, cid_len = _BATCH_HEAD.unpack_from(payload)
-    if rtype != _RT_BATCH:
-        raise RecordingCorruptError(f"unknown record type {rtype}")
-    off = _BATCH_HEAD.size
-    expected = off + cid_len + 8 * n + 8 * n
-    if len(payload) != expected:
-        raise RecordingCorruptError(
-            f"record payload is {len(payload)} bytes, expected {expected}"
-        )
-    try:
-        cids = json.loads(payload[off : off + cid_len].decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both
-        raise RecordingCorruptError(f"cascade-id column: {exc}") from exc
-    off += cid_len
-    nodes = np.frombuffer(payload, dtype=np.int64, count=n, offset=off)
-    off += 8 * n
-    times = np.frombuffer(payload, dtype=np.float64, count=n, offset=off)
-    if not isinstance(cids, list) or len(cids) != n:
-        raise RecordingCorruptError("cascade-id column does not match n_events")
-    try:
-        return EventBatch(cids, nodes, times)
-    except ValueError as exc:  # a NaN/inf or decreasing time
-        raise RecordingCorruptError(f"record times: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -150,7 +107,7 @@ class StreamWriter:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._fh: Optional[BinaryIO] = self.path.open("wb")
-        self._fh.write(_HEADER.pack(_MAGIC, _VERSION, 0))
+        self._fh.write(header(RECORDING_MAGIC))
         self.n_records = 0
         self.n_events = 0
         self._t_last: Optional[float] = None
@@ -165,9 +122,8 @@ class StreamWriter:
                 f"out-of-order batch: starts at {batch.t_first:.6f} but the "
                 f"stream is already at {self._t_last:.6f}"
             )
-        payload = _encode_batch(batch)
-        self._fh.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-        self._fh.write(payload)
+        payload = encode_events(batch.cascade_ids, batch.nodes, batch.times)
+        self._fh.write(frame(payload))
         self.n_records += 1
         self.n_events += len(batch)
         self._t_last = batch.t_last
@@ -199,45 +155,20 @@ class StreamWriter:
         self.close()
 
 
-def _read_header(fh: BinaryIO, path: Path) -> None:
-    head = fh.read(_HEADER.size)
-    if len(head) != _HEADER.size:
-        raise RecordingCorruptError(f"{path}: truncated header")
-    magic, version, _ = _HEADER.unpack(head)
-    if magic != _MAGIC:
-        raise RecordingCorruptError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise RecordingCorruptError(
-            f"{path}: unsupported stream version {version}"
-        )
-
-
 def iter_batches(path: str | Path) -> Iterator[EventBatch]:
-    """Yield recorded batches in order, verifying every frame's crc."""
+    """Yield recorded batches in order, verifying every frame's crc.
+
+    Any fault — in the framing, in a batch's encoding, or times that are
+    not finite and non-decreasing — raises :class:`RecordingCorruptError`.
+    """
     path = Path(path)
     with path.open("rb") as fh:
-        _read_header(fh, path)
-        index = 0
-        while True:
-            frame = fh.read(_FRAME.size)
-            if not frame:
-                return
-            if len(frame) != _FRAME.size:
-                raise RecordingCorruptError(
-                    f"{path}: truncated frame header at record {index}"
-                )
-            length, crc = _FRAME.unpack(frame)
-            payload = fh.read(length)
-            if len(payload) != length:
-                raise RecordingCorruptError(
-                    f"{path}: truncated payload at record {index}"
-                )
-            if zlib.crc32(payload) != crc:
-                raise RecordingCorruptError(
-                    f"{path}: crc mismatch at record {index}"
-                )
-            yield _decode_batch(payload)
-            index += 1
+        try:
+            for _, payload in iter_frames(fh, RECORDING_MAGIC):
+                record = decode_events(payload)
+                yield EventBatch(record.cascade_ids, record.nodes, record.times)
+        except ValueError as exc:  # EventLogError, or EventBatch's time checks
+            raise RecordingCorruptError(f"{path}: {exc}") from exc
 
 
 def stream_info(path: str | Path) -> StreamInfo:

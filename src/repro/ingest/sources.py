@@ -384,16 +384,3 @@ class RecordedSource:
             if len(block) < _BLOCK_FRAMES:  # the recording ended
                 return
 
-
-def _columns_of(
-    batches: Sequence[EventBatch],
-) -> Tuple[List[str], np.ndarray, np.ndarray]:
-    """Concatenate batches back into one set of parallel event columns."""
-    cids: List[str] = []
-    for b in batches:
-        cids.extend(b.cascade_ids)
-    if not batches:
-        return [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    nodes = np.concatenate([b.nodes for b in batches])
-    times = np.concatenate([b.times for b in batches])
-    return cids, nodes, times

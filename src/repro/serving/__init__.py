@@ -7,14 +7,13 @@ adoption events arrive:
 * :mod:`repro.serving.tracker` — struct-of-arrays incremental feature
   store (O(mK) per event instead of an O(m²K) recompute, vectorized
   burst folding, LRU + TTL bounded with an O(expired) lazy-heap sweep);
-* :mod:`repro.serving.workspace` — persistent buffer pool so the
-  steady-state ``score_columns`` hot path allocates nothing;
 * :mod:`repro.serving.registry` — versioned, atomically hot-swappable
   model snapshots, loadable from ``.npz`` archives, hierarchical-fit
   checkpoints, or a live online estimator;
 * :mod:`repro.serving.batching` — the scoring result types (columnar
-  group results, per-request results with latency accounting) and the
-  backpressure error;
+  group results, per-request results with latency accounting), the
+  backpressure error, and the persistent buffer pool that keeps the
+  steady-state ``score_columns`` hot path allocation-free;
 * :mod:`repro.serving.service` — the synchronous, thread-safe scoring
   core tying the three together;
 * :mod:`repro.serving.client` — a reconnecting TCP client speaking the
@@ -28,6 +27,8 @@ adoption events arrive:
 * :mod:`repro.serving.durability` — segmented, checksummed write-ahead
   event journal with fsync policy, rotation, snapshot compaction, and
   bit-identical crash recovery (``repro serve --journal-dir``);
+* :mod:`repro.serving.eventlog` — the crc-framed event-log format a
+  journal segment and a ``repro record`` stream share;
 * :mod:`repro.serving.health` — lifecycle state machine
   (starting→recovering→serving→draining), degraded-mode reasons, and
   the structured fault trail behind the ``health`` protocol op;
@@ -49,6 +50,7 @@ if TYPE_CHECKING:
         QueueFullError,
         ScoreColumns,
         ScoreResult,
+        ScoringWorkspace,
     )
     from repro.serving.client import (
         RemoteError,
@@ -84,7 +86,6 @@ if TYPE_CHECKING:
         shard_of,
     )
     from repro.serving.tracker import CascadeTracker, FeatureStore, StoreConfig, StoreStats
-    from repro.serving.workspace import ScoringWorkspace
 
 __all__ = [
     "CascadeTracker",
@@ -133,6 +134,7 @@ __getattr__, __dir__ = _lazy_exports(
     {
         "repro.serving.batching": (
             "LatencyBreakdown", "QueueFullError", "ScoreColumns", "ScoreResult",
+            "ScoringWorkspace",
         ),
         "repro.serving.client": (
             "RemoteError", "ServerUnreachableError", "TCPScoringClient",
@@ -153,6 +155,5 @@ __getattr__, __dir__ = _lazy_exports(
             "recover_sharded_service", "shard_of",
         ),
         "repro.serving.tracker": ("CascadeTracker", "FeatureStore", "StoreConfig", "StoreStats"),
-        "repro.serving.workspace": ("ScoringWorkspace",),
     },
 )

@@ -1,4 +1,4 @@
-"""Scoring result types: what one ``score_columns`` call returns.
+"""Scoring result types and the scoring workspace.
 
 The scoring hot path amortizes fixed per-call costs (snapshot lookup,
 feature gathering, the SVM matvec) by scoring a whole group of cascade
@@ -12,7 +12,10 @@ are independent of *how* scores are computed:
   outcome with its latency split into group wait and shared compute;
 * :class:`QueueFullError` — remote backpressure: the server's in-flight
   bound refused a request (the TCP client raises it, the replay
-  engine's retry ladder catches it).
+  engine's retry ladder catches it);
+* :class:`ScoringWorkspace` — the reusable buffers a ``score_columns``
+  call gathers into, so its steady state allocates nothing but its
+  output columns.
 
 ``score`` converts its row with :meth:`ScoreColumns.result`; the
 asyncio server turns a group's columns into JSON rows directly (DESIGN.md
@@ -22,7 +25,7 @@ asyncio server turns a group's columns into JSON rows directly (DESIGN.md
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -31,6 +34,7 @@ __all__ = [
     "QueueFullError",
     "ScoreColumns",
     "ScoreResult",
+    "ScoringWorkspace",
 ]
 
 
@@ -146,3 +150,43 @@ class ScoreColumns:
             features,
             latency,
         )
+
+
+class ScoringWorkspace:
+    """Named grow-only buffers for ingest bursts and batched scoring.
+
+    The serving analog of the gradient kernel's
+    :class:`~repro.embedding.compiled.GradientWorkspace` (DESIGN.md §11,
+    §13.3).  Not thread-safe: the owning
+    :class:`~repro.serving.service.ScoringService` touches it only under
+    its lock.  Every buffer is fully written before it is read within
+    one call, so no content survives a call; views handed out of a call
+    are valid only until the next one, and anything that escapes the
+    service (``ScoreResult.features``) must be copied.
+    """
+
+    #: growth slack so a slowly growing batch size doesn't realloc per call
+    _SLACK = 1.25
+
+    def __init__(self) -> None:
+        self._mats: Dict[str, np.ndarray] = {}
+        self._vecs: Dict[str, np.ndarray] = {}
+
+    def mat(self, name: str, rows: int, cols: int) -> np.ndarray:
+        """A float64 ``(rows, cols)`` view of the named matrix buffer."""
+        buf = self._mats.get(name)
+        if buf is None or buf.shape[1] != cols or buf.shape[0] < rows:
+            cap = max(rows, int(rows * self._SLACK), 1)
+            buf = np.empty((cap, cols), dtype=np.float64)
+            self._mats[name] = buf
+        return buf[:rows]
+
+    def vec(self, name: str, size: int, dtype: type = np.float64) -> np.ndarray:
+        """A ``(size,)`` view of the named vector buffer (dtype pinned
+        per name — ask for a consistent dtype under one name)."""
+        buf = self._vecs.get(name)
+        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
+            cap = max(size, int(size * self._SLACK), 1)
+            buf = np.empty(cap, dtype=dtype)
+            self._vecs[name] = buf
+        return buf[:size]

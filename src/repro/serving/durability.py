@@ -22,11 +22,16 @@ Three pieces (DESIGN.md §14):
   prunes the segments it supersedes.  Recovery cost is therefore
   bounded by ``snapshot_bytes`` of journal tail, not by service uptime.
 * :func:`recover_service` — loads the latest snapshot, replays the
-  journal tail through the *existing* columnar ingest path (the same
-  ``update_many`` kernel, so the streamed ≡ batch bit-identity property
-  of the store carries over verbatim), tolerates a torn or truncated
-  final record (repairing the tail in place), and hands back a serving
-  service already re-attached to a fresh journal segment.
+  journal tail through the *existing* columnar ingest path
+  (``FeatureStore.ingest_columns`` → ``fold_burst``, so the streamed ≡
+  batch bit-identity property of the store carries over verbatim),
+  tolerates a torn or truncated final record (repairing the tail in
+  place), and hands back a serving service already re-attached to a
+  fresh journal segment.
+
+Segments are event logs with magic ``RWAL``; the header, framing and
+events record are :mod:`repro.serving.eventlog`'s, shared with
+``repro record`` streams.  Swap records are this module's own.
 
 What is — and is not — durable
 ------------------------------
@@ -63,7 +68,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import struct
 import tempfile
 import time
 import zlib
@@ -72,7 +76,6 @@ from pathlib import Path
 from typing import (
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -84,11 +87,20 @@ import numpy as np
 
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.pipeline import ViralityPredictor
-from repro.serving.registry import ModelSnapshot
+from repro.serving.eventlog import (
+    JOURNAL_MAGIC,
+    EventLogError,
+    EventsRecord,
+    decode_events,
+    encode_events,
+    frame,
+    header,
+    iter_frames,
+)
+from repro.serving.registry import ModelSnapshot, decode_predictor, encode_predictor
 
 __all__ = [
     "EventJournal",
-    "EventsRecord",
     "InjectedCrash",
     "JournalConfig",
     "JournalCorruptError",
@@ -102,17 +114,10 @@ __all__ = [
     "shard_journal_dir",
 ]
 
-#: segment file header: magic + format version + reserved
-_MAGIC = b"RWAL"
-_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sHH")
-#: record frame: payload length + crc32(payload)
-_FRAME = struct.Struct("<II")
-#: payload record types
-_RT_EVENTS = 1
+#: record type of a swap payload (events payloads are type 1)
 _RT_SWAP = 2
-#: events record head: type, event count, id-column byte length
-_EVENTS_HEAD = struct.Struct("<BII")
+#: format version of a compaction snapshot's ``meta``
+_SNAPSHOT_FORMAT = 1
 
 _SEGMENT_GLOB = "wal-*.log"
 _SNAPSHOT_GLOB = "snap-*.npz"
@@ -248,15 +253,6 @@ class _ChaosPlan:
 
 
 @dataclass(frozen=True)
-class EventsRecord:
-    """One journaled ingest burst in columnar (wire) shape."""
-
-    cascade_ids: Tuple[str, ...]
-    nodes: np.ndarray
-    times: np.ndarray
-
-
-@dataclass(frozen=True)
 class SwapRecord:
     """One journaled model publish, self-contained for replay."""
 
@@ -266,108 +262,46 @@ class SwapRecord:
     predictor: Optional[ViralityPredictor]
 
 
-def _encode_events(
-    cascade_ids: Sequence[str], nodes: np.ndarray, times: np.ndarray
-) -> bytes:
-    cid_blob = json.dumps(list(cascade_ids)).encode("utf-8")
-    node_arr = np.ascontiguousarray(nodes, dtype=np.int64)
-    time_arr = np.ascontiguousarray(times, dtype=np.float64)
-    n = int(node_arr.shape[0])
-    return b"".join(
-        (
-            _EVENTS_HEAD.pack(_RT_EVENTS, n, len(cid_blob)),
-            cid_blob,
-            node_arr.tobytes(),
-            time_arr.tobytes(),
-        )
-    )
-
-
-def _decode_events(payload: memoryview) -> EventsRecord:
-    """Decode an events record, refusing any payload of the wrong shape.
-
-    Raises :class:`JournalCorruptError`, never an untyped error: as a
-    segment's final record that is a torn tail recovery repairs.
-    """
-    if len(payload) < _EVENTS_HEAD.size:
-        raise JournalCorruptError("events record shorter than its header")
-    _, n, blob_len = _EVENTS_HEAD.unpack_from(payload, 0)
-    off = _EVENTS_HEAD.size
-    expected = off + blob_len + 16 * n
-    if len(payload) != expected:
-        raise JournalCorruptError(
-            f"events record is {len(payload)} bytes, expected {expected}"
-        )
-    try:
-        cids = json.loads(bytes(payload[off : off + blob_len]).decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both
-        raise JournalCorruptError(f"events record id column: {exc}") from exc
-    off += blob_len
-    nodes = np.frombuffer(payload, dtype=np.int64, count=n, offset=off).copy()
-    off += n * 8
-    times = np.frombuffer(payload, dtype=np.float64, count=n, offset=off).copy()
-    if not isinstance(cids, list) or len(cids) != n:
-        raise JournalCorruptError(f"events record id column does not hold {n} ids")
-    return EventsRecord(cascade_ids=tuple(cids), nodes=nodes, times=times)
-
-
-def _predictor_arrays(predictor: Optional[ViralityPredictor]) -> Dict[str, np.ndarray]:
-    """The fitted predictor as flat arrays (empty dict when absent)."""
-    if predictor is None:
-        return {}
-    buf = io.BytesIO()
-    predictor.save(buf)
-    return {"predictor_npz": np.frombuffer(buf.getvalue(), dtype=np.uint8)}
-
-
-def _predictor_from_arrays(
-    data: Dict[str, np.ndarray]
-) -> Optional[ViralityPredictor]:
-    blob = data.get("predictor_npz")
-    if blob is None:
-        return None
-    return ViralityPredictor.load(io.BytesIO(np.asarray(blob).tobytes()))
-
-
 def _encode_swap(snapshot: ModelSnapshot) -> bytes:
     meta = {
         "source": snapshot.source,
         "fingerprint": snapshot.fingerprint,
     }
+    arrays = {
+        "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+        "A": np.ascontiguousarray(snapshot.model.A, dtype=np.float64),
+        "B": np.ascontiguousarray(snapshot.model.B, dtype=np.float64),
+    }
+    blob = encode_predictor(snapshot.predictor)
+    if blob:
+        arrays["predictor_npz"] = np.frombuffer(blob, dtype=np.uint8)
     buf = io.BytesIO()
-    np.savez(
-        buf,
-        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        A=np.ascontiguousarray(snapshot.model.A, dtype=np.float64),
-        B=np.ascontiguousarray(snapshot.model.B, dtype=np.float64),
-        **_predictor_arrays(snapshot.predictor),
-    )
-    return struct.pack("<B", _RT_SWAP) + buf.getvalue()
+    np.savez(buf, **arrays)
+    return bytes((_RT_SWAP,)) + buf.getvalue()
 
 
-def _decode_swap(payload: memoryview) -> SwapRecord:
+def _decode_swap(payload: bytes) -> SwapRecord:
     try:
-        with np.load(io.BytesIO(bytes(payload[1:]))) as data:
+        with np.load(io.BytesIO(payload[1:])) as data:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             return SwapRecord(
                 source=str(meta["source"]),
                 fingerprint=str(meta["fingerprint"]),
                 model=EmbeddingModel(data["A"].copy(), data["B"].copy()),
-                predictor=_predictor_from_arrays(data),
+                predictor=decode_predictor(data.get("predictor_npz", b"")),
             )
     except Exception as exc:  # any load failure: the record is unusable
-        raise JournalCorruptError(
+        raise EventLogError(
             f"swap record does not load ({type(exc).__name__}: {exc})"
         ) from exc
 
 
-def _decode_record(payload: memoryview) -> Union[EventsRecord, SwapRecord]:
-    rtype = payload[0]
-    if rtype == _RT_EVENTS:
-        return _decode_events(payload)
-    if rtype == _RT_SWAP:
+def _decode_record(payload: bytes) -> Union[EventsRecord, SwapRecord]:
+    """A journal payload as its record; :class:`EventLogError` if it is
+    malformed or of an unknown type."""
+    if payload[0] == _RT_SWAP:
         return _decode_swap(payload)
-    raise JournalCorruptError(f"unknown journal record type {rtype}")
+    return decode_events(payload)
 
 
 # --------------------------------------------------------------------- #
@@ -456,11 +390,12 @@ class EventJournal:
     def _open_segment(self, seq: int) -> None:
         path = _segment_path(self.directory, seq)
         fh = open(path, "xb")
-        fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, 0))
+        head = header(JOURNAL_MAGIC)
+        fh.write(head)
         fh.flush()
         self._fh = fh
         self.seq = seq
-        self._segment_bytes = _HEADER.size
+        self._segment_bytes = len(head)
 
     def _rotate(self) -> None:
         self._seal_segment()
@@ -498,7 +433,7 @@ class EventJournal:
         fh = self._fh
         if fh is None:
             raise JournalError("journal is sealed; no further appends")
-        frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+        framed = frame(payload)
         chaos = self._chaos
         fire = chaos is not None and self._n_appends == chaos.at_append
         self._n_appends += 1
@@ -509,19 +444,19 @@ class EventJournal:
             if chaos.action == "ioerror":
                 raise OSError("chaos: injected journal I/O error")
             if chaos.action == "torn":
-                fh.write(frame[: chaos.torn_bytes])
+                fh.write(framed[: chaos.torn_bytes])
                 fh.flush()
                 raise InjectedCrash(
-                    f"chaos: torn write ({chaos.torn_bytes} of {len(frame)} bytes)"
+                    f"chaos: torn write ({chaos.torn_bytes} of {len(framed)} bytes)"
                 )
             if chaos.action == "slow":
                 time.sleep(chaos.slow_s)  # repro: noqa[REP103] chaos injection: deliberately stalls the journal write under the service lock to surface contention in tests
-        fh.write(frame)
+        fh.write(framed)
         fh.flush()  # data reaches the OS; fsync policy decides the disk
-        self._segment_bytes += len(frame)
-        self._bytes_since_snapshot += len(frame)
+        self._segment_bytes += len(framed)
+        self._bytes_since_snapshot += len(framed)
         self.stats.records += 1
-        self.stats.bytes_written += len(frame)
+        self.stats.bytes_written += len(framed)
         self._unsynced = True
         self._maybe_fsync(fh)
         if fire and chaos is not None and chaos.action == "kill":
@@ -566,7 +501,7 @@ class EventJournal:
         times: np.ndarray,
     ) -> None:
         """Journal one validated ingest burst (columnar wire shape)."""
-        self._write_frame(_encode_events(cascade_ids, nodes, times))
+        self._write_frame(encode_events(cascade_ids, nodes, times))
         self.stats.event_records += 1
 
     def append_swap(self, snapshot: ModelSnapshot) -> None:
@@ -672,7 +607,7 @@ class StoreSnapshot:
 
     def to_arrays(self, seq: int) -> Dict[str, np.ndarray]:
         meta = {
-            "format": _FORMAT_VERSION,
+            "format": _SNAPSHOT_FORMAT,
             "seq": seq,
             "source": self.source,
             "fingerprint": self.fingerprint,
@@ -691,7 +626,9 @@ class StoreSnapshot:
             "A": np.ascontiguousarray(self.model.A, dtype=np.float64),
             "B": np.ascontiguousarray(self.model.B, dtype=np.float64),
         }
-        out.update(_predictor_arrays(self.predictor))
+        blob = encode_predictor(self.predictor)
+        if blob:
+            out["predictor_npz"] = np.frombuffer(blob, dtype=np.uint8)
         return out
 
     @classmethod
@@ -719,7 +656,7 @@ class StoreSnapshot:
                     source=str(meta["source"]),
                     fingerprint=str(meta["fingerprint"]),
                     model=EmbeddingModel(data["A"].copy(), data["B"].copy()),
-                    predictor=_predictor_from_arrays(data),
+                    predictor=decode_predictor(data.get("predictor_npz", b"")),
                 )
         except JournalCorruptError:
             raise
@@ -727,7 +664,7 @@ class StoreSnapshot:
             raise JournalCorruptError(
                 f"{path}: unreadable journal snapshot: {exc}"
             ) from exc
-        if meta.get("format") != _FORMAT_VERSION:
+        if meta.get("format") != _SNAPSHOT_FORMAT:
             raise JournalCorruptError(
                 f"{path}: unsupported snapshot format {meta.get('format')!r}"
             )
@@ -741,57 +678,38 @@ class StoreSnapshot:
 # --------------------------------------------------------------------- #
 
 
-@dataclass
-class _SegmentScan:
-    """Parsed contents of one segment file."""
+def _scan_segment(
+    path: Path, final: bool, records: List[Union[EventsRecord, SwapRecord]]
+) -> Optional[int]:
+    """Append one segment's records to *records*; returns the byte
+    offset of a torn tail, ``None`` when the segment is clean.
 
-    path: Path
-    records: List[Union[EventsRecord, SwapRecord]]
-    torn_at: Optional[int]  # byte offset of a torn tail, None when clean
-
-
-def _scan_segment(path: Path, tolerate_tail: bool) -> _SegmentScan:
-    blob = path.read_bytes()
-    records: List[Union[EventsRecord, SwapRecord]] = []
-
-    def torn(offset: int, why: str) -> _SegmentScan:
-        if not tolerate_tail:
-            raise JournalCorruptError(
-                f"{path}: corrupt record at byte {offset} in a non-final "
-                f"segment ({why}); refusing to replay past it"
-            )
-        return _SegmentScan(path=path, records=records, torn_at=offset)
-
-    if len(blob) < _HEADER.size:
-        return torn(0, "incomplete segment header")
-    magic, version, _ = _HEADER.unpack_from(blob, 0)
-    if magic != _MAGIC:
-        raise JournalCorruptError(f"{path}: bad segment magic {magic!r}")
-    if version != _FORMAT_VERSION:
-        raise JournalCorruptError(
-            f"{path}: unsupported journal format {version}"
-        )
-    view = memoryview(blob)
-    off = _HEADER.size
-    while off < len(blob):
-        if off + _FRAME.size > len(blob):
-            return torn(off, "incomplete frame header")
-        length, crc = _FRAME.unpack_from(blob, off)
-        start = off + _FRAME.size
-        end = start + length
-        if length == 0 or end > len(blob):
-            return torn(off, "truncated payload")
-        payload = view[start:end]
-        if zlib.crc32(payload) != crc:
-            return torn(off, "checksum mismatch")
+    Only the final segment may end in a torn tail: a framing fault, or a
+    crc-valid record that does not decode and ends the file.  Any other
+    fault raises :class:`JournalCorruptError`.
+    """
+    with path.open("rb") as fh:
         try:
-            records.append(_decode_record(payload))
-        except JournalCorruptError:
-            if not tolerate_tail or end < len(blob):
-                raise
-            return torn(off, "undecodable final record")
-        off = end
-    return _SegmentScan(path=path, records=records, torn_at=None)
+            for offset, payload in iter_frames(fh, JOURNAL_MAGIC):
+                try:
+                    records.append(_decode_record(payload))
+                except EventLogError as exc:
+                    if final and not fh.peek(1):  # the record ends the file
+                        return offset
+                    raise JournalCorruptError(
+                        f"{path}: record at byte {offset} does not decode "
+                        f"({exc.reason}); refusing to replay past it"
+                    ) from exc
+        except EventLogError as exc:
+            if exc.offset is None:  # another magic or version: not a tail
+                raise JournalCorruptError(f"{path}: {exc}") from exc
+            if final:
+                return exc.offset
+            raise JournalCorruptError(
+                f"{path}: corrupt record at byte {exc.offset} in a non-final "
+                f"segment ({exc.reason}); refusing to replay past it"
+            ) from exc
+    return None
 
 
 @dataclass
@@ -825,10 +743,9 @@ def scan_journal(directory: Union[str, Path]) -> JournalScan:
     records: List[Union[EventsRecord, SwapRecord]] = []
     torn: Optional[Tuple[Path, int]] = None
     for i, path in enumerate(segments):
-        scan = _scan_segment(path, tolerate_tail=(i == len(segments) - 1))
-        records.extend(scan.records)
-        if scan.torn_at is not None:
-            torn = (path, scan.torn_at)
+        torn_at = _scan_segment(path, i == len(segments) - 1, records)
+        if torn_at is not None:
+            torn = (path, torn_at)
     return JournalScan(
         snapshot=snapshot,
         snapshot_seq=snapshot_seq,
@@ -1023,27 +940,3 @@ def recover_service(
     report.elapsed_s = time.perf_counter() - start
     return service, report
 
-
-def iter_journal_events(
-    directory: Union[str, Path]
-) -> Iterator[Tuple[str, int, float]]:
-    """Flatten a journal's event records to ``(cascade_id, node, t)``.
-
-    Diagnostic helper (devtools, tests) — recovery itself replays the
-    columnar records directly.
-    """
-    scan = scan_journal(directory)
-    if scan.snapshot is not None:
-        snap = scan.snapshot
-        sizes = np.diff(snap.offsets)
-        pos = 0
-        for cid, size in zip(snap.cascade_ids, sizes):
-            for i in range(pos, pos + int(size)):
-                yield cid, int(snap.nodes[i]), float(snap.times[i])
-            pos += int(size)
-    for record in scan.records:
-        if isinstance(record, EventsRecord):
-            for cid, node, t in zip(
-                record.cascade_ids, record.nodes, record.times
-            ):
-                yield cid, int(node), float(t)

@@ -52,6 +52,8 @@ __all__ = [
     "ModelRegistry",
     "SharedSnapshotMeta",
     "SnapshotLoadError",
+    "decode_predictor",
+    "encode_predictor",
     "encode_shared_snapshot",
     "model_fingerprint",
 ]
@@ -77,6 +79,25 @@ def model_fingerprint(model: EmbeddingModel) -> str:
     h.update(np.ascontiguousarray(model.A).tobytes())
     h.update(np.ascontiguousarray(model.B).tobytes())
     return h.hexdigest()
+
+
+def encode_predictor(predictor: Optional[ViralityPredictor]) -> bytes:
+    """A fitted predictor as its ``.npz`` archive bytes (``b""`` when
+    there is none): the form journals, snapshots and shared model
+    segments carry it in."""
+    if predictor is None:
+        return b""
+    sink = io.BytesIO()
+    predictor.save(sink)
+    return sink.getvalue()
+
+
+def decode_predictor(blob: Union[bytes, np.ndarray]) -> Optional[ViralityPredictor]:
+    """Inverse of :func:`encode_predictor`; *blob* is any buffer (bytes,
+    a uint8 array), and an empty one is no predictor."""
+    if not len(blob):
+        return None
+    return ViralityPredictor.load(io.BytesIO(bytes(blob)))
 
 
 @dataclass(frozen=True)
@@ -151,11 +172,7 @@ def encode_shared_snapshot(
     ``create_segment`` finalizer backstops a crashed owner.
     """
     model = snapshot.model
-    blob = b""
-    if snapshot.predictor is not None:
-        sink = io.BytesIO()
-        snapshot.predictor.save(sink)
-        blob = sink.getvalue()
+    blob = encode_predictor(snapshot.predictor)
     fields = _shared_fields(model.n_nodes, model.n_topics, len(blob))
     offsets, total = layout_fields(fields)
     seg = create_segment(total)
@@ -290,11 +307,7 @@ class ModelRegistry:
         A.setflags(write=False)
         B.setflags(write=False)
         model = EmbeddingModel(A, B)
-        predictor = (
-            ViralityPredictor.load(io.BytesIO(blob_view.tobytes()))
-            if meta.predictor_bytes
-            else None
-        )
+        predictor = decode_predictor(blob_view)
         del a_view, b_view, blob_view
         with self._lock:
             self._n_published += 1

@@ -671,10 +671,14 @@ class ScoringServer:
             if op == "ping":
                 return {"ok": True, "pong": True}
             return {"ok": False, "error": f"unknown op: {op!r}"}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         except (LookupError, RuntimeError, FileNotFoundError) as exc:
             return {"ok": False, "error": str(exc)}
+        except Exception as exc:  # a fault of ours: still one reply per line
+            detail = f"{op!r} op: {type(exc).__name__}: {exc}"
+            self.service.record_fault("internal_error", detail)
+            return {"ok": False, "error": f"internal error: {type(exc).__name__}"}
 
     async def _score(self, cascade_id: str, include_features: bool) -> Dict[str, Any]:
         """Join the waiting group; the scorer task answers it."""

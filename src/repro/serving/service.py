@@ -19,7 +19,7 @@ cascade ids into scores:
    :meth:`ViralityPredictor.decision_function` call.
 
 Every numpy intermediate lives in the service's persistent
-:class:`~repro.serving.workspace.ScoringWorkspace`; only the output
+:class:`~repro.serving.batching.ScoringWorkspace`; only the output
 columns are allocated per call.  Everything else rides it:
 :meth:`~ScoringService.score` is row 0 of ``score_columns([cascade_id])``
 and the asyncio server answers a group of concurrent ``score`` ops with
@@ -48,11 +48,10 @@ from repro.devtools.sanitize import LockLike, guarded_rlock
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.features import PAPER_FEATURES
 from repro.prediction.pipeline import ViralityPredictor
-from repro.serving.batching import ScoreColumns, ScoreResult
+from repro.serving.batching import ScoreColumns, ScoreResult, ScoringWorkspace
 from repro.serving.health import HealthMonitor
 from repro.serving.registry import ModelRegistry, ModelSnapshot, SnapshotLoadError
 from repro.serving.tracker import FeatureStore, StoreConfig
-from repro.serving.workspace import ScoringWorkspace
 
 if TYPE_CHECKING:  # import cycle: durability builds services during recovery
     from repro.serving.durability import EventJournal

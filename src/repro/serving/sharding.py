@@ -79,6 +79,8 @@ from repro.serving.registry import (
     ModelSnapshot,
     SharedSnapshotMeta,
     SnapshotLoadError,
+    decode_predictor,
+    encode_predictor,
     encode_shared_snapshot,
 )
 from repro.serving.service import ScoringService, ServiceStats
@@ -197,16 +199,6 @@ def _build_shard_service(plan: ShardPlan) -> Tuple[ScoringService, Optional[Reco
     return service, None
 
 
-def _predictor_blob(predictor: Optional[ViralityPredictor]) -> bytes:
-    if predictor is None:
-        return b""
-    import io
-
-    sink = io.BytesIO()
-    predictor.save(sink)
-    return sink.getvalue()
-
-
 def _handle_op(service: ScoringService, msg: Tuple[Any, ...]) -> Tuple[Any, ...]:
     """Dispatch one router request inside the worker."""
     op = msg[0]
@@ -239,7 +231,7 @@ def _handle_op(service: ScoringService, msg: Tuple[Any, ...]) -> Tuple[Any, ...]
             "ok",
             np.ascontiguousarray(snap.model.A),
             np.ascontiguousarray(snap.model.B),
-            _predictor_blob(snap.predictor),
+            encode_predictor(snap.predictor),
             snap.source,
             snap.fingerprint,
             snap.version,
@@ -574,13 +566,8 @@ class ShardedScoringService:
                 )
             reply = self._roundtrip(ref, ("export_model",))
             _, A, B, blob, source, fingerprint, version = reply
-            predictor = None
-            if blob:
-                import io
-
-                predictor = ViralityPredictor.load(io.BytesIO(blob))
             snapshot = self.registry.publish(
-                EmbeddingModel(A, B), predictor=predictor, source=source
+                EmbeddingModel(A, B), predictor=decode_predictor(blob), source=source
             )
             seg, meta = encode_shared_snapshot(snapshot)
             self._segment, self._meta = seg, meta

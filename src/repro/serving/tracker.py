@@ -87,8 +87,8 @@ from repro.prediction.features import (
     feature_rows,
     fold_burst,
 )
+from repro.serving.batching import ScoringWorkspace
 from repro.serving.registry import ModelSnapshot
-from repro.serving.workspace import ScoringWorkspace
 
 __all__ = ["StoreConfig", "StoreStats", "CascadeTracker", "FeatureStore"]
 
@@ -360,8 +360,15 @@ class FeatureStore:
         """Fold one adoption event in, admitting the cascade if needed.
 
         Returns ``True`` when the event changed state (``False`` for a
-        duplicate adopter — at-least-once delivery is expected).
+        duplicate adopter — at-least-once delivery is expected).  An
+        invalid node or non-finite time raises with the store untouched.
         """
+        node, t = int(node), float(t)
+        if not math.isfinite(t):
+            raise ValueError("adoption times must be finite")
+        n_nodes = snapshot.model.n_nodes
+        if node < 0 or node >= n_nodes:
+            raise ValueError(f"node {node} outside the model universe of {n_nodes} nodes")
         now = self._clock()
         slot = self._slots.get(cascade_id)
         if slot is None:

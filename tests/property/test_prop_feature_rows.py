@@ -41,10 +41,10 @@ from repro.prediction.features import (
     extract_features,
 )
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
+from repro.serving.batching import ScoringWorkspace
 from repro.serving.registry import ModelRegistry, ModelSnapshot
 from repro.serving.service import ScoringService
 from repro.serving.tracker import FeatureStore, StoreConfig
-from repro.serving.workspace import ScoringWorkspace
 
 # --------------------------------------------------------------------- #
 # The reference: the per-row refresh, verbatim

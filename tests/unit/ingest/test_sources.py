@@ -199,7 +199,7 @@ def _record_frames(path, n):
 
 def _corrupt_frame(path, k):
     """Flip one payload byte of frame *k* so its crc check fails."""
-    from repro.ingest.recorder import _FRAME, _HEADER
+    from repro.serving.eventlog import FRAME as _FRAME, HEADER as _HEADER
 
     blob = bytearray(path.read_bytes())
     pos = _HEADER.size

@@ -23,26 +23,27 @@ import repro
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
 from repro.serving.durability import (
-    _FORMAT_VERSION,
-    _FRAME,
-    _HEADER,
-    _MAGIC,
     EventJournal,
-    EventsRecord,
     InjectedCrash,
     JournalConfig,
     JournalCorruptError,
     JournalError,
     SwapRecord,
     _ChaosPlan,
-    _encode_events,
     _encode_swap,
     _list_segments,
     _list_snapshots,
     _segment_path,
-    iter_journal_events,
     recover_service,
     scan_journal,
+)
+from repro.serving.eventlog import (
+    FRAME as _FRAME,
+    HEADER as _HEADER,
+    JOURNAL_MAGIC as _MAGIC,
+    VERSION as _FORMAT_VERSION,
+    EventsRecord,
+    encode_events as _encode_events,
 )
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
@@ -195,12 +196,34 @@ class TestRoundTrip:
         with pytest.raises(JournalError, match="sealed"):
             journal.append_events(["c"], np.asarray([1]), np.asarray([0.1]))
 
-    def test_iter_journal_events_flattens(self, tmp_path):
+    def test_journal_records_flatten_to_events(self, tmp_path):
         service, config = journaled_service(tmp_path)
         events = sample_events(n=10)
         service.ingest_columns(*event_columns(events))
         service.seal_journal()
-        assert list(iter_journal_events(config.directory)) == events
+        journaled = [
+            (cid, int(node), float(t))
+            for record in scan_journal(config.directory).records
+            if isinstance(record, EventsRecord)
+            for cid, node, t in zip(record.cascade_ids, record.nodes, record.times)
+        ]
+        assert journaled == events
+
+    def test_rejected_scalar_events_recover_to_the_live_state(self, tmp_path):
+        # a rejected event is never journaled, so it must not have
+        # changed the live store either: recovered == uninterrupted
+        service, config = journaled_service(tmp_path)
+        events = sample_events(n=10)
+        service.ingest_columns(*event_columns(events))
+        tracked = service.store.cascade_ids()[0]
+        for cid, node, t in [("d", -5, 1.0), ("d", 30, 1.0), (tracked, 3, float("nan"))]:
+            with pytest.raises(ValueError):
+                service.ingest(cid, node, t)
+        live = service.state_fingerprint()
+        service.seal_journal()
+        recovered, _ = recover_service(config, compact=False)
+        recovered.seal_journal()
+        assert recovered.state_fingerprint() == live
 
 
 class TestSegments:

@@ -257,6 +257,71 @@ class TestTCPServer:
         assert len(score["features"]) == 3  # the paper feature set
 
 
+async def run_raw_session(service, lines):
+    """Like :func:`run_session`, but sends raw request lines (JSON that
+    ``json.dumps`` cannot write) and returns the replies by ``id``."""
+    server = ScoringServer(service)
+    await server.start()
+    try:
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(b"".join(line + b"\n" for line in lines))
+        await writer.drain()
+        replies = {}
+        for _ in lines:
+            reply = json.loads(await asyncio.wait_for(reader.readline(), timeout=5.0))
+            replies[reply["id"]] = reply
+        writer.close()
+        await writer.wait_closed()
+        return replies
+    finally:
+        await server.stop()
+
+
+#: requests whose numbers overflow an int64 node or a float time
+OVERFLOWING = {
+    "event-node-Infinity": b'{"op": "event", "cascade": "d", "node": Infinity, "t": 1.0',
+    "events-node-1e20": b'{"op": "events", "events": [["d", 100000000000000000000, 1.0]]',
+    "event-t-10**400": b'{"op": "event", "cascade": "d", "node": 3, "t": 1' + b"0" * 400,
+    "events-node-1e400": b'{"op": "events", "events": [["d", 1e400, 1.0]]',
+}
+PING = b'{"op": "ping", "id": 2}'
+
+
+class TestEveryLineIsAnswered:
+    """No request line goes unanswered: a number that overflows is a
+    typed bad request, and any other exception an op raises is one
+    ``internal error`` line recorded as a fault."""
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING))
+    def test_overflowing_number_gets_one_typed_line(self, name):
+        service = make_service()
+        service.ingest_columns(*event_columns(EVENTS))
+        ingested = service.stats()["ingested"]
+        fingerprint = service.state_fingerprint()
+        replies = asyncio.run(
+            run_raw_session(service, [OVERFLOWING[name] + b', "id": 1}', PING])
+        )
+        assert set(replies[1]) == {"ok", "error", "id"} and replies[1]["ok"] is False
+        assert replies[1]["error"].startswith("OverflowError: ")
+        assert replies[2] == {"ok": True, "pong": True, "id": 2}
+        assert service.stats()["ingested"] == ingested
+        assert service.state_fingerprint() == fingerprint
+
+    def test_unexpected_exception_gets_an_internal_error_line(self, monkeypatch):
+        service = make_service()
+
+        def broken(cascade_id, node, t):
+            raise ZeroDivisionError("a fault of the service")
+
+        monkeypatch.setattr(service, "ingest", broken)
+        event = b'{"op": "event", "cascade": "d", "node": 3, "t": 1.0, "id": 1}'
+        replies = asyncio.run(run_raw_session(service, [event, PING]))
+        assert replies[1] == {"ok": False, "error": "internal error: ZeroDivisionError", "id": 1}
+        assert replies[2] == {"ok": True, "pong": True, "id": 2}
+        (fault,) = service.health_snapshot()["recent_faults"]
+        assert fault["kind"] == "internal_error" and "ZeroDivisionError" in fault["detail"]
+
+
 class TestScoreManyOp:
     """``score_many``: one exchange, one ``score_columns`` call per group."""
 

@@ -223,6 +223,43 @@ class TestBitIdentity:
             sharded.close()
 
 
+#: scalar events every tier must reject with the store untouched: a
+#: node below and one past the 30-node universe, and a NaN time
+REJECTED_EVENTS = [(-5, 1.0), (30, 1.0), (3, float("nan"))]
+
+
+class TestRejectedScalarEvent:
+    """A scalar event ``ingest`` rejects changes no state on either tier:
+    an untracked cascade is not admitted, and a tracked one keeps its
+    place in the LRU order."""
+
+    @pytest.mark.parametrize(
+        "node,t", REJECTED_EVENTS, ids=["node-below", "node-above", "nan-time"]
+    )
+    @pytest.mark.parametrize("n_shards", [None, 2], ids=["in-process", "2-shard"])
+    def test_rejected_event_changes_nothing(self, n_shards, node, t):
+        _, events = make_stream(seed=2)
+        service = make_reference() if n_shards is None else make_sharded(n_shards)
+        try:
+            service.ingest_columns(*event_columns(events))
+            last_touch = {cid: i for i, (cid, _, _) in enumerate(events)}
+            least_recent = min(last_touch, key=last_touch.__getitem__)
+            fingerprint = service.state_fingerprint()
+            if n_shards is None:
+                lru = service.store.export_state()[0]
+                assert lru[0] == least_recent
+            for cid in ("untracked", least_recent):
+                with pytest.raises(ValueError):
+                    service.ingest(cid, node, t)
+                assert service.state_fingerprint() == fingerprint, cid
+            if n_shards is None:
+                assert service.store.export_state()[0] == lru
+            assert not service.score_columns(["untracked"]).ok[0]
+        finally:
+            if n_shards is not None:
+                service.close()
+
+
 class TestUnpublished:
     def test_unpublished_router_refuses_to_score(self):
         sharded = ShardedScoringService(n_shards=2)

@@ -6,9 +6,9 @@ import pytest
 from repro.cascades.types import Cascade
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.features import EXTENDED_FEATURES, extract_features
+from repro.serving.batching import ScoringWorkspace
 from repro.serving.registry import ModelRegistry
 from repro.serving.tracker import FeatureStore, StoreConfig
-from repro.serving.workspace import ScoringWorkspace
 from tests.columns import event_columns
 
 
