@@ -439,7 +439,6 @@ def corpus_gradients(
     gradA: np.ndarray,
     gradB: np.ndarray,
     eps: float = EPS,
-    background_rate: float = 0.0,
     workspace: Optional[GradientWorkspace] = None,
 ) -> float:
     """Add the full-corpus ∇L to *gradA*/*gradB* in place; return Σ_c L_c.
@@ -449,22 +448,10 @@ def corpus_gradients(
     workspace.  Passing a :class:`GradientWorkspace` makes the evaluation
     allocation-free in steady state; results are bit-identical either
     way.
-
-    *background_rate* adds a constant exogenous hazard μ to every
-    infection's denominator (``log(Σ A_u·B_v + μ)``): each adoption can
-    always be explained by a tiny out-of-network source.  With μ = 0 the
-    objective is the paper's Eq. 8 verbatim, but an infection whose
-    predecessors all carry zero rate makes the ε-guarded log's gradient
-    explode (≈ 1/ε), which happens systematically when merge-tree levels
-    reintroduce cross-community pairs that leaf-level fits zeroed out.  A
-    small μ bounds the gradient by 1/μ and keeps the landscape
-    optimizable without noticeably moving well-explained infections.
     """
     if workspace is None:
         workspace = GradientWorkspace()
-    ll = forward_sweep(
-        A, B, corpus, workspace, eps=eps, background_rate=background_rate
-    )
+    ll = forward_sweep(A, B, corpus, workspace, eps=eps)
     backward_sweep(corpus, gradA, gradB, workspace)
     return ll
 
@@ -475,7 +462,6 @@ def forward_sweep(
     corpus: CompiledCorpus,
     workspace: GradientWorkspace,
     eps: float = EPS,
-    background_rate: float = 0.0,
 ) -> float:
     """Return Σ_c L_c at (*A*, *B*) and keep the sweep's intermediates.
 
@@ -534,8 +520,6 @@ def forward_sweep(
     np.take(B, nodes, axis=0, out=B_pos, mode="clip")
     denom = ws._vec("denom", M)
     np.einsum("ik,ik->i", H, B_pos, out=denom)
-    if background_rate > 0.0:
-        denom += background_rate
     np.maximum(denom, eps, out=denom)
 
     # lin = G - t*H, built in the dB plane (the backward sweep adds H/denom).

@@ -14,16 +14,15 @@ A candidate step costs only the kernel's forward sweep (the objective);
 the backward sweep (its gradients) runs only when the step is accepted,
 and a rejection keeps the retained point's gradients as they are.
 
-The optional ``update_rows`` mask makes this a *block-coordinate* solver:
-gradient information outside the block is discarded, which is exactly how
-the per-community processes of Algorithm 1 behave after sub-cascade
-splitting.
+Every row of the model is optimized.  Algorithm 1's block-coordinate
+structure comes from the caller: the parallel engine fits each community
+on a model of its own gathered rows and its sub-corpus in local ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -93,19 +92,6 @@ class OptimizerConfig:
         accepted) tolerated while step-halving before the fit aborts
         with :class:`NumericalDivergenceError`.  A rejected step's
         gradients are never computed, so they cannot count.
-    background_rate:
-        Exogenous hazard μ added inside every ``log Σ A_u·B_v`` term.
-        When a merge-tree level reintroduces predecessor pairs whose rates
-        the previous (block-restricted) level projected to zero, Eq. 8's
-        bare log makes the gradient explode (≈1/ε) and no feasible ascent
-        step exists, so warm-started upper levels stop early (step-size
-        underflow) instead of refining.  A small μ (e.g. 1e-3) bounds the
-        gradient by 1/μ and lets upper levels keep optimizing.
-        Empirically this is a trade-off: with μ the merged levels refine
-        longer (better parallel-scaling realism) but give up the implicit
-        sparsity of hard-zero cross-community rates, which costs a few F1
-        points of prediction accuracy.  The default 0 is the paper's
-        verbatim objective.
     """
 
     learning_rate: float = 0.05
@@ -117,7 +103,6 @@ class OptimizerConfig:
     eps: float = EPS
     l2: float = 0.0
     max_nonfinite_retries: int = 8
-    background_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -132,8 +117,6 @@ class OptimizerConfig:
             raise ValueError("l2 must be >= 0")
         if self.max_nonfinite_retries < 1:
             raise ValueError("max_nonfinite_retries must be >= 1")
-        if self.background_rate < 0:
-            raise ValueError("background_rate must be >= 0")
 
 
 @dataclass
@@ -166,8 +149,6 @@ class ProjectedGradientAscent:
         self,
         model: EmbeddingModel,
         cascades: Union[CascadeSet, CompiledCorpus],
-        update_rows: Optional[np.ndarray] = None,
-        callback: Optional[Callable[[int, float], None]] = None,
         workspace: Optional[GradientWorkspace] = None,
     ) -> FitResult:
         """Optimize *model* in place on *cascades*.
@@ -182,13 +163,6 @@ class ProjectedGradientAscent:
             accepted directly — the parallel engine's zero-copy path
             compiles worker-side from the shared-memory arena (and caches
             the result), so re-compiling here would waste the savings.
-        update_rows:
-            Optional boolean mask or integer index array restricting which
-            embedding rows may change (block-coordinate mode).  Rows outside
-            the block neither move nor contribute gradient mass.
-        callback:
-            Called as ``callback(iteration, loglik)`` after each accepted
-            step.
         workspace:
             Optional :class:`GradientWorkspace` reused across iterations
             (and, by long-lived callers such as the parallel workers,
@@ -212,17 +186,6 @@ class ProjectedGradientAscent:
             raise ValueError(
                 f"cascades cover {cascades.n_nodes} nodes but model has {n} rows"
             )
-        if update_rows is None:
-            row_mask = None
-        else:
-            update_rows = np.asarray(update_rows)
-            if update_rows.dtype == bool:
-                if update_rows.shape != (n,):
-                    raise ValueError("boolean update_rows must have length n_nodes")
-                row_mask = update_rows
-            else:
-                row_mask = np.zeros(n, dtype=bool)
-                row_mask[update_rows] = True
 
         # Cascade structure is static across iterations: compile once,
         # evaluate each pass with a fixed number of vectorized NumPy ops.
@@ -239,9 +202,6 @@ class ProjectedGradientAscent:
         gradB = np.zeros_like(model.B)
         nextA = np.zeros_like(model.A)
         nextB = np.zeros_like(model.B)
-        frozen_rows = (
-            None if row_mask is None else np.flatnonzero(~row_mask)
-        )
         result = FitResult()
         lr = cfg.learning_rate
         best_ll = self._objective(model.A, model.B, corpus, workspace)
@@ -268,9 +228,6 @@ class ProjectedGradientAscent:
         candA, candB = workspace.model_candidates(n, model.n_topics)
         try:
             for it in range(cfg.max_iters):
-                if frozen_rows is not None:
-                    gradA[frozen_rows] = 0.0
-                    gradB[frozen_rows] = 0.0
                 np.multiply(gradA, lr, out=candA)
                 candA += model.A
                 np.multiply(gradB, lr, out=candB)
@@ -330,8 +287,6 @@ class ProjectedGradientAscent:
                 gradA, nextA = nextA, gradA
                 gradB, nextB = nextB, gradB
                 result.history.append(ll)
-                if callback is not None:
-                    callback(it, ll)
                 improvement = ll - best_ll
                 rel = improvement / max(abs(best_ll), 1.0)
                 if rel < cfg.tol:
@@ -385,10 +340,7 @@ class ProjectedGradientAscent:
         accept/reject logic tracks it.
         """
         cfg = self.config
-        ll = forward_sweep(
-            A, B, corpus, workspace,
-            eps=cfg.eps, background_rate=cfg.background_rate,
-        )
+        ll = forward_sweep(A, B, corpus, workspace, eps=cfg.eps)
         if cfg.l2 > 0.0:
             ll -= 0.5 * cfg.l2 * (
                 float(np.sum(A**2)) + float(np.sum(B**2))

@@ -28,7 +28,6 @@ if TYPE_CHECKING:
         PositionSplit,
         split_cascades,
         split_positions,
-        subcorpus_for_community,
     )
     from repro.parallel.arena import CorpusArena, LevelSelection
     from repro.parallel.backends import (
@@ -38,7 +37,6 @@ if TYPE_CHECKING:
         DispatchStats,
         MultiprocessBackend,
         SerialBackend,
-        run_block_task,
     )
     from repro.parallel.hierarchical import (
         HierarchicalInference,
@@ -57,7 +55,6 @@ __all__ = [
     "split_cascades",
     "split_positions",
     "PositionSplit",
-    "subcorpus_for_community",
     "CorpusArena",
     "LevelSelection",
     "Backend",
@@ -66,7 +63,6 @@ __all__ = [
     "BlockTask",
     "BlockResult",
     "DispatchStats",
-    "run_block_task",
     "DispatchCostEstimator",
     "HierarchicalInference",
     "HierarchicalResult",
@@ -82,12 +78,12 @@ __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
         "repro.parallel.splitting": (
-            "PositionSplit", "split_cascades", "split_positions", "subcorpus_for_community",
+            "PositionSplit", "split_cascades", "split_positions",
         ),
         "repro.parallel.arena": ("CorpusArena", "LevelSelection"),
         "repro.parallel.backends": (
             "Backend", "BlockResult", "BlockTask", "DispatchStats", "MultiprocessBackend",
-            "SerialBackend", "run_block_task",
+            "SerialBackend",
         ),
         "repro.parallel.hierarchical": (
             "HierarchicalInference", "HierarchicalResult", "LevelStats",

@@ -1,13 +1,15 @@
 """Zero-copy cascade arena: the corpus as flat buffers in shared memory.
 
-Pickling every community's ``cascade_nodes`` / ``cascade_times`` array
-lists to the workers would cost, at **every merge-tree level**, per-level
-IPC proportional to the total infection count.  The arena replaces that
-stream of small pickled arrays with two fixed shared-memory blocks:
+Pickling every community's sub-cascade arrays to the workers would cost,
+at **every merge-tree level**, per-level IPC proportional to the total
+infection count.  The arena replaces that stream of small pickled arrays
+with two fixed shared-memory blocks:
 
 * :class:`CorpusArena` — built **once at engine start**: the whole corpus
   concatenated CSR-style (global node ids, infection times, per-cascade
   offsets).  Workers attach once and read for the lifetime of the fit.
+  The layout is :func:`flatten_corpus`'s, which the serial backend keeps
+  in process memory and the checkpoint digest hashes.
 * :class:`LevelSelection` — rebuilt (or, on an optimizer restart with the
   same structure, *reused*) per level: the flat index arrays produced by
   :func:`repro.parallel.splitting.split_positions` — which arena positions
@@ -46,7 +48,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +58,8 @@ from repro.parallel._shm import create_segment
 __all__ = [
     "ArenaMeta",
     "SelectionMeta",
+    "FlatCorpus",
+    "flatten_corpus",
     "CorpusArena",
     "LevelSelection",
     "attach_arrays",
@@ -152,22 +156,43 @@ def attach_arrays(
     return out
 
 
+class FlatCorpus(NamedTuple):
+    """A corpus in the flat CSR layout the driver splits: cascade *c*
+    occupies ``[offsets[c], offsets[c+1])`` of ``times`` and ``nodes``."""
+
+    times: np.ndarray
+    nodes: np.ndarray
+    offsets: np.ndarray
+
+
+def flatten_corpus(cascades: CascadeSet) -> FlatCorpus:
+    """Concatenate every cascade's arrays (size-0/1 cascades included,
+    so cascade ids line up with the corpus)."""
+    offsets = np.zeros(len(cascades) + 1, dtype=np.int64)
+    np.cumsum(cascades.sizes(), out=offsets[1:])
+    if len(cascades):
+        times = np.concatenate([c.times for c in cascades])
+        nodes = np.concatenate([c.nodes for c in cascades])
+    else:
+        times = np.empty(0, dtype=np.float64)
+        nodes = np.empty(0, dtype=np.int64)
+    return FlatCorpus(times, nodes, offsets)
+
+
 class CorpusArena:
     """Parent-owned shared-memory copy of the full corpus (CSR layout).
 
     Parameters
     ----------
     cascades:
-        The observed corpus.  Every cascade is stored verbatim (including
-        size-0/1 cascades, so cascade ids line up with the corpus); the
-        splitting layer applies the usual ``min_size`` filter on top.
+        The observed corpus, stored as :func:`flatten_corpus` lays it
+        out; the splitting layer applies the usual ``min_size`` filter
+        on top.
     """
 
     def __init__(self, cascades: CascadeSet) -> None:
-        sizes = cascades.sizes() if len(cascades) else np.empty(0, dtype=np.int64)
-        offsets = np.zeros(len(cascades) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        M = int(offsets[-1])
+        flat = flatten_corpus(cascades)
+        M = int(flat.nodes.size)
         C = len(cascades)
         field_offsets, total = _arena_layout(M, C)
         self._shm = create_segment(total)
@@ -176,12 +201,9 @@ class CorpusArena:
             field_offsets,
             ((M, np.float64), (M, np.int64), (C + 1, np.int64)),
         )
-        offs[:] = offsets
-        for i, c in enumerate(cascades):
-            lo, hi = offsets[i], offsets[i + 1]
-            nodes[lo:hi] = c.nodes
-            times[lo:hi] = c.times
-        self.n_nodes = cascades.n_nodes
+        times[:] = flat.times
+        nodes[:] = flat.nodes
+        offs[:] = flat.offsets
         self.times = times
         self.nodes = nodes
         self.offsets = offs
@@ -189,25 +211,6 @@ class CorpusArena:
         self._closed = False
 
     # ------------------------------------------------------------------ #
-
-    def content_digest(self) -> str:
-        """Blake2b digest of the corpus content (nodes, times, offsets).
-
-        Matches the corpus component hashed by
-        :func:`repro.parallel.checkpoint.run_digest` — the arena stores
-        exactly the concatenation of every cascade's arrays — so
-        checkpoint validation can hash the flat shared buffers
-        (vectorized) instead of looping over ``Cascade`` objects.
-        """
-        if self._closed:
-            raise RuntimeError("arena already closed")
-        h = hashlib.blake2b(digest_size=16)
-        h.update(np.int64(self.n_nodes).tobytes())
-        h.update(np.int64(self.meta.n_cascades).tobytes())
-        h.update(np.ascontiguousarray(self.nodes).tobytes())
-        h.update(np.ascontiguousarray(self.times).tobytes())
-        h.update(np.ascontiguousarray(self.offsets).tobytes())
-        return h.hexdigest()
 
     @staticmethod
     def view(buf: memoryview, meta: ArenaMeta) -> List[np.ndarray]:

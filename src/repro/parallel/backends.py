@@ -5,23 +5,25 @@ community's local corpus plus its rows of ``A``/``B``; running it means
 block projected-gradient ascent until early stopping.  Backends differ only
 in *where* tasks run:
 
-* :class:`SerialBackend` — in the calling process, one after another.  The
-  numerical reference; also records per-task wall-clock used to calibrate
-  the cost model.
+* :class:`SerialBackend` — in the calling process, one after another;
+  also records per-task wall-clock used to calibrate the cost model.
 * :class:`MultiprocessBackend` — real OS processes.  ``A`` and ``B`` live
   in POSIX shared memory; each worker attaches, gathers its community's
   rows, optimizes locally, and scatters the rows back.  Communities are
   disjoint, so writes touch disjoint row blocks — the write-write
   conflict freedom of §IV-B — and no locks are needed.
 
-The multiprocess backend has one dispatch path: :meth:`Backend.prepare`
-publishes the corpus to a :class:`~repro.parallel.arena.CorpusArena`, each
-level's split goes to a :class:`~repro.parallel.arena.LevelSelection`,
-both in shared memory, and a task ships as a tuple of index ranges;
-workers compile (and cache) their sub-corpus directly from the shared
-buffers.  :meth:`MultiprocessBackend.run_level` therefore takes only
-arena-backed tasks, the ones :class:`~repro.parallel.hierarchical
-.HierarchicalInference` builds after calling ``prepare``.
+Both run one block-fit path.  :meth:`Backend.prepare` takes the corpus
+in the flat layout of :func:`~repro.parallel.arena.flatten_corpus` — in
+process memory for the serial backend, copied to a shared-memory
+:class:`~repro.parallel.arena.CorpusArena` for the pool — and the driver
+splits it into tasks that address their sub-cascades as index ranges.
+Every task, wherever it runs, compiles its sub-corpus with
+:func:`_compile_subcorpus` and fits it with :func:`_run_block`.  The pool
+also publishes each level's split to a
+:class:`~repro.parallel.arena.LevelSelection`, so a task ships as a tuple
+of index ranges and workers compile (and cache) straight from the shared
+buffers.
 
 Tasks are dispatched longest-predicted-first (LPT order from
 :class:`~repro.parallel.costmodel.DispatchCostEstimator`), so the level's
@@ -50,18 +52,26 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cascades.types import Cascade, CascadeSet
+from repro.cascades.types import CascadeSet
 from repro.devtools import sanitize
 from repro.embedding.compiled import CompiledCorpus, GradientWorkspace
 from repro.embedding.model import EmbeddingModel
 from repro.embedding.optimizer import OptimizerConfig, ProjectedGradientAscent
 from repro.parallel._shm import create_segment
-from repro.parallel.arena import ArenaMeta, CorpusArena, LevelSelection, SelectionMeta
+from repro.parallel.arena import (
+    ArenaMeta,
+    CorpusArena,
+    FlatCorpus,
+    LevelSelection,
+    SelectionMeta,
+    flatten_corpus,
+)
 from repro.parallel.supervision import (
     FaultLogEntry,
     SupervisedDispatcher,
@@ -74,7 +84,6 @@ __all__ = [
     "BlockTask",
     "BlockResult",
     "DispatchStats",
-    "run_block_task",
     "Backend",
     "SerialBackend",
     "MultiprocessBackend",
@@ -91,11 +100,6 @@ class BlockTask:
         Dense community id at this level.
     nodes:
         Global node ids of the community (sorted ascending).
-    cascade_nodes, cascade_times:
-        The community's sub-cascades in **local** ids — the materialized
-        representation :class:`SerialBackend` runs.  ``None`` for
-        arena-backed tasks, whose corpus is addressed by index ranges
-        instead.
     A_rows, B_rows:
         Initial (len(nodes), K) embedding rows (level *i* output seeds
         level *i+1*, Alg. 2).
@@ -104,35 +108,31 @@ class BlockTask:
     level:
         Merge-tree level this task belongs to (cache/bookkeeping key).
     arena_positions:
-        For arena-backed tasks: flat positions into the corpus arena of
-        this community's sub-cascade infections (grouped by sub-cascade,
-        time order preserved).
+        Flat positions into the prepared corpus of this community's
+        sub-cascade infections (grouped by sub-cascade, time order
+        preserved); empty for a task without nodes.
     arena_sub_offsets:
-        For arena-backed tasks: ``(s+1,)`` sub-cascade boundaries within
-        ``arena_positions`` (first entry 0).
+        ``(s+1,)`` sub-cascade boundaries within ``arena_positions``
+        (first entry 0).
     """
 
     community_id: int
     nodes: np.ndarray
-    cascade_nodes: Optional[List[np.ndarray]]
-    cascade_times: Optional[List[np.ndarray]]
     A_rows: np.ndarray
     B_rows: np.ndarray
     config: OptimizerConfig
     level: int = 0
-    arena_positions: Optional[np.ndarray] = None
-    arena_sub_offsets: Optional[np.ndarray] = None
-
-    @property
-    def is_arena_backed(self) -> bool:
-        return self.arena_positions is not None
+    arena_positions: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64)
+    )
+    arena_sub_offsets: np.ndarray = field(
+        default_factory=lambda: np.zeros(1, dtype=np.int64)
+    )
 
     @property
     def n_infections(self) -> int:
         """Total infections across the task's sub-cascades (workload proxy)."""
-        if self.arena_positions is not None:
-            return int(self.arena_positions.size)
-        return int(sum(len(n) for n in self.cascade_nodes))
+        return int(self.arena_positions.size)
 
 
 @dataclass
@@ -185,7 +185,6 @@ class DispatchStats:
     payload_bytes: Optional[int] = None
     payload_pickle_seconds: Optional[float] = None
     fault_log: List[FaultLogEntry] = field(default_factory=list)
-    n_retries: int = 0
     n_respawns: int = 0
     #: worker-measured split of ``compute_seconds``: sub-corpus compile
     #: (zero on a warm cache), gradient-kernel iterations, and embedding
@@ -198,51 +197,6 @@ class DispatchStats:
     @property
     def overhead_seconds(self) -> float:
         return max(0.0, self.wall_seconds - self.compute_seconds)
-
-
-def run_block_task(
-    task: BlockTask, workspace: Optional[GradientWorkspace] = None
-) -> BlockResult:
-    """Execute one materialized block task in the calling process.
-
-    *workspace* lets long-lived callers (SerialBackend) reuse kernel
-    buffers across tasks; results are bit-identical either way.
-    """
-    if task.cascade_nodes is None or task.cascade_times is None:
-        raise ValueError(
-            "arena-backed BlockTask has no materialized cascades; "
-            "run it through MultiprocessBackend's arena dispatch"
-        )
-    sw = Stopwatch()
-    with sw:
-        t0 = time.perf_counter()
-        m = task.nodes.size
-        local = CascadeSet(m)
-        for nodes, times in zip(task.cascade_nodes, task.cascade_times):
-            local.append(Cascade(nodes, times))
-        corpus = CompiledCorpus.from_cascades(local)
-        t1 = time.perf_counter()
-        model = EmbeddingModel(task.A_rows.copy(), task.B_rows.copy())
-        t2 = time.perf_counter()
-        opt = ProjectedGradientAscent(task.config)
-        fit = opt.fit(model, corpus, workspace=workspace)
-        t3 = time.perf_counter()
-    n_inf = task.n_infections
-    return BlockResult(
-        community_id=task.community_id,
-        nodes=task.nodes,
-        A_rows=model.A,
-        B_rows=model.B,
-        n_iters=fit.n_iters,
-        final_loglik=fit.final_loglik,
-        wall_seconds=sw.elapsed,
-        work_units=max(1, fit.n_iters) * n_inf,
-        accepted_steps=len(fit.history) - 1,
-        stop_reason=fit.reason,
-        compile_seconds=t1 - t0,
-        kernel_seconds=t3 - t2,
-        gather_seconds=t2 - t1,
-    )
 
 
 def _empty_result(task: BlockTask) -> BlockResult:
@@ -263,18 +217,48 @@ def _empty_result(task: BlockTask) -> BlockResult:
     )
 
 
+#: the refusal of a task with nodes before ``prepare`` (both backends)
+_UNPREPARED = (
+    "run_level got a task with nodes before prepare(): hand the backend "
+    "the corpus first and build the tasks from what it returns "
+    "(HierarchicalInference.fit does both)"
+)
+
+
+def _block_result(
+    task: BlockTask, record: Tuple, A_rows: np.ndarray, B_rows: np.ndarray
+) -> BlockResult:
+    """*task*'s result from its :func:`_run_block` record and fitted rows."""
+    _idx, cid, n_iters, accepted, reason, ll, secs, units, split = record
+    compile_s, kernel_s, gather_s = split
+    return BlockResult(
+        community_id=cid,
+        nodes=task.nodes,
+        A_rows=A_rows,
+        B_rows=B_rows,
+        n_iters=n_iters,
+        final_loglik=ll,
+        wall_seconds=secs,
+        work_units=units,
+        accepted_steps=accepted,
+        stop_reason=reason,
+        compile_seconds=compile_s,
+        kernel_seconds=kernel_s,
+        gather_seconds=gather_s,
+    )
+
+
 class Backend:
     """Interface: run a level's block tasks, return their results."""
 
-    def prepare(self, cascades: CascadeSet) -> Optional[CorpusArena]:
-        """Offer the full corpus before the first level runs.
+    def prepare(self, cascades: CascadeSet) -> "FlatCorpus | CorpusArena":
+        """Take the full corpus before the first level runs.
 
-        Backends that can serve zero-copy dispatch publish the corpus to
-        shared memory and return the :class:`CorpusArena`; the driver then
-        builds index-based (arena-backed) tasks.  The default declines, so
-        the driver materializes sub-cascades as before.
+        Returns it in the flat layout (``times``, ``nodes``, ``offsets``)
+        the driver splits into each level's tasks; :meth:`run_level`
+        refuses a task with nodes until this has run.
         """
-        return None
+        raise NotImplementedError
 
     def run_level(self, tasks: Sequence[BlockTask]) -> List[BlockResult]:
         raise NotImplementedError
@@ -290,20 +274,47 @@ class Backend:
 
 
 class SerialBackend(Backend):
-    """Run tasks sequentially in-process (deterministic reference)."""
+    """Run tasks one after another in the calling process.
 
-    # Lazy class-level default: subclasses that skip __init__ still work.
+    :meth:`prepare` keeps the flat corpus in process memory (no shared
+    memory segment), and each task is compiled and fitted as the pool's
+    last retry rung fits it in the parent.
+    """
+
+    # Lazy class-level defaults: subclasses that skip __init__ still work.
+    _corpus: Optional[FlatCorpus] = None
     _workspace: Optional[GradientWorkspace] = None
 
+    def prepare(self, cascades: CascadeSet) -> FlatCorpus:
+        self._corpus = flatten_corpus(cascades)
+        return self._corpus
+
     def run_level(self, tasks: Sequence[BlockTask]) -> List[BlockResult]:
+        corpus = self._corpus
+        if corpus is None and any(t.nodes.size for t in tasks):
+            raise ValueError(_UNPREPARED)
         if self._workspace is None:
             self._workspace = GradientWorkspace()
-        return [
-            run_block_task(t, workspace=self._workspace)
-            if t.nodes.size
-            else _empty_result(t)
-            for t in tasks
-        ]
+        results = []
+        for t in tasks:
+            if not t.nodes.size:
+                results.append(_empty_result(t))
+                continue
+            # _run_block fits its rows of A/B in place: here, a copy of
+            # the task's seed rows, which becomes the result.
+            A, B = t.A_rows.copy(), t.B_rows.copy()
+            record = _run_block(
+                0,
+                t.community_id,
+                A,
+                B,
+                np.arange(t.nodes.size),
+                partial(_compile_task, corpus, t),
+                t.config,
+                self._workspace,
+            )
+            results.append(_block_result(t, record, A, B))
+        return results
 
 
 # --------------------------------------------------------------------- #
@@ -374,12 +385,12 @@ def _compile_subcorpus(
 ) -> Tuple[CompiledCorpus, int]:
     """Gather sub-cascades ``[sub_lo, sub_hi)`` out of the arena and compile.
 
-    *times_v*/*nodes_v* are the arena's flat buffers, *pos_v*/*sub_v* the
-    positions and sub-cascade offsets that address them, and *members*
-    the community's sorted member list (the local-id remap).  Workers and
-    the parent's serial rung both compile here, so a task runs on the
-    same corpus wherever it runs.  Returns the corpus and its infection
-    count.
+    *times_v*/*nodes_v* are the corpus's flat buffers, *pos_v*/*sub_v*
+    the positions and sub-cascade offsets that address them, and
+    *members* the community's sorted member list (the local-id remap).
+    Workers, the pool's serial rung and :class:`SerialBackend` all
+    compile here, so a task runs on the same corpus wherever it runs.
+    Returns the corpus and its infection count.
     """
     pos_lo, pos_hi = int(sub_v[sub_lo]), int(sub_v[sub_hi])
     sel = pos_v[pos_lo:pos_hi]
@@ -393,6 +404,22 @@ def _compile_subcorpus(
         local_nodes, times_v[sel], rel_offsets, assume_compact=True
     )
     return corpus, pos_hi - pos_lo
+
+
+def _compile_task(
+    corpus: "FlatCorpus | CorpusArena", task: BlockTask
+) -> Tuple[CompiledCorpus, int]:
+    """Compile *task*'s sub-corpus from the parent's copy of the corpus."""
+    offsets = task.arena_sub_offsets
+    return _compile_subcorpus(
+        corpus.times,
+        corpus.nodes,
+        task.arena_positions,
+        offsets,
+        task.nodes,
+        0,
+        offsets.size - 1,
+    )
 
 
 def _compiled_for_task(
@@ -434,14 +461,16 @@ def _run_block(
     config: OptimizerConfig,
     workspace: GradientWorkspace,
 ) -> Tuple:
-    """Fit one community's rows of the shared ``A``/``B`` blocks in place.
+    """Fit one community's rows of the ``A``/``B`` blocks in place.
 
     Gathers the rows of *members*, runs the block optimizer on the corpus
     *compile_corpus* returns, and scatters the rows back — disjoint rows
-    per community, so conflict-free by design.  Returns the result record
+    per community, so conflict-free by design.  The blocks are the pool's
+    shared segments, or :class:`SerialBackend`'s copy of one task's seed
+    rows.  Returns the result record
     ``(task_idx, community_id, n_iters, accepted_steps, stop_reason,
     final_loglik, wall_seconds, work_units, (compile_s, kernel_s,
-    gather_s))``; rows travel back through shared memory.
+    gather_s))``; the rows travel back in ``A``/``B``.
     """
     sw = Stopwatch()
     with sw:
@@ -622,18 +651,16 @@ class MultiprocessBackend(Backend):
     """Run tasks on a pool of OS processes with shared-memory embeddings.
 
     :meth:`prepare` must publish the corpus before :meth:`run_level` sees
-    a task with nodes, and those tasks must be arena-backed (built from
-    the returned :class:`~repro.parallel.arena.CorpusArena`);
+    a task with nodes, and the tasks address the returned
+    :class:`~repro.parallel.arena.CorpusArena`;
     :meth:`HierarchicalInference.fit
     <repro.parallel.hierarchical.HierarchicalInference.fit>` does both.
+    Workers are forked.
 
     Parameters
     ----------
     n_workers:
         Pool size (the paper's "cores"); defaults to ``os.cpu_count()``.
-    context:
-        ``multiprocessing`` start method; ``fork`` is the fast default on
-        Linux.
     profile_dispatch:
         Record per-level payload size and pickle time in
         :attr:`level_profiles` (costs one extra serialization per payload;
@@ -644,15 +671,12 @@ class MultiprocessBackend(Backend):
         ``max_retries``) runs serially in the parent, so one pathological
         community degrades instead of failing the run.  The default 3
         allows up to three pool attempts before the parent; ``0`` runs
-        every task in the parent.  Shorthand for the corresponding
-        :class:`SupervisionConfig` field.
+        every task in the parent.  Sets the :class:`SupervisionConfig`
+        field of the same name, as does ``task_timeout``.
     task_timeout:
         Explicit per-task deadline in seconds; ``None`` derives one from
         the dispatch cost estimator once it has observed a level (see
         :class:`SupervisionConfig`).
-    supervision:
-        Full supervision configuration; overrides ``max_retries`` /
-        ``task_timeout`` when given.
     _fault_plan:
         Test-only: a :class:`~repro.parallel.supervision._FaultPlan` (or
         sequence of them) shipped to workers inside payloads to trigger
@@ -662,17 +686,15 @@ class MultiprocessBackend(Backend):
     def __init__(
         self,
         n_workers: Optional[int] = None,
-        context: str = "fork",
         profile_dispatch: bool = False,
         max_retries: int = 3,
         task_timeout: Optional[float] = None,
-        supervision: Optional[SupervisionConfig] = None,
         _fault_plan=None,
     ) -> None:
         if n_workers is not None and n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers if n_workers is not None else mp.cpu_count()
-        self._ctx = mp.get_context(context)
+        self._ctx = mp.get_context("fork")
         pool = self._ctx.Pool(self.n_workers)
         try:
             self._resources = _Resources(pool)
@@ -683,7 +705,7 @@ class MultiprocessBackend(Backend):
             self._worker_pids = frozenset(p.pid for p in pool._pool)
             self._closed = False
             self.profile_dispatch = bool(profile_dispatch)
-            self.supervision = supervision or SupervisionConfig(
+            self.supervision = SupervisionConfig(
                 max_retries=max_retries, task_timeout=task_timeout
             )
             if _fault_plan is None:
@@ -746,12 +768,8 @@ class MultiprocessBackend(Backend):
             stats = DispatchStats("empty", len(tasks), 0.0, 0.0, 0.0)
             self.level_profiles.append(stats)
             return [_empty_result(t) for t in tasks]
-        if self._arena is None or not all(t.is_arena_backed for t in work):
-            raise ValueError(
-                "MultiprocessBackend runs arena-backed tasks only: publish "
-                "the corpus with prepare() and build the tasks from the "
-                "returned arena (HierarchicalInference.fit does both)"
-            )
+        if self._arena is None:
+            raise ValueError(_UNPREPARED)
 
         # All tasks at a level share the embedding shape; size the shared
         # blocks by the largest referenced row.
@@ -802,29 +820,12 @@ class MultiprocessBackend(Backend):
         finally:
             self._level_ctx = None
 
-        results = []
-        for idx, t in enumerate(work):
-            (
-                _idx, cid, n_iters, accepted, reason, ll, secs, units, split
-            ) = outcome.records[idx]
-            compile_s, kernel_s, gather_s = split
-            results.append(
-                BlockResult(
-                    community_id=cid,
-                    nodes=t.nodes,
-                    A_rows=A[t.nodes].copy(),
-                    B_rows=B[t.nodes].copy(),
-                    n_iters=n_iters,
-                    final_loglik=ll,
-                    wall_seconds=secs,
-                    work_units=units,
-                    accepted_steps=accepted,
-                    stop_reason=reason,
-                    compile_seconds=compile_s,
-                    kernel_seconds=kernel_s,
-                    gather_seconds=gather_s,
-                )
+        results = [
+            _block_result(
+                t, outcome.records[idx], A[t.nodes].copy(), B[t.nodes].copy()
             )
+            for idx, t in enumerate(work)
+        ]
         self.estimator.observe_level(
             [r.work_units for r in results],
             [t.n_infections for t in work],
@@ -840,7 +841,6 @@ class MultiprocessBackend(Backend):
                 payload_bytes=payload_bytes,
                 payload_pickle_seconds=pickle_seconds,
                 fault_log=outcome.fault_log,
-                n_retries=outcome.n_retries,
                 n_respawns=outcome.n_respawns,
                 kernel_seconds=float(sum(r.kernel_seconds for r in results)),
                 compile_seconds=float(sum(r.compile_seconds for r in results)),
@@ -942,22 +942,13 @@ class MultiprocessBackend(Backend):
         (minus its cache)."""
         ctx = self._level_ctx
         t = ctx.tasks[idx]
-        offsets = t.arena_sub_offsets
         return _run_block(
             idx,
             t.community_id,
             ctx.A,
             ctx.B,
             t.nodes,
-            lambda: _compile_subcorpus(
-                self._arena.times,
-                self._arena.nodes,
-                t.arena_positions,
-                offsets,
-                t.nodes,
-                0,
-                offsets.size - 1,
-            ),
+            partial(_compile_task, self._arena, t),
             t.config,
             self._serial_workspace,
         )

@@ -36,6 +36,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.parallel.arena import flatten_corpus
+
 __all__ = [
     "CheckpointError",
     "CheckpointMismatchError",
@@ -62,30 +64,16 @@ class CheckpointMismatchError(CheckpointError):
 
 
 def corpus_digest(cascades) -> str:
-    """Content digest of a cascade corpus in its flat (CSR) layout.
-
-    Hashes exactly the bytes a :class:`~repro.parallel.arena.CorpusArena`
-    holds — concatenated node ids, concatenated times, per-cascade
-    offsets — so ``CorpusArena.content_digest()`` computes the identical
-    value from the shared buffers without touching ``Cascade`` objects.
-    """
-    sizes = (
-        cascades.sizes() if len(cascades) else np.empty(0, dtype=np.int64)
-    )
-    offsets = np.zeros(len(cascades) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    if len(cascades):
-        nodes = np.concatenate([c.nodes for c in cascades])
-        times = np.concatenate([c.times for c in cascades])
-    else:
-        nodes = np.empty(0, dtype=np.int64)
-        times = np.empty(0, dtype=np.float64)
+    """Content digest of a cascade corpus in its flat (CSR) layout:
+    :func:`~repro.parallel.arena.flatten_corpus`'s node ids, times and
+    per-cascade offsets."""
+    flat = flatten_corpus(cascades)
     h = hashlib.blake2b(digest_size=16)
     h.update(np.int64(cascades.n_nodes).tobytes())
     h.update(np.int64(len(cascades)).tobytes())
-    h.update(np.ascontiguousarray(nodes, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(times, dtype=np.float64).tobytes())
-    h.update(np.ascontiguousarray(offsets).tobytes())
+    h.update(flat.nodes.tobytes())
+    h.update(flat.times.tobytes())
+    h.update(flat.offsets.tobytes())
     return h.hexdigest()
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.parallel.arena import CorpusArena
+    from repro.parallel.arena import CorpusArena, FlatCorpus
 
 import numpy as np
 
@@ -39,11 +39,7 @@ from repro.embedding.model import EmbeddingModel
 from repro.embedding.optimizer import OptimizerConfig
 from repro.parallel.backends import Backend, BlockResult, BlockTask, SerialBackend
 from repro.parallel.checkpoint import CheckpointManager, run_digest
-from repro.parallel.splitting import (
-    split_cascades,
-    split_positions,
-    subcorpus_for_community,
-)
+from repro.parallel.splitting import split_positions
 from repro.parallel.supervision import FaultLogEntry
 from repro.utils.rng import SeedLike
 
@@ -70,11 +66,10 @@ class LevelStats:
     #: underflow" with 0 accepted steps left its rows untouched
     accepted_steps: List[int] = field(default_factory=list)
     stop_reasons: List[str] = field(default_factory=list)
-    #: faults the backend survived while running this level (empty for
-    #: serial backends and fault-free parallel levels)
+    #: faults the backend survived while running this level, one per
+    #: re-dispatched attempt (empty for serial backends and fault-free
+    #: parallel levels)
     fault_log: List[FaultLogEntry] = field(default_factory=list)
-    #: re-dispatched attempts at this level (0 when fault-free)
-    n_retries: int = 0
 
     @property
     def barrier_seconds(self) -> float:
@@ -110,7 +105,8 @@ class HierarchicalResult:
 
     @property
     def total_retries(self) -> int:
-        return int(sum(l.n_retries for l in self.levels))
+        """Re-dispatched attempts: each fault schedules exactly one."""
+        return len(self.fault_log)
 
     @property
     def serial_seconds(self) -> float:
@@ -152,9 +148,9 @@ class HierarchicalInference:
         self.tree = tree
         self.config = config or OptimizerConfig()
         self.backend = backend or SerialBackend()
-        # Workers compile arena sub-corpora with assume_compact=True,
-        # which is only sound when the splitter never emits a size-<2
-        # group (such groups carry no likelihood signal anyway).
+        # Backends compile sub-corpora with assume_compact=True, which
+        # is only sound when the splitter never emits a size-<2 group
+        # (such groups carry no likelihood signal anyway).
         if int(min_subcascade_size) < 2:
             raise ValueError("min_subcascade_size must be >= 2")
         self.min_subcascade_size = int(min_subcascade_size)
@@ -211,16 +207,17 @@ class HierarchicalInference:
                     start_level = ck.level_idx + 1
                     if rng is not None and ck.rng_state is not None:
                         rng.bit_generator.state = ck.rng_state
-        # Engine start: a zero-copy backend publishes the corpus to shared
-        # memory once; every level then dispatches index ranges into it.
-        arena = self.backend.prepare(cascades)
+        # Engine start: the backend takes the corpus in its flat layout
+        # once (the pool publishes it to shared memory); every level then
+        # splits it into tasks that address it by index ranges.
+        corpus = self.backend.prepare(cascades)
         result = HierarchicalResult(
             resumed_from_level=start_level if start_level > 0 else None
         )
         for level_idx, partition in enumerate(self.tree.levels):
             if level_idx < start_level:
                 continue  # already completed by the checkpointed run
-            stats = self._run_level(level_idx, partition, model, cascades, arena)
+            stats = self._run_level(level_idx, partition, model, corpus)
             result.levels.append(stats)
             if manager is not None:
                 manager.save(
@@ -239,13 +236,9 @@ class HierarchicalInference:
         level_idx: int,
         partition: Partition,
         model: EmbeddingModel,
-        cascades: CascadeSet,
-        arena: Optional["CorpusArena"] = None,
+        corpus: "FlatCorpus | CorpusArena",
     ) -> LevelStats:
-        if arena is not None:
-            tasks = self._arena_tasks(level_idx, partition, model, arena)
-        else:
-            tasks = self._materialized_tasks(level_idx, partition, model, cascades)
+        tasks = self._tasks(level_idx, partition, model, corpus)
         ledger: Optional[sanitize.WriteLedger] = None
         if sanitize.enabled():
             # Record the seed-row plumbing: the rows each block task is
@@ -260,7 +253,6 @@ class HierarchicalInference:
         if profiles is not None and len(profiles) > n_profiles_before:
             # Surface the backend's fault accounting for this level.
             stats.fault_log = list(profiles[-1].fault_log)
-            stats.n_retries = profiles[-1].n_retries
         if ledger is not None:
             # Verify disjointness + coverage BEFORE any row reaches the
             # model: a violating level must not contaminate the merge.
@@ -279,55 +271,19 @@ class HierarchicalInference:
             stats.stop_reasons.append(res.stop_reason)
         return stats
 
-    def _materialized_tasks(
+    def _tasks(
         self,
         level_idx: int,
         partition: Partition,
         model: EmbeddingModel,
-        cascades: CascadeSet,
+        corpus: "FlatCorpus | CorpusArena",
     ) -> List[BlockTask]:
-        """Object path: split into per-community ``Cascade`` lists."""
-        sub_corpora = split_cascades(
-            cascades, partition, min_size=self.min_subcascade_size
-        )
-        tasks: List[BlockTask] = []
-        for cid in range(partition.n_communities):
-            sub = sub_corpora[cid]
-            if len(sub) == 0:
-                continue  # nothing to learn for this community at this level
-            nodes = partition.members(cid)
-            local, nodes = subcorpus_for_community(sub, nodes)
-            tasks.append(
-                BlockTask(
-                    community_id=cid,
-                    nodes=nodes,
-                    cascade_nodes=[c.nodes for c in local],
-                    cascade_times=[c.times for c in local],
-                    A_rows=model.A[nodes].copy(),
-                    B_rows=model.B[nodes].copy(),
-                    config=self.config,
-                    level=level_idx,
-                )
-            )
-        return tasks
-
-    def _arena_tasks(
-        self,
-        level_idx: int,
-        partition: Partition,
-        model: EmbeddingModel,
-        arena,
-    ) -> List[BlockTask]:
-        """Zero-copy path: split to index ranges into the shared arena.
-
-        Produces the same communities, sub-cascades, and seed rows as
-        :meth:`_materialized_tasks` — only the corpus representation
-        differs (flat arena positions instead of array lists), so
-        serial and arena runs stay bit-identical.
-        """
+        """Split the level into one task per community with sub-cascades:
+        index ranges into the prepared *corpus*, seeded with the model's
+        rows."""
         ps = split_positions(
-            arena.nodes,
-            arena.offsets,
+            corpus.nodes,
+            corpus.offsets,
             partition.membership,
             min_size=self.min_subcascade_size,
         )
@@ -343,8 +299,6 @@ class HierarchicalInference:
                 BlockTask(
                     community_id=cid,
                     nodes=nodes,
-                    cascade_nodes=None,
-                    cascade_times=None,
                     A_rows=model.A[nodes].copy(),
                     B_rows=model.B[nodes].copy(),
                     config=self.config,

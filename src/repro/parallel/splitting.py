@@ -17,7 +17,7 @@ import numpy as np
 from repro.cascades.types import Cascade, CascadeSet
 from repro.community.partition import Partition
 
-__all__ = ["split_cascades", "subcorpus_for_community", "PositionSplit", "split_positions"]
+__all__ = ["split_cascades", "PositionSplit", "split_positions"]
 
 
 def split_cascades(
@@ -140,35 +140,3 @@ def split_positions(
     np.cumsum(kept_sizes, out=sub_offsets[1:])
     group_community = s_comm[group_starts]
     return PositionSplit(positions, sub_offsets, group_community)
-
-
-def subcorpus_for_community(
-    sub: CascadeSet, nodes: np.ndarray
-) -> Tuple[CascadeSet, np.ndarray]:
-    """Relabel a community sub-corpus to local ids ``0..len(nodes)-1``.
-
-    Parameters
-    ----------
-    sub:
-        Community sub-corpus in global ids (all node ids must be in
-        *nodes*).
-    nodes:
-        Sorted array of the community's global node ids.
-
-    Returns
-    -------
-    (local_corpus, nodes)
-        ``local_corpus`` uses local ids; ``nodes[i]`` maps local id *i*
-        back to the global id.  Shipping the compact local corpus (plus the
-        community's embedding rows) to a worker is the whole inter-process
-        payload — the low communication overhead the paper reports.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    lookup = np.full(int(nodes.max()) + 1 if nodes.size else 0, -1, dtype=np.int64)
-    lookup[nodes] = np.arange(nodes.size)
-    local = CascadeSet(int(nodes.size))
-    for c in sub:
-        if c.size and (int(c.nodes.max()) >= lookup.size or np.any(lookup[c.nodes] < 0)):
-            raise ValueError("sub-corpus contains nodes outside the community")
-        local.append(Cascade(lookup[c.nodes], c.times))
-    return local, nodes

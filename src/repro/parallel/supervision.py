@@ -246,8 +246,8 @@ class DispatchOutcome:
     """What a supervised level dispatch produced."""
 
     records: Dict[int, Tuple]
+    #: one entry per retry: every fault schedules exactly one
     fault_log: List[FaultLogEntry] = field(default_factory=list)
-    n_retries: int = 0
     n_respawns: int = 0
 
 
@@ -326,7 +326,6 @@ class SupervisedDispatcher:
             self.host.reseed_tasks([idx])
             ready_at = time.monotonic() + cfg.backoff_seconds * (2 ** attempt)
             heapq.heappush(retry_heap, (ready_at, next(seq), idx, attempt + 1))
-            out.n_retries += 1
 
         def handle_crash() -> None:
             """Kill the damaged generation and requeue its in-flight tasks.

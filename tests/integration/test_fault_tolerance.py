@@ -152,9 +152,10 @@ class TestDispatchAccounting:
         for stats, level in zip(profiles, result.levels):
             # every task produced exactly one result despite retries
             assert stats.n_tasks == len(level.wall_seconds)
-            # retries == fault entries that chose a fallback rung
-            with_fallback = [e for e in stats.fault_log if e.fallback is not None]
-            assert stats.n_retries == len(with_fallback)
+            # every fault entry names the rung of the retry it scheduled
+            assert all(
+                e.fallback in ("arena", "serial") for e in stats.fault_log
+            )
             # compute counts each successful attempt once; overhead
             # (incl. wasted attempts) is never negative
             assert stats.compute_seconds == pytest.approx(
@@ -163,7 +164,8 @@ class TestDispatchAccounting:
             assert stats.overhead_seconds >= 0.0
             # the driver surfaced the same accounting
             assert level.fault_log == stats.fault_log
-            assert level.n_retries == stats.n_retries
+        # one retry per fault entry, counted from the log
+        assert result.total_retries == len(result.fault_log) > 0
         # within each level, a task's recorded attempts strictly increase
         for level in result.levels:
             attempts = [e.attempt for e in level.fault_log if e.task_idx == 0]

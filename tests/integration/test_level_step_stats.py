@@ -71,8 +71,6 @@ def test_empty_task_reports_no_steps():
     task = BlockTask(
         community_id=0,
         nodes=np.empty(0, dtype=np.int64),
-        cascade_nodes=[],
-        cascade_times=[],
         A_rows=np.empty((0, 2)),
         B_rows=np.empty((0, 2)),
         config=OptimizerConfig(max_iters=5),

@@ -11,9 +11,9 @@ Both must produce the same bytes of A and B and the same ``history``,
 
 The draws aim at the paths where the two loops could part: tie-heavy and
 ties-free corpora, learning rates large enough to force long runs of
-rejections and step-size underflow, the ridge and background terms,
-block masks, and models whose A rows are zero (the warm-started
-merged-level regime, where every candidate is rejected).
+rejections and step-size underflow, the ridge term, and models whose A
+rows are zero (the warm-started merged-level regime, where every
+candidate is rejected).
 """
 
 import numpy as np
@@ -40,10 +40,7 @@ N_NODES = 10
 def _loglik_and_grads(cfg, A, B, corpus, gradA, gradB, ws):
     gradA.fill(0.0)
     gradB.fill(0.0)
-    ll = corpus_gradients(
-        A, B, corpus, gradA, gradB,
-        eps=cfg.eps, background_rate=cfg.background_rate, workspace=ws,
-    )
+    ll = corpus_gradients(A, B, corpus, gradA, gradB, eps=cfg.eps, workspace=ws)
     if cfg.l2 > 0.0:
         gradA -= cfg.l2 * A
         gradB -= cfg.l2 * B
@@ -59,12 +56,11 @@ def _all_finite(ll, gradA, gradB):
     )
 
 
-def reference_fit(cfg, model, corpus, update_rows=None):
+def reference_fit(cfg, model, corpus):
     """The two-full-pass step loop, kept as the oracle."""
     ws = GradientWorkspace()
     A, B = model.A, model.B
     gradA, gradB = np.zeros_like(A), np.zeros_like(B)
-    frozen = None if update_rows is None else np.flatnonzero(~update_rows)
     result = FitResult()
     lr = cfg.learning_rate
     best_ll = _loglik_and_grads(cfg, A, B, corpus, gradA, gradB, ws)
@@ -73,9 +69,6 @@ def reference_fit(cfg, model, corpus, update_rows=None):
     result.history.append(best_ll)
     stall = nonfinite_streak = 0
     for it in range(cfg.max_iters):
-        if frozen is not None:
-            gradA[frozen] = 0.0
-            gradB[frozen] = 0.0
         candA = np.maximum(gradA * lr + A, 0.0)
         candB = np.maximum(gradB * lr + B, 0.0)
         ll = _loglik_and_grads(cfg, candA, candB, corpus, gradA, gradB, ws)
@@ -156,12 +149,8 @@ def case_strategy(draw):
         learning_rate=draw(st.floats(min_value=0.05, max_value=50.0)),
         max_iters=draw(st.integers(min_value=1, max_value=60)),
         l2=draw(st.sampled_from([0.0, 0.1])),
-        background_rate=draw(st.sampled_from([0.0, 1e-3])),
     )
-    mask = None
-    if draw(st.booleans()):
-        mask = rng.random(N_NODES) < 0.6
-    return corpus, A, B, cfg, mask
+    return corpus, A, B, cfg
 
 
 def _outcome(fit):
@@ -174,13 +163,11 @@ def _outcome(fit):
 @given(case_strategy())
 @settings(max_examples=150, deadline=None)
 def test_fit_equals_reference_loop(case):
-    corpus, A, B, cfg, mask = case
+    corpus, A, B, cfg = case
     m_ref = EmbeddingModel(A.copy(), B.copy())
     m_new = EmbeddingModel(A.copy(), B.copy())
-    ref, ref_exc = _outcome(lambda: reference_fit(cfg, m_ref, corpus, mask))
-    new, new_exc = _outcome(
-        lambda: ProjectedGradientAscent(cfg).fit(m_new, corpus, update_rows=mask)
-    )
+    ref, ref_exc = _outcome(lambda: reference_fit(cfg, m_ref, corpus))
+    new, new_exc = _outcome(lambda: ProjectedGradientAscent(cfg).fit(m_new, corpus))
     assert ref_exc == new_exc
     if ref is not None:
         assert new.history == ref.history

@@ -95,24 +95,3 @@ class TestWorkspaceBitIdentity:
         assert ll0 == ll1 == ll2
         assert np.array_equal(gA0, gA1) and np.array_equal(gA1, gA2)
         assert np.array_equal(gB0, gB1) and np.array_equal(gB1, gB2)
-
-    @given(
-        model_strategy(),
-        st.lists(cascade_strategy(), min_size=1, max_size=4),
-        st.floats(min_value=0.0, max_value=0.01),
-    )
-    @settings(max_examples=40)
-    def test_background_rate_paths_agree(self, model, cascades, mu):
-        comp = CompiledCorpus.from_cascades(CascadeSet(N_NODES, cascades))
-        gA1, gB1 = np.zeros_like(model.A), np.zeros_like(model.B)
-        gA2, gB2 = np.zeros_like(model.A), np.zeros_like(model.B)
-        ll_ws = corpus_gradients(
-            model.A, model.B, comp, gA1, gB1,
-            background_rate=mu, workspace=WS,
-        )
-        ll_fresh = corpus_gradients(
-            model.A, model.B, comp, gA2, gB2, background_rate=mu
-        )
-        assert ll_ws == ll_fresh
-        assert np.array_equal(gA1, gA2)
-        assert np.array_equal(gB1, gB2)

@@ -195,6 +195,9 @@ class _TamperingBackend(Backend):
     def __init__(self):
         self._inner = SerialBackend()
 
+    def prepare(self, cascades):
+        return self._inner.prepare(cascades)
+
     def run_level(self, tasks):
         results = self._inner.run_level(tasks)
         if len(results) > 1:

@@ -9,113 +9,102 @@ import pytest
 from repro.cascades.types import Cascade, CascadeSet
 from repro.embedding.model import EmbeddingModel
 from repro.embedding.optimizer import OptimizerConfig
-from repro.parallel.backends import (
-    BlockTask,
-    MultiprocessBackend,
-    SerialBackend,
-    run_block_task,
-)
+from repro.parallel.backends import BlockTask, MultiprocessBackend, SerialBackend
 from repro.parallel.splitting import split_positions
 
 
-def make_tasks(seed=0, n_comm=2):
-    """Two disjoint communities with their own small corpora."""
+def arena_tasks(backend, seed=0, n_comm=2):
+    """Disjoint 3-node communities with two cascades each, as block tasks.
+
+    Hands their corpus to ``backend.prepare`` and splits what it returns
+    with ``split_positions``, as the hierarchical driver does.
+    """
     rng = np.random.default_rng(seed)
-    tasks = []
     cfg = OptimizerConfig(max_iters=15)
+    corpus = CascadeSet(3 * n_comm)
     for cid in range(n_comm):
         nodes = np.arange(cid * 3, cid * 3 + 3)
-        cascade_nodes = [np.array([0, 1, 2]), np.array([1, 2])]
-        cascade_times = [np.array([0.0, 0.3, 0.8]), np.array([0.0, 0.5])]
+        corpus.append(Cascade(nodes, [0.0, 0.3, 0.8]))
+        corpus.append(Cascade(nodes[1:], [0.0, 0.5]))
+    flat = backend.prepare(corpus)
+    ps = split_positions(flat.nodes, flat.offsets, np.arange(3 * n_comm) // 3)
+    tasks = []
+    for cid in range(n_comm):
+        lo, hi = ps.community_range(cid)
         tasks.append(
             BlockTask(
                 community_id=cid,
-                nodes=nodes,
-                cascade_nodes=cascade_nodes,
-                cascade_times=cascade_times,
+                nodes=np.arange(cid * 3, cid * 3 + 3),
                 A_rows=rng.uniform(0.1, 1.0, size=(3, 2)),
                 B_rows=rng.uniform(0.1, 1.0, size=(3, 2)),
                 config=cfg,
+                arena_positions=ps.positions[ps.sub_offsets[lo] : ps.sub_offsets[hi]],
+                arena_sub_offsets=ps.sub_offsets[lo : hi + 1] - ps.sub_offsets[lo],
             )
         )
     return tasks
 
 
-def arena_tasks(backend, seed=0, n_comm=2):
-    """:func:`make_tasks`' communities as arena-backed tasks.
-
-    Publishes their corpora through ``backend.prepare`` and splits the
-    arena with ``split_positions``, as the hierarchical driver does, so
-    each task compiles to the same local corpus as its materialized twin.
-    """
-    tasks = make_tasks(seed, n_comm)
-    corpus = CascadeSet(3 * n_comm)
-    for t in tasks:
-        for nodes, times in zip(t.cascade_nodes, t.cascade_times):
-            corpus.append(Cascade(t.nodes[nodes], times))
-    arena = backend.prepare(corpus)
-    ps = split_positions(arena.nodes, arena.offsets, np.arange(3 * n_comm) // 3)
-    out = []
-    for t in tasks:
-        lo, hi = ps.community_range(t.community_id)
-        out.append(
-            dataclasses.replace(
-                t,
-                cascade_nodes=None,
-                cascade_times=None,
-                arena_positions=ps.positions[ps.sub_offsets[lo] : ps.sub_offsets[hi]],
-                arena_sub_offsets=ps.sub_offsets[lo : hi + 1] - ps.sub_offsets[lo],
-            )
-        )
-    return out
+def serial_run(seed=0):
+    backend = SerialBackend()
+    return backend.run_level(arena_tasks(backend, seed=seed))
 
 
 class TestRunBlockTask:
+    """One block task through ``SerialBackend.run_level``."""
+
+    def _run(self):
+        backend = SerialBackend()
+        task = arena_tasks(backend)[0]
+        before = (task.A_rows.copy(), task.B_rows.copy())
+        (res,) = backend.run_level([task])
+        return task, res, before
+
     def test_improves_loglik(self):
-        task = make_tasks()[0]
-        res = run_block_task(task)
+        task, res, _ = self._run()
         assert res.n_iters >= 1
         assert res.community_id == 0
         assert res.A_rows.shape == task.A_rows.shape
 
     def test_does_not_mutate_input_rows(self):
-        task = make_tasks()[0]
-        before = task.A_rows.copy()
-        run_block_task(task)
-        assert np.array_equal(task.A_rows, before)
+        task, res, (A_before, B_before) = self._run()
+        assert np.array_equal(task.A_rows, A_before)
+        assert np.array_equal(task.B_rows, B_before)
+        assert res.A_rows is not task.A_rows
 
     def test_work_units(self):
-        task = make_tasks()[0]
-        res = run_block_task(task)
+        task, res, _ = self._run()
         assert res.work_units == res.n_iters * task.n_infections
 
     def test_n_infections(self):
-        assert make_tasks()[0].n_infections == 5
+        assert arena_tasks(SerialBackend())[0].n_infections == 5
 
     def test_wall_seconds_positive(self):
-        res = run_block_task(make_tasks()[0])
+        _, res, _ = self._run()
         assert res.wall_seconds > 0
 
 
 class TestSerialBackend:
     def test_runs_all_tasks(self):
-        results = SerialBackend().run_level(make_tasks())
-        assert [r.community_id for r in results] == [0, 1]
+        assert [r.community_id for r in serial_run()] == [0, 1]
 
     def test_deterministic(self):
-        r1 = SerialBackend().run_level(make_tasks())
-        r2 = SerialBackend().run_level(make_tasks())
-        for a, b in zip(r1, r2):
+        for a, b in zip(serial_run(), serial_run()):
             assert np.array_equal(a.A_rows, b.A_rows)
             assert np.array_equal(a.B_rows, b.B_rows)
 
     def test_empty_level(self):
         assert SerialBackend().run_level([]) == []
 
+    def test_rejects_tasks_before_prepare(self):
+        tasks = arena_tasks(SerialBackend())
+        with pytest.raises(ValueError, match="before prepare"):
+            SerialBackend().run_level(tasks)
+
 
 class TestMultiprocessBackend:
     def test_matches_serial_exactly(self):
-        serial = SerialBackend().run_level(make_tasks())
+        serial = serial_run()
         with MultiprocessBackend(n_workers=2) as backend:
             parallel = backend.run_level(arena_tasks(backend))
         for s, p in zip(serial, parallel):
@@ -134,20 +123,18 @@ class TestMultiprocessBackend:
             r2 = backend.run_level(arena_tasks(backend, seed=2))
         assert len(r1) == len(r2) == 2
 
-    def test_rejects_materialized_tasks(self):
+    def test_rejects_tasks_before_prepare(self):
+        tasks = arena_tasks(SerialBackend())
         with MultiprocessBackend(n_workers=1) as backend:
-            with pytest.raises(ValueError, match="arena-backed"):
-                backend.run_level(make_tasks())  # before prepare()
-            backend.prepare(CascadeSet(6))
-            with pytest.raises(ValueError, match="arena-backed"):
-                backend.run_level(make_tasks())
+            with pytest.raises(ValueError, match="before prepare"):
+                backend.run_level(tasks)
             assert backend.level_profiles == []
 
     def test_closed_backend_rejects(self):
         backend = MultiprocessBackend(n_workers=1)
         backend.close()
         with pytest.raises(RuntimeError):
-            backend.run_level(make_tasks())
+            backend.run_level(arena_tasks(SerialBackend()))
 
     def test_close_idempotent(self):
         backend = MultiprocessBackend(n_workers=1)
@@ -159,16 +146,6 @@ class TestMultiprocessBackend:
             MultiprocessBackend(n_workers=0)
 
 
-def test_run_block_task_rejects_arena_only_task():
-    t = make_tasks()[0]
-    t.cascade_nodes = None
-    t.cascade_times = None
-    t.arena_positions = np.empty(0, dtype=np.int64)
-    t.arena_sub_offsets = np.zeros(1, dtype=np.int64)
-    with pytest.raises(ValueError, match="arena-backed"):
-        run_block_task(t)
-
-
 class TestEmptyNodeLevels:
     """A level whose tasks all have empty node sets must not crash."""
 
@@ -176,8 +153,6 @@ class TestEmptyNodeLevels:
         return BlockTask(
             community_id=cid,
             nodes=np.empty(0, dtype=np.int64),
-            cascade_nodes=[],
-            cascade_times=[],
             A_rows=np.empty((0, 2)),
             B_rows=np.empty((0, 2)),
             config=OptimizerConfig(max_iters=5),
@@ -215,7 +190,7 @@ class TestEmptyNodeLevels:
         ]
 
     def test_mixed_empty_and_real(self):
-        serial = SerialBackend().run_level(make_tasks())
+        serial = serial_run()
         with MultiprocessBackend(n_workers=2) as backend:
             tasks = arena_tasks(backend)
             tasks.append(self._empty_task(9))
@@ -273,7 +248,7 @@ class TestLeakSafety:
 
 class TestDispatchOrderingAndProfiles:
     def test_lpt_order_does_not_change_results(self):
-        serial = SerialBackend().run_level(make_tasks())
+        serial = serial_run()
         with MultiprocessBackend(n_workers=2) as backend:
             parallel = backend.run_level(arena_tasks(backend))
         for s, p in zip(serial, parallel):
@@ -337,6 +312,22 @@ class TestArenaDispatch:
         assert set(modes) == {"arena"}
         assert np.array_equal(m_arena.A, m_serial.A)
         assert np.array_equal(m_arena.B, m_serial.B)
+
+    def test_serial_fit_needs_no_shared_memory(self, monkeypatch):
+        """SerialBackend keeps the corpus in process memory: a fit runs,
+        to the same bits, where no shared-memory segment can be made."""
+        from repro.parallel import _shm, arena, backends
+
+        expected = self._fit(SerialBackend())
+
+        def refuse(size):
+            raise OSError("no shared memory here")
+
+        for module in (_shm, arena, backends):
+            monkeypatch.setattr(module, "create_segment", refuse)
+        model = self._fit(SerialBackend())
+        assert np.array_equal(model.A, expected.A)
+        assert np.array_equal(model.B, expected.B)
 
     def test_prepare_after_close_raises(self):
         backend = MultiprocessBackend(n_workers=1)

@@ -6,7 +6,6 @@ import pytest
 from repro.community.mergetree import MergeTree
 from repro.community.partition import Partition
 from repro.embedding.optimizer import OptimizerConfig
-from repro.parallel.arena import CorpusArena
 from repro.parallel.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -173,15 +172,23 @@ class TestRunDigest:
             small_corpus, other, config
         )
 
-    def test_corpus_digest_matches_arena(self, small_corpus):
-        arena = CorpusArena(small_corpus)
-        try:
-            assert corpus_digest(small_corpus) == arena.content_digest()
-        finally:
-            arena.close()
+    def test_corpus_digest_hashes_the_flat_layout(self, small_corpus):
+        """The corpus component of the digest is blake2b-16 over the node
+        count, the cascade count, then the concatenated node ids, times
+        and per-cascade offsets — a checkpoint stays bound to the same
+        corpus bytes however the flat arrays are built."""
+        import hashlib
 
-    def test_arena_digest_requires_open_arena(self, small_corpus):
-        arena = CorpusArena(small_corpus)
-        arena.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            arena.content_digest()
+        from repro.cascades.types import CascadeSet
+
+        for cascades in (small_corpus, CascadeSet(6)):
+            h = hashlib.blake2b(digest_size=16)
+            h.update(np.int64(6).tobytes())
+            h.update(np.int64(len(cascades)).tobytes())
+            for field in ("nodes", "times"):
+                for c in cascades:
+                    h.update(getattr(c, field).tobytes())
+            h.update(
+                np.cumsum([0] + [c.size for c in cascades], dtype=np.int64).tobytes()
+            )
+            assert corpus_digest(cascades) == h.hexdigest()

@@ -372,6 +372,32 @@ class TestInferPredict:
         out = capsys.readouterr().out
         assert "F1" in out
 
+    @pytest.mark.slow  # starts a worker pool
+    def test_worker_count_does_not_change_the_model(
+        self, small_corpus_file, tmp_path, capsys
+    ):
+        """``--workers 1`` (the serial backend) and ``--workers 2`` (the
+        pool) write the same A and B, bit for bit."""
+        models = []
+        for workers in ("1", "2"):
+            path = tmp_path / f"model-{workers}.npz"
+            rc = main(
+                [
+                    "infer",
+                    "--corpus", str(small_corpus_file),
+                    "--train", "40",
+                    "--topics", "4",
+                    "--max-iters", "20",
+                    "--workers", workers,
+                    "--out", str(path),
+                ]
+            )
+            assert rc == 0
+            models.append(EmbeddingModel.load(path))
+        serial, pooled = models
+        assert np.array_equal(serial.A, pooled.A)
+        assert np.array_equal(serial.B, pooled.B)
+
     def test_influencers_command(self, small_corpus_file, tmp_path, capsys):
         model_path = tmp_path / "model.npz"
         EmbeddingModel.random(120, 3, seed=0).save(model_path)

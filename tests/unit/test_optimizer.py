@@ -46,27 +46,13 @@ class TestFit:
     def test_loglik_increases(self, corpus):
         model = EmbeddingModel.random(4, 2, scale=0.5, seed=0)
         before = corpus_log_likelihood(model, corpus)
-        # background_rate=0 makes the optimizer's objective Eq. 8 verbatim,
-        # so the reported history matches corpus_log_likelihood exactly.
-        opt = ProjectedGradientAscent(
-            OptimizerConfig(max_iters=50, background_rate=0.0)
-        )
+        # The optimizer's objective is Eq. 8 verbatim, so the reported
+        # history matches corpus_log_likelihood exactly.
+        opt = ProjectedGradientAscent(OptimizerConfig(max_iters=50))
         result = opt.fit(model, corpus)
         after = corpus_log_likelihood(model, corpus)
         assert after > before
         assert result.final_loglik == pytest.approx(after, rel=1e-9)
-
-    def test_background_rate_objective_still_improves_eq8(self, corpus):
-        model = EmbeddingModel.random(4, 2, scale=0.5, seed=0)
-        before = corpus_log_likelihood(model, corpus)
-        ProjectedGradientAscent(
-            OptimizerConfig(max_iters=50, background_rate=1e-3)
-        ).fit(model, corpus)
-        assert corpus_log_likelihood(model, corpus) > before
-
-    def test_background_rate_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(background_rate=-1e-3)
 
     def test_history_monotone(self, corpus):
         model = EmbeddingModel.random(4, 2, scale=0.5, seed=1)
@@ -99,14 +85,6 @@ class TestFit:
         ProjectedGradientAscent(cfg).fit(m2, corpus)
         assert m1 == m2
 
-    def test_callback_invoked(self, corpus):
-        model = EmbeddingModel.random(4, 2, seed=5)
-        calls = []
-        ProjectedGradientAscent(OptimizerConfig(max_iters=10)).fit(
-            model, corpus, callback=lambda it, ll: calls.append((it, ll))
-        )
-        assert len(calls) >= 1
-
     def test_universe_mismatch(self, corpus):
         model = EmbeddingModel.random(3, 2, seed=0)
         with pytest.raises(ValueError):
@@ -120,34 +98,6 @@ class TestFit:
         )
         assert model == before or model.frobenius_distance(before) == 0.0
         assert result.final_loglik == 0.0
-
-
-class TestBlockCoordinate:
-    def test_update_rows_mask_restricts_changes(self, corpus):
-        model = EmbeddingModel.random(4, 2, seed=7)
-        frozen = model.copy()
-        mask = np.array([True, True, False, False])
-        ProjectedGradientAscent(OptimizerConfig(max_iters=20)).fit(
-            model, corpus, update_rows=mask
-        )
-        assert np.array_equal(model.A[2:], frozen.A[2:])
-        assert np.array_equal(model.B[2:], frozen.B[2:])
-        assert not np.array_equal(model.A[:2], frozen.A[:2])
-
-    def test_update_rows_as_indices(self, corpus):
-        model = EmbeddingModel.random(4, 2, seed=8)
-        frozen = model.copy()
-        ProjectedGradientAscent(OptimizerConfig(max_iters=10)).fit(
-            model, corpus, update_rows=np.array([0, 1])
-        )
-        assert np.array_equal(model.A[2:], frozen.A[2:])
-
-    def test_bad_mask_length(self, corpus):
-        model = EmbeddingModel.random(4, 2, seed=9)
-        with pytest.raises(ValueError):
-            ProjectedGradientAscent().fit(
-                model, corpus, update_rows=np.array([True, False])
-            )
 
 
 class TestFitResult:

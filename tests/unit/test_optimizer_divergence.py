@@ -39,7 +39,7 @@ class FakeSweeps:
         self.n_calls = 0
         self.n_backward_calls = 0
 
-    def forward(self, A, B, corpus, workspace, eps=0.0, background_rate=0.0):
+    def forward(self, A, B, corpus, workspace, eps=0.0):
         self.n_calls += 1
         if self.n_calls in self.bad_calls:
             return float("nan")

@@ -74,9 +74,9 @@ class TestSweepPair:
         A, B = small_model.A, small_model.B
         gA1, gB1 = np.zeros_like(A), np.zeros_like(B)
         gA2, gB2 = np.zeros_like(A), np.zeros_like(B)
-        ll1 = corpus_gradients(A, B, comp, gA1, gB1, background_rate=1e-3)
+        ll1 = corpus_gradients(A, B, comp, gA1, gB1)
         ws = GradientWorkspace()
-        ll2 = forward_sweep(A, B, comp, ws, background_rate=1e-3)
+        ll2 = forward_sweep(A, B, comp, ws)
         backward_sweep(comp, gA2, gB2, ws)
         assert ll1 == ll2
         assert np.array_equal(gA1, gA2)

@@ -5,11 +5,7 @@ import pytest
 
 from repro.cascades.types import Cascade, CascadeSet
 from repro.community.partition import Partition
-from repro.parallel.splitting import (
-    split_cascades,
-    split_positions,
-    subcorpus_for_community,
-)
+from repro.parallel.splitting import split_cascades, split_positions
 
 
 @pytest.fixture
@@ -67,24 +63,6 @@ class TestSplitCascades:
         subs = split_cascades(cs, Partition.trivial(6), min_size=1)
         assert len(subs) == 1
         assert subs[0].sizes().tolist() == cs.sizes().tolist()
-
-
-class TestSubcorpusRelabeling:
-    def test_relabel_roundtrip(self, corpus_and_partition):
-        cs, part = corpus_and_partition
-        subs = split_cascades(cs, part, min_size=1)
-        nodes = part.members(1)
-        local, mapping = subcorpus_for_community(subs[1], nodes)
-        assert local.n_nodes == 3
-        for lc, gc in zip(local, subs[1]):
-            assert np.array_equal(mapping[lc.nodes], gc.nodes)
-            assert np.array_equal(lc.times, gc.times)
-
-    def test_rejects_foreign_nodes(self, corpus_and_partition):
-        cs, part = corpus_and_partition
-        subs = split_cascades(cs, part, min_size=1)
-        with pytest.raises(ValueError, match="outside"):
-            subcorpus_for_community(subs[0], np.array([0, 1]))  # missing node 2
 
 
 class TestSplitPositions:
